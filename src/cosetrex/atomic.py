@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 from .coxeter import (
     CoxeterSystem,
     as_simple,
+    braid_closure,
     conjugate,
     identity,
     left_descents,
@@ -23,6 +24,7 @@ from .coxeter import (
 from .cosets import (
     DoubleCoset,
     Frame,
+    all_frames,
     check_subset,
     coset_of,
     identity_coset,
@@ -64,6 +66,50 @@ def atomic_from(system: CoxeterSystem, mid: Iterable[int], s: int) -> AtomicCose
     if t is None:  # conjugation by w_M permutes the simples of M
         raise AssertionError(f"w_M {s} w_M is not simple for M = {sorted(mid)}")
     return AtomicCoset(system, mid - {s}, mid, mid - {t}, s, t)
+
+
+def squashed_system(system: CoxeterSystem, J: Iterable[int]) -> CoxeterSystem:
+    """The group of the same type whose words index the atomic expressions
+    out of J: rank n - |J|, on the strands (type A) or block pairs (type B)
+    left after squashing along J."""
+    if system.cartan == "I2":
+        raise ValueError("squashing needs a type A or B system, got I2")
+    return CoxeterSystem(system.cartan, system.rank - len(check_subset(system, J)))
+
+
+def atomic_generator(system: CoxeterSystem, J: Iterable[int], i: int) -> AtomicCoset:
+    """The atomic coset with right frame J squashing to the simple s_i:
+    the i-th gap of J, counted from the first simple index."""
+    J = check_subset(system, J)
+    indices = squashed_system(system, J).simple_indices
+    if i not in indices:
+        raise ValueError(f"generator index {i} out of range {indices.start}..{indices.stop - 1}")
+    s = sorted(set(system.simple_indices) - J)[i - indices.start]
+    mid = J | {s}
+    return atomic_from(system, mid, as_simple(conjugate(longest_element(system, mid), s)))
+
+
+def atomic_index(a: AtomicCoset) -> int:
+    """Position of an atom among the atomic cosets sharing its right frame."""
+    indices = a.system.simple_indices
+    return sorted(set(indices) - a.right).index(a.removed) + indices.start
+
+
+def word_of_rex(atoms: Sequence[AtomicCoset]) -> tuple[int, ...]:
+    """The index word of an atomic expression, leftmost factor first."""
+    return tuple(atomic_index(a) for a in atoms)
+
+
+def lift_word(system: CoxeterSystem, J: Iterable[int], word: Sequence[int]) -> tuple[AtomicCoset, ...]:
+    """Chain atomic generators along a word, rightmost letter applied to J first."""
+    J = check_subset(system, J)
+    atoms: list[AtomicCoset] = []
+    cur = J
+    for i in reversed(word):
+        a = atomic_generator(system, cur, i)
+        atoms.append(a)
+        cur = a.left
+    return tuple(reversed(atoms))
 
 
 @lru_cache(maxsize=None)
@@ -136,6 +182,14 @@ def all_atomic_rexes(p: DoubleCoset) -> tuple[tuple[AtomicCoset, ...], ...]:
     return tuple(out)
 
 
+def matsumoto_connected(p: DoubleCoset) -> bool:
+    """Whether braid moves of the squashed group reach every atomic reduced
+    expression of the core coset p from its greedy one."""
+    rexes = {word_of_rex(r) for r in all_atomic_rexes(p)}
+    small = squashed_system(p.system, p.right)
+    return braid_closure(small, word_of_rex(atomic_rex_of_core(p))) == rexes
+
+
 def one_step_of_atoms(
     system: CoxeterSystem, atoms: Sequence[AtomicCoset], start: Iterable[int] | None = None
 ) -> OneStepExpression:
@@ -179,7 +233,7 @@ def atomic_composition_closure(
     """
     atoms = [
         atomic_from(system, M, s)
-        for M in _finitary_subsets(system)
+        for M in all_frames(system)
         for s in sorted(M)
     ]
     by_right: dict[Frame, list[DoubleCoset]] = {}
@@ -199,14 +253,6 @@ def atomic_composition_closure(
         frontier = nxt
         factors += 1
     return seen
-
-
-def _finitary_subsets(system: CoxeterSystem) -> list[Frame]:
-    indices = list(system.simple_indices)
-    return [
-        frozenset(i for b, i in enumerate(indices) if mask >> b & 1)
-        for mask in range(1 << len(indices))
-    ]
 
 
 def compose_atomics(

@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import factorial
 from typing import Callable, Sequence
 
 from . import atomic, cosets, coxeter, expressions, nilcox, squash_a, squash_b
@@ -50,6 +49,8 @@ def _cmd_eval_expr(args) -> int:
 def _coset_from_args(args):
     if args.coset:
         return cosets.coset_from_json(json.loads(args.coset))
+    if None in (args.left, args.right, args.min):
+        raise ValueError("give the coset as --coset JSON, or as --left, --right and --min")
     system = _system_from_args(args)
     w = coxeter.parse_element(system, args.min)
     return cosets.coset_of(
@@ -70,6 +71,8 @@ def _cmd_atomic_rex(args) -> int:
 
 def _cmd_squash(args) -> int:
     p = _coset_from_args(args)
+    if p.system.cartan == "I2":
+        raise ValueError("squashing needs a type A or B coset, got I2")
     sigma = squash_a.squash_coset(p) if p.system.cartan == "A" else squash_b.squash_coset_b(p)
     print(coxeter.format_element(sigma))
     return 0
@@ -78,14 +81,9 @@ def _cmd_squash(args) -> int:
 def _cmd_unsquash(args) -> int:
     system = _system_from_args(args)
     J = cosets.parse_subset(args.right)
-    if system.cartan == "A":
-        small = squash_a.squashed_system(system, J)
-        sigma = coxeter.parse_element(small, args.sigma)
-        _, p = squash_a.unsquash(system, J, sigma)
-    else:
-        small = squash_b.squashed_system_b(system, J)
-        sigma = coxeter.parse_element(small, args.sigma)
-        _, p = squash_b.unsquash_b(system, J, sigma)
+    sigma = coxeter.parse_element(atomic.squashed_system(system, J), args.sigma)
+    unsquash = squash_a.unsquash if system.cartan == "A" else squash_b.unsquash_b
+    _, p = unsquash(system, J, sigma)
     _print_coset(p, args.format)
     return 0
 
@@ -126,15 +124,6 @@ def _cmd_compose(args) -> int:
 # verification suites
 
 
-def _subsets(system: CoxeterSystem) -> list[frozenset[int]]:
-    indices = list(system.simple_indices)
-    out = [
-        frozenset(i for b, i in enumerate(indices) if mask >> b & 1)
-        for mask in range(1 << len(indices))
-    ]
-    return sorted(out, key=lambda J: (len(J), sorted(J)))
-
-
 def _systems(cartan: str, max_rank: int) -> list[CoxeterSystem]:
     if cartan == "A":
         return [type_a(r) for r in range(1, max_rank + 1)]
@@ -146,7 +135,7 @@ def _systems(cartan: str, max_rank: int) -> list[CoxeterSystem]:
 def _suite_core_atomic(cartan: str, max_rank: int, emit) -> list[str]:
     failures = []
     for system in _systems(cartan, max_rank):
-        for J in _subsets(system):
+        for J in cosets.all_frames(system):
             count = 0
             for _, p in cosets.enumerate_core_cosets(system, J):
                 count += 1
@@ -164,11 +153,11 @@ def _suite_core_atomic(cartan: str, max_rank: int, emit) -> list[str]:
 
 def _suite_squash_bijection(cartan: str, max_rank: int, emit) -> list[str]:
     failures = []
-    for system in _systems("A", max_rank):
-        for J in _subsets(system):
+    for system in _systems(cartan, max_rank):
+        for J in cosets.all_frames(system):
             found = cosets.enumerate_core_cosets(system, J)
-            small = squash_a.squashed_system(system, J)
-            expected = factorial(small.rank + 1)
+            small = atomic.squashed_system(system, J)
+            expected = coxeter.group_order(small)
             if len(found) != expected:
                 failures.append(f"squash count at {system} J={sorted(J)}: {len(found)} != {expected}")
             images = set()
@@ -191,10 +180,9 @@ def _suite_atomic_rex_bijection(cartan: str, max_rank: int, emit) -> list[str]:
     failures = []
     for system in _systems(cartan, max_rank):
         squash = squash_a.squash_coset if cartan == "A" else squash_b.squash_coset_b
-        word_of = squash_a.word_of_rex if cartan == "A" else squash_b.word_of_rex_b
-        for J in _subsets(system):
+        for J in cosets.all_frames(system):
             for _, p in cosets.enumerate_core_cosets(system, J):
-                words = {word_of(rex) for rex in atomic.all_atomic_rexes(p)}
+                words = {atomic.word_of_rex(rex) for rex in atomic.all_atomic_rexes(p)}
                 expected = set(coxeter.reduced_words(squash(p)))
                 if words != expected:
                     failures.append(f"atomic-rex-bijection: {p}")
@@ -205,8 +193,8 @@ def _suite_atomic_rex_bijection(cartan: str, max_rank: int, emit) -> list[str]:
 def _suite_matsumoto(cartan: str, max_rank: int, emit) -> list[str]:
     failures = []
     for system in _systems(cartan, max_rank):
-        connected = squash_a.matsumoto_connected if cartan == "A" else squash_b.matsumoto_connected_b
-        for J in _subsets(system):
+        connected = squash_b.matsumoto_connected_b if cartan == "B" else atomic.matsumoto_connected
+        for J in cosets.all_frames(system):
             for _, p in cosets.enumerate_core_cosets(system, J):
                 if not connected(p):
                     failures.append(f"matsumoto: braid closure misses expressions of {p}")
@@ -219,7 +207,7 @@ def _suite_mimimi(cartan: str, max_rank: int, emit) -> list[str]:
     for system in _systems(cartan, max_rank):
         by_left: dict[frozenset, list] = {}
         by_right: dict[frozenset, list] = {}
-        for J in _subsets(system):
+        for J in cosets.all_frames(system):
             for I, p in cosets.enumerate_core_cosets(system, J):
                 by_left.setdefault(I, []).append(p)
                 by_right.setdefault(J, []).append(p)
@@ -243,7 +231,7 @@ def _suite_mimimi(cartan: str, max_rank: int, emit) -> list[str]:
 
 
 def _all_atoms(system: CoxeterSystem):
-    for M in _subsets(system):
+    for M in cosets.all_frames(system):
         for s in sorted(M):
             yield atomic.atomic_from(system, M, s)
 
@@ -270,15 +258,10 @@ def _suite_atomatom(cartan: str, max_rank: int, emit) -> list[str]:
                 if pa == pb and prod != pa:
                     failures.append(f"atomatom: p*p != p at {a}")
         # a_i^I * a_i^J is never reduced and lands on the [J, Js, J]-coset
-        for J in _subsets(system):
-            gaps = sorted(set(system.simple_indices) - J)
-            base = 1 if cartan == "A" else 0
-            for k in range(len(gaps)):
-                i = base + k
-                aJ = (squash_a.atomic_generator(system, J, i) if cartan == "A"
-                      else squash_b.atomic_generator_b(system, J, i))
-                aI = (squash_a.atomic_generator(system, aJ.left, i) if cartan == "A"
-                      else squash_b.atomic_generator_b(system, aJ.left, i))
+        for J in cosets.all_frames(system):
+            for i in atomic.squashed_system(system, J).simple_indices:
+                aJ = atomic.atomic_generator(system, J, i)
+                aI = atomic.atomic_generator(system, aJ.left, i)
                 pI, pJ = atomic.coset_of_atom(aI), atomic.coset_of_atom(aJ)
                 if cosets.is_reduced_composition(pI, pJ):
                     failures.append(f"aa=a: reduced composition at J={sorted(J)} i={i}")
@@ -296,9 +279,8 @@ def _suite_nilcox_relations(cartan: str, max_rank: int, emit) -> list[str]:
     for system in _systems(cartan, max_rank):
         report = nilcox.verify_relations(system)
         failures.extend(report.failures)
-        for J in _subsets(system):
-            k = nilcox.n_strands(system, J)
-            expected = factorial(k) if cartan == "A" else 2 ** k * factorial(k)
+        for J in cosets.all_frames(system):
+            expected = coxeter.group_order(atomic.squashed_system(system, J))
             basis = nilcox.ad_basis(system, J)
             reachable = nilcox.reachable_cosets(system, J)
             if len(basis) != expected:
@@ -312,7 +294,7 @@ def _suite_nilcox_relations(cartan: str, max_rank: int, emit) -> list[str]:
 def _suite_add_remove(cartan: str, max_rank: int, emit) -> list[str]:
     failures = []
     for system in _systems(cartan, max_rank):
-        subsets = _subsets(system)
+        subsets = cosets.all_frames(system)
         for I in subsets:
             for J in subsets:
                 for p in cosets.enumerate_cosets(system, I, J):
@@ -350,8 +332,8 @@ def _suite_add_remove(cartan: str, max_rank: int, emit) -> list[str]:
 
 def _suite_redundancy_a(cartan: str, max_rank: int, emit) -> list[str]:
     failures = []
-    for system in _systems("A", max_rank):
-        subsets = _subsets(system)
+    for system in _systems(cartan, max_rank):
+        subsets = cosets.all_frames(system)
         for I in subsets:
             for J in subsets:
                 for p in cosets.enumerate_cosets(system, I, J):
@@ -378,8 +360,8 @@ def _suite_redundancy_a(cartan: str, max_rank: int, emit) -> list[str]:
 
 def _suite_type_b(cartan: str, max_rank: int, emit) -> list[str]:
     failures = []
-    for system in _systems("B", max_rank):
-        subsets = _subsets(system)
+    for system in _systems(cartan, max_rank):
+        subsets = cosets.all_frames(system)
         for I in subsets:
             for J in subsets:
                 for p in cosets.enumerate_cosets(system, I, J):
@@ -389,15 +371,14 @@ def _suite_type_b(cartan: str, max_rank: int, emit) -> list[str]:
                         failures.append(f"type-b: s0 redundancy asymmetry at {p}")
         for J in subsets:
             found = cosets.enumerate_core_cosets(system, J)
-            k = system.rank - len(J)
-            expected = 2 ** k * factorial(k)
+            small = atomic.squashed_system(system, J)
+            expected = coxeter.group_order(small)
             if len(found) != expected:
                 failures.append(f"type-b core count at J={sorted(J)}: {len(found)} != {expected}")
             for I, p in found:
                 sigma = squash_b.squash_coset_b(p)
                 if squash_b.unsquash_b(system, J, sigma) != (I, p):
                     failures.append(f"type-b squash round-trip fails at {p}")
-            small = squash_b.squashed_system_b(system, J)
             for sigma in coxeter.all_elements(small):
                 I, p = squash_b.unsquash_b(system, J, sigma)
                 if squash_b.squash_coset_b(p) != sigma:
@@ -438,30 +419,39 @@ _SUITES: dict[str, Callable] = {
     "type-b": _suite_type_b,
 }
 
+# the types each suite supports, with their default max rank (max bond for I2)
 _SUITE_DEFAULT_RANK = {
     "core-atomic": {"A": 5, "B": 3, "I2": 7},
-    "squash-bijection": {"A": 5, "B": 3, "I2": 0},
-    "atomic-rex-bijection": {"A": 4, "B": 3, "I2": 0},
-    "matsumoto": {"A": 4, "B": 3, "I2": 0},
-    "mimimi": {"A": 4, "B": 3, "I2": 0},
-    "atomatom": {"A": 4, "B": 3, "I2": 0},
-    "nilcox-relations": {"A": 4, "B": 3, "I2": 0},
-    "add-remove": {"A": 3, "B": 3, "I2": 0},
-    "redundancy-a": {"A": 4, "B": 0, "I2": 0},
-    "type-b": {"A": 0, "B": 3, "I2": 0},
+    "squash-bijection": {"A": 5},
+    "atomic-rex-bijection": {"A": 4, "B": 3},
+    "matsumoto": {"A": 4, "B": 3},
+    "mimimi": {"A": 4, "B": 3, "I2": 3},
+    "atomatom": {"A": 4, "B": 3},
+    "nilcox-relations": {"A": 4, "B": 3},
+    "add-remove": {"A": 3, "B": 3, "I2": 3},
+    "redundancy-a": {"A": 4},
+    "type-b": {"B": 3},
 }
 
 
 def _cmd_verify(args) -> int:
     suite = _SUITES[args.suite]
     cartan = args.type
-    max_rank = args.max_rank if args.max_rank else _SUITE_DEFAULT_RANK[args.suite].get(cartan, 3)
+    supported = _SUITE_DEFAULT_RANK[args.suite]
+    if cartan not in supported:
+        raise ValueError(f"suite {args.suite} supports --type {', '.join(supported)}, not {cartan}")
+    max_rank = args.max_rank if args.max_rank else supported[cartan]
+    cells = 0
 
     def emit(line: str) -> None:
+        nonlocal cells
+        cells += 1
         if not args.quiet:
             print(line)
 
     failures = suite(cartan, max_rank, emit)
+    if not cells:
+        failures.append(f"no cells checked at max rank {max_rank}")
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterable
 
 from .coxeter import (
@@ -37,6 +38,12 @@ def check_subset(system: CoxeterSystem, indices: Iterable[int]) -> Frame:
     if bad:
         raise ValueError(f"indices {sorted(bad)} out of range for {system}")
     return out
+
+
+def all_frames(system: CoxeterSystem) -> list[Frame]:
+    """Every subset of the simple indices, by size, then lexicographically."""
+    indices = system.simple_indices
+    return [frozenset(c) for size in range(len(indices) + 1) for c in combinations(indices, size)]
 
 
 def format_subset(indices: Iterable[int]) -> str:
@@ -243,6 +250,20 @@ def coset_to_json(p: DoubleCoset) -> dict:
 
 
 def coset_from_json(doc: dict) -> DoubleCoset:
+    if not isinstance(doc, dict):
+        raise ValueError("a coset must be a JSON object")
+    missing = [key for key in ("cartan", "rank", "left", "right", "min") if key not in doc]
+    if missing:
+        raise ValueError(f"coset JSON lacks {', '.join(missing)}")
+    if not (
+        isinstance(doc["rank"], int)
+        and isinstance(doc.get("bond", 0), (int, type(None)))
+        and all(
+            isinstance(doc[key], list) and all(isinstance(x, int) for x in doc[key])
+            for key in ("left", "right", "min")
+        )
+    ):
+        raise ValueError("coset JSON needs an integer rank and bond, and integer lists left, right and min")
     system = CoxeterSystem(doc["cartan"], doc["rank"], doc.get("bond"))
     if system.cartan == "I2":
         from .coxeter import element_from_word

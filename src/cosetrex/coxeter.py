@@ -17,10 +17,11 @@ Conventions, fixed once for the whole package:
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -89,6 +90,73 @@ def coxeter_m(system: CoxeterSystem, i: int, j: int) -> int:
     if system.cartan == "B" and min(i, j) == 0:
         return 4
     return 3
+
+
+def braid_relation(system: CoxeterSystem, i: int, j: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The two sides of the braid relation of s_i and s_j: the alternating
+    words of length m_ij starting with i and with j."""
+    m = coxeter_m(system, i, j)
+    return (
+        tuple(i if k % 2 == 0 else j for k in range(m)),
+        tuple(j if k % 2 == 0 else i for k in range(m)),
+    )
+
+
+@lru_cache(maxsize=None)
+def _braid_table(system: CoxeterSystem) -> list[list[tuple | None]]:
+    """table[i][j] = (m_ij, word starting with i, word starting with j) for
+    simple indices i != j, None elsewhere; lists index faster than a dict
+    keyed by pairs in the closure's inner loop."""
+    indices = system.simple_indices
+    table: list[list[tuple | None]] = [[None] * indices.stop for _ in range(indices.stop)]
+    for i in indices:
+        for j in indices:
+            if i != j:
+                table[i][j] = (coxeter_m(system, i, j),) + braid_relation(system, i, j)
+    return table
+
+
+def _braid_moves(table: list, word: tuple[int, ...], positions: Iterable[int]) -> Iterator[tuple[int, ...]]:
+    """The words made by each braid move that starts at one of the positions."""
+    for pos in positions:
+        move = table[word[pos]][word[pos + 1]]
+        if move is not None:
+            m, here, there = move
+            if m == 2 or word[pos : pos + m] == here:
+                yield word[:pos] + there + word[pos + m :]
+
+
+def _check_word(system: CoxeterSystem, word: Sequence[int]) -> tuple[int, ...]:
+    word = tuple(word)
+    bad = set(word) - set(system.simple_indices)
+    if bad:
+        raise ValueError(f"letters {sorted(bad)} out of range for {system}")
+    return word
+
+
+def apply_braid_move(system: CoxeterSystem, word: Sequence[int], pos: int) -> tuple[int, ...]:
+    """Rewrite a word by the braid move of length m_ij that starts at pos."""
+    word = _check_word(system, word)
+    if 0 <= pos < len(word) - 1:
+        for moved in _braid_moves(_braid_table(system), word, (pos,)):
+            return moved
+    raise ValueError(f"pattern mismatch: no braid move starts at position {pos} of {word}")
+
+
+def braid_closure(system: CoxeterSystem, word: Sequence[int]) -> set[tuple[int, ...]]:
+    """All words reachable from word by braid moves (Matsumoto's theorem:
+    every reduced word of the same element, when word is reduced)."""
+    start = _check_word(system, word)
+    table = _braid_table(system)
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        cur = queue.popleft()
+        for nxt in _braid_moves(table, cur, range(len(cur) - 1)):
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return seen
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable, Sequence
 
-from .coxeter import CoxeterSystem
+from .coxeter import CoxeterSystem, braid_relation
 from .cosets import (
     DoubleCoset,
     Frame,
+    all_frames,
     check_subset,
     coset_to_json,
     enumerate_core_cosets,
@@ -23,9 +25,9 @@ from .cosets import (
     is_reduced_composition,
     star_compose,
 )
-from .atomic import coset_of_atom
-from .squash_a import atomic_generator, block_classes
-from .squash_b import atomic_generator_b, block_classes_b
+from .atomic import atomic_generator, coset_of_atom, squashed_system
+from .squash_a import block_classes
+from .squash_b import block_classes_b
 
 
 @dataclass(eq=True)
@@ -97,24 +99,13 @@ def ad_compose(f: ADMorphism, g: ADMorphism) -> ADMorphism:
 
 
 def n_strands(system: CoxeterSystem, J: Frame) -> int:
-    """Number of generator slots at the object J."""
-    if system.cartan == "A":
-        return len(block_classes(system, J))
-    if system.cartan == "B":
-        return len(block_classes_b(system, J)) - 1
-    raise ValueError("the atomic algebroid backends are types A and B")
+    """Number of strands (type A) or block pairs (type B) at the object J."""
+    return squashed_system(system, J).points
 
 
 def generator(system: CoxeterSystem, J: Iterable[int], i: int) -> ADMorphism:
     """The atomic generator symbol d_i at the object J."""
-    J = check_subset(system, J)
-    if system.cartan == "A":
-        atom = atomic_generator(system, J, i)
-    elif system.cartan == "B":
-        atom = atomic_generator_b(system, J, i)
-    else:
-        raise ValueError("the atomic algebroid backends are types A and B")
-    return basis_morphism(coset_of_atom(atom))
+    return basis_morphism(coset_of_atom(atomic_generator(system, J, i)))
 
 
 def psi(system: CoxeterSystem, J: Iterable[int], word: Sequence[int]) -> ADMorphism:
@@ -137,9 +128,7 @@ def ad_basis(system: CoxeterSystem, J: Iterable[int], cap: int = 10000) -> list[
 
 def reachable_cosets(system: CoxeterSystem, J: Iterable[int]) -> set[DoubleCoset]:
     """Cosets of all nonzero products of atomic generators out of J."""
-    J = check_subset(system, J)
-    k = n_strands(system, J)
-    indices = range(1, k) if system.cartan == "A" else range(k)
+    indices = squashed_system(system, J).simple_indices
     start = identity_coset(system, J)
     seen = {start}
     queue = deque([start])
@@ -167,7 +156,8 @@ class RelationReport:
 
 
 def verify_relations(system: CoxeterSystem) -> RelationReport:
-    """Check the nil, braid, and commuting generator relations at every object."""
+    """Check the nil relations and the braid relations of the squashed
+    group's Coxeter matrix (m = 2 is commuting) at every object."""
     report = RelationReport()
 
     def record(name: str, J: Frame, holds: bool) -> None:
@@ -175,41 +165,14 @@ def verify_relations(system: CoxeterSystem) -> RelationReport:
         if not holds:
             report.failures.append(f"{name} fails at J = {sorted(J)} in {system}")
 
-    type_b = system.cartan == "B"
-    subsets = _all_subsets(system)
-    for J in subsets:
-        k = n_strands(system, J)
-        indices = list(range(1, k)) if not type_b else list(range(k))
-        for i in indices:
+    for J in all_frames(system):
+        small = squashed_system(system, J)
+        for i in small.simple_indices:
             record(f"d{i} d{i} = 0", J, not psi(system, J, (i, i)).coeffs)
-        for i in indices:
-            if i + 1 in indices and (not type_b or i >= 1):
-                lhs = psi(system, J, (i, i + 1, i))
-                rhs = psi(system, J, (i + 1, i, i + 1))
-                record(f"braid d{i} d{i+1} d{i}", J, lhs == rhs)
-        for i in indices:
-            for j in indices:
-                if j > i + 1:
-                    record(
-                        f"comm d{i} d{j}",
-                        J,
-                        psi(system, J, (i, j)) == psi(system, J, (j, i)),
-                    )
-        if type_b and k >= 2:
-            record(
-                "braid d0 d1 d0 d1",
-                J,
-                psi(system, J, (0, 1, 0, 1)) == psi(system, J, (1, 0, 1, 0)),
-            )
+        for i, j in combinations(small.simple_indices, 2):
+            lhs, rhs = braid_relation(small, i, j)
+            record(f"braid {lhs} = {rhs}", J, psi(system, J, lhs) == psi(system, J, rhs))
     return report
-
-
-def _all_subsets(system: CoxeterSystem) -> list[Frame]:
-    indices = list(system.simple_indices)
-    out = []
-    for mask in range(1 << len(indices)):
-        out.append(frozenset(i for b, i in enumerate(indices) if mask >> b & 1))
-    return sorted(out, key=lambda J: (len(J), sorted(J)))
 
 
 def composition_of(system: CoxeterSystem, J: Iterable[int]) -> tuple[int, ...]:

@@ -6,24 +6,14 @@ the J-blocks onto the I-blocks order-preservingly, so it induces an honest
 permutation of k = n - |J| strands.  This squashed permutation is a
 bijection onto S_k (for fixed J), carries atomic cosets to simple
 transpositions, and matches atomic reduced expressions with ordinary
-reduced words.
+reduced words; the type-free atom-word layer is in ``atomic``.
 """
 from __future__ import annotations
 
-from collections import deque
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .coxeter import (
-    CoxeterSystem,
-    Element,
-    act,
-    as_simple,
-    conjugate,
-    element_from_word,
-    type_a,
-)
-from .cosets import DoubleCoset, Frame, check_subset, coset_of, is_core, longest_element
-from .atomic import AtomicCoset, all_atomic_rexes, atomic_from, atomic_rex_of_core
+from .coxeter import CoxeterSystem, Element, act, type_a
+from .cosets import DoubleCoset, Frame, check_subset, coset_of, is_core
 
 
 def _require_type_a(system: CoxeterSystem) -> None:
@@ -115,100 +105,3 @@ def unsquash(system: CoxeterSystem, J: Iterable[int], sigma: Element) -> tuple[F
         if q.min != y:
             raise AssertionError("unsquashed block permutation is not minimal")
     return I, p
-
-
-def atomic_generator(system: CoxeterSystem, J: Iterable[int], i: int) -> AtomicCoset:
-    """The i-th atomic coset with right frame J (1-based, ascending gaps)."""
-    _require_type_a(system)
-    J = check_subset(system, J)
-    gaps = sorted(set(system.simple_indices) - J)
-    if not 1 <= i <= len(gaps):
-        raise ValueError(f"generator index {i} out of range 1..{len(gaps)}")
-    s = gaps[i - 1]
-    mid = J | {s}
-    t = as_simple(conjugate(longest_element(system, mid), s))
-    return atomic_from(system, mid, t)
-
-
-def atomic_index(a: AtomicCoset) -> int:
-    """Position of an atom among the atomic cosets sharing its right frame."""
-    gaps = sorted(set(a.system.simple_indices) - a.right)
-    return gaps.index(a.removed) + 1
-
-
-def word_of_rex(atoms: Sequence[AtomicCoset]) -> tuple[int, ...]:
-    """The index word of an atomic expression, leftmost factor first."""
-    return tuple(atomic_index(a) for a in atoms)
-
-
-def lift_word(system: CoxeterSystem, J: Iterable[int], word: Sequence[int]) -> tuple[AtomicCoset, ...]:
-    """Chain atomic generators along a word, rightmost letter applied to J first."""
-    J = check_subset(system, J)
-    atoms: list[AtomicCoset] = []
-    cur = J
-    for i in reversed(word):
-        a = atomic_generator(system, cur, i)
-        atoms.append(a)
-        cur = a.left
-    return tuple(reversed(atoms))
-
-
-def squashed_system(system: CoxeterSystem, J: Iterable[int]) -> CoxeterSystem:
-    """The symmetric group on the strands left after squashing along J."""
-    _require_type_a(system)
-    return type_a(len(block_classes(system, J)) - 1)
-
-
-def word_product(squashed: CoxeterSystem, word: Sequence[int]) -> Element:
-    """The element of the squashed group spelled by an index word."""
-    return element_from_word(squashed, word)
-
-
-def apply_braid_move(word: Sequence[int], pos: int, kind: str) -> tuple[int, ...]:
-    """Rewrite an atomic index word by one braid move at the given position."""
-    word = tuple(word)
-    if kind == "braid3":
-        if pos < 0 or pos + 3 > len(word):
-            raise ValueError("pattern mismatch: no room for a braid move")
-        a, b, c = word[pos : pos + 3]
-        if a != c or abs(a - b) != 1:
-            raise ValueError(f"pattern mismatch: {word[pos:pos+3]} is not i,i+1,i")
-        return word[:pos] + (b, a, b) + word[pos + 3 :]
-    if kind == "comm":
-        if pos < 0 or pos + 2 > len(word):
-            raise ValueError("pattern mismatch: no room for a commuting move")
-        a, b = word[pos : pos + 2]
-        if abs(a - b) <= 1:
-            raise ValueError(f"pattern mismatch: {word[pos:pos+2]} does not commute")
-        return word[:pos] + (b, a) + word[pos + 2 :]
-    raise ValueError(f"unknown move kind {kind!r}")
-
-
-def _braid_neighbours(word: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
-    for pos in range(len(word) - 2):
-        a, b = word[pos], word[pos + 1]
-        if word[pos + 2] == a and abs(a - b) == 1:
-            yield word[:pos] + (b, a, b) + word[pos + 3 :]
-    for pos in range(len(word) - 1):
-        if abs(word[pos] - word[pos + 1]) > 1:
-            yield word[:pos] + (word[pos + 1], word[pos]) + word[pos + 2 :]
-
-
-def braid_closure(start: Sequence[int]) -> set[tuple[int, ...]]:
-    """All index words reachable from start by braid and commuting moves."""
-    start = tuple(start)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        for nxt in _braid_neighbours(queue.popleft()):
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return seen
-
-
-def matsumoto_connected(p: DoubleCoset) -> bool:
-    """Whether braid moves reach every atomic reduced expression of p."""
-    _require_type_a(p.system)
-    rexes = {word_of_rex(r) for r in all_atomic_rexes(p)}
-    return braid_closure(word_of_rex(atomic_rex_of_core(p))) == rexes

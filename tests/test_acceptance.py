@@ -55,7 +55,7 @@ def test_criterion_2_squash_bijection():
         system = cx.type_a(rank)
         for J in all_subsets(system):
             found = cs.enumerate_core_cosets(system, J)
-            small = sqa.squashed_system(system, J)
+            small = at.squashed_system(system, J)
             assert len(found) == factorial(small.rank + 1)
             for I, p in found:
                 assert sqa.unsquash(system, J, sqa.squash_coset(p)) == (I, p)
@@ -72,7 +72,7 @@ def test_criterion_3_atomic_rex_bijection():
     checked = 0
     for J in all_subsets(system):
         for _, p in cs.enumerate_core_cosets(system, J):
-            words = {sqa.word_of_rex(rex) for rex in at.all_atomic_rexes(p)}
+            words = {at.word_of_rex(rex) for rex in at.all_atomic_rexes(p)}
             assert words == set(cx.reduced_words(sqa.squash_coset(p))), f"at {p}"
             checked += 1
     print(f"\nACCEPTANCE 3 PASS: atomic rex bijection, {checked} core cosets in S5")
@@ -82,7 +82,7 @@ def test_criterion_4_atomic_matsumoto():
     """Braid-move closure reaches every atomic expression, S5 and B3."""
     checked = 0
     for system, connected in (
-        (cx.type_a(4), sqa.matsumoto_connected),
+        (cx.type_a(4), at.matsumoto_connected),
         (cx.type_b(3), sqb.matsumoto_connected_b),
     ):
         for p in _core_cosets(system):
@@ -141,7 +141,7 @@ def test_criterion_6_atomic_composition_laws():
                     assert prod == pa
                 checked += 1
         base = 1 if system.cartan == "A" else 0
-        gen = sqa.atomic_generator if system.cartan == "A" else sqb.atomic_generator_b
+        gen = at.atomic_generator
         for J in all_subsets(system):
             gaps = len(set(system.simple_indices) - J)
             for k in range(gaps):

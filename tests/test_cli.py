@@ -157,3 +157,35 @@ def test_verify_unknown_suite_usage_error(capsys):
         main(["verify", "nope"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+I2_COSET = json.dumps({"cartan": "I2", "rank": 2, "bond": 5, "left": [], "right": [], "min": [1]})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "squash-bijection", "--type", "I2"),
+        ("verify", "redundancy-a", "--type", "B"),
+        ("verify", "type-b", "--type", "A"),
+        ("verify", "matsumoto", "--type", "I2"),
+        ("verify", "atomic-rex-bijection", "--type", "I2"),
+        ("verify", "atomatom", "--type", "I2"),
+        ("squash", "--coset", I2_COSET),
+        ("squash", "--coset", "{}"),
+        ("atomic-rex", "--type", "A", "--rank", "3"),
+    ],
+    ids=" ".join,
+)
+def test_unsupported_input_is_a_one_line_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "all checks passed" not in out
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_verify_with_no_cells_fails(capsys):
+    code, out, err = run(capsys, "verify", "core-atomic", "--type", "A", "--max-rank", "-1")
+    assert code == 1
+    assert "all checks passed" not in out
+    assert "no cells checked" in err

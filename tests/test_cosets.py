@@ -251,3 +251,25 @@ def test_coset_json_roundtrip(a3, b2):
     doc = cs.coset_to_json(r)
     assert doc["bond"] == 5
     assert cs.coset_from_json(doc) == r
+
+
+@pytest.mark.parametrize("system", [cx.type_a(4), cx.type_b(3), cx.dihedral(5)], ids=str)
+def test_all_frames_matches_oracle(system):
+    frames = cs.all_frames(system)
+    assert frames == sorted(all_subsets(system), key=lambda J: (len(J), sorted(J)))
+    assert len(set(frames)) == 2 ** system.rank
+
+
+def test_coset_from_json_rejects_malformed_documents():
+    good = {"cartan": "A", "rank": 3, "left": [1], "right": [3], "min": [3, 4, 1, 2]}
+    for doc in (
+        {},
+        [],
+        {key: value for key, value in good.items() if key != "min"},
+        dict(good, rank="3"),
+        dict(good, left=[1.5]),
+        dict(good, min=None),
+        dict(good, bond="5"),
+    ):
+        with pytest.raises(ValueError):
+            cs.coset_from_json(doc)

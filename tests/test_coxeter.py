@@ -40,6 +40,27 @@ def test_coxeter_matrix():
     assert cx.coxeter_m(cx.dihedral(7), 1, 2) == 7
 
 
+@pytest.mark.parametrize(
+    "system", [cx.type_a(3), cx.type_b(3)] + [cx.dihedral(m) for m in range(3, 8)], ids=str
+)
+def test_braid_closure_matches_reduced_words(system):
+    # Matsumoto's theorem, against the independent enumeration by descents
+    for w in cx.all_elements(system):
+        assert cx.braid_closure(system, cx.reduced_word(w)) == set(cx.reduced_words(w))
+
+
+def test_apply_braid_move_dihedral():
+    i5 = cx.dihedral(5)
+    assert cx.apply_braid_move(i5, (2, 1, 2, 1, 2, 1), 1) == (2, 2, 1, 2, 1, 2)
+    assert cx.braid_closure(i5, (1, 2, 1)) == {(1, 2, 1)}
+    with pytest.raises(ValueError):
+        cx.apply_braid_move(i5, (1, 2, 1, 2), 0)
+    with pytest.raises(ValueError):
+        cx.apply_braid_move(i5, (1, 3), 0)
+    with pytest.raises(ValueError):
+        cx.apply_braid_move(i5, (1, 2, 1, 2, 1), 4)
+
+
 def test_multiply_involution(a3, b2):
     s2 = cx.simple(a3, 2)
     assert cx.multiply(s2, s2) == cx.identity(a3)

@@ -63,7 +63,7 @@ def test_ad_compose_associative_on_generators(a3):
 def test_generator_examples(a3, b2):
     g = nc.generator(a3, frozenset({3}), 2)
     (coset,) = g.coeffs
-    assert coset == at.coset_of_atom(sqa.atomic_generator(a3, frozenset({3}), 2))
+    assert coset == at.coset_of_atom(at.atomic_generator(a3, frozenset({3}), 2))
     assert g.source == frozenset({3}) and g.target == frozenset({2})
     gb = nc.generator(b2, frozenset({0}), 0)
     (coset_b,) = gb.coeffs

@@ -60,7 +60,7 @@ def test_core_counts_and_roundtrip(rank):
         found = cs.enumerate_core_cosets(system, J)
         k = rank - len(J)
         assert len(found) == 2 ** k * factorial(k)
-        small = sq.squashed_system_b(system, J)
+        small = at.squashed_system(system, J)
         assert small.rank == k
         for I, p in found:
             sigma = sq.squash_coset_b(p)
@@ -71,25 +71,25 @@ def test_core_counts_and_roundtrip(rank):
 
 
 def test_atomic_generator_b_examples(b2, b3):
-    a = sq.atomic_generator_b(b2, frozenset({0}), 0)
+    a = at.atomic_generator(b2, frozenset({0}), 0)
     assert (sorted(a.left), sorted(a.mid), sorted(a.right)) == ([0], [0, 1], [0])
-    b = sq.atomic_generator_b(b2, frozenset(), 0)
+    b = at.atomic_generator(b2, frozenset(), 0)
     assert at.coset_of_atom(b).min == cx.simple(b2, 0)
-    c = sq.atomic_generator_b(b3, frozenset({1, 2}), 0)
+    c = at.atomic_generator(b3, frozenset({1, 2}), 0)
     assert c.right == frozenset({1, 2}) and c.mid == frozenset({0, 1, 2})
     with pytest.raises(ValueError):
-        sq.atomic_generator_b(b2, frozenset({0}), 1)
+        at.atomic_generator(b2, frozenset({0}), 1)
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
 def test_atomic_generator_b_squashes_to_simple(rank):
     system = cx.type_b(rank)
     for J in all_subsets(system):
-        small = sq.squashed_system_b(system, J)
+        small = at.squashed_system(system, J)
         for i in range(small.rank):
-            a = sq.atomic_generator_b(system, J, i)
+            a = at.atomic_generator(system, J, i)
             assert a.right == J
-            assert sq.atomic_index_b(a) == i
+            assert at.atomic_index(a) == i
             assert sq.squash_coset_b(at.coset_of_atom(a)) == cx.simple(small, i)
 
 
@@ -97,36 +97,36 @@ def test_atomic_generator_b_squashes_to_simple(rank):
 def test_lift_word_roundtrip_b(rank):
     system = cx.type_b(rank)
     for J in all_subsets(system):
-        small = sq.squashed_system_b(system, J)
+        small = at.squashed_system(system, J)
         for _, p in cs.enumerate_core_cosets(system, J):
             for rex in at.all_atomic_rexes(p):
-                word = sq.word_of_rex_b(rex)
-                assert sq.lift_word_b(system, J, word) == rex
-                assert sq.word_product_b(small, word) == sq.squash_coset_b(p)
+                word = at.word_of_rex(rex)
+                assert at.lift_word(system, J, word) == rex
+                assert cx.element_from_word(small, word) == sq.squash_coset_b(p)
 
 
-def test_apply_braid_move_b():
-    assert sq.apply_braid_move_b((1, 0, 1, 0), 0, "braid4") == (0, 1, 0, 1)
-    assert sq.apply_braid_move_b((0, 1, 0, 1), 0, "braid4") == (1, 0, 1, 0)
-    assert sq.apply_braid_move_b((0, 2), 0, "comm") == (2, 0)
-    assert sq.apply_braid_move_b((1, 2, 1), 0, "braid3") == (2, 1, 2)
+def test_apply_braid_move_b(b3):
+    assert cx.apply_braid_move(b3, (1, 0, 1, 0), 0) == (0, 1, 0, 1)
+    assert cx.apply_braid_move(b3, (0, 1, 0, 1), 0) == (1, 0, 1, 0)
+    assert cx.apply_braid_move(b3, (0, 2), 0) == (2, 0)
+    assert cx.apply_braid_move(b3, (1, 2, 1), 0) == (2, 1, 2)
     with pytest.raises(ValueError):
-        sq.apply_braid_move_b((1, 0, 1), 0, "braid3")
+        cx.apply_braid_move(b3, (1, 0, 1), 0)
     with pytest.raises(ValueError):
-        sq.apply_braid_move_b((0, 1, 0), 0, "braid3")
+        cx.apply_braid_move(b3, (0, 1, 0), 0)
     with pytest.raises(ValueError):
-        sq.apply_braid_move_b((1, 0, 1, 1), 0, "braid4")
+        cx.apply_braid_move(b3, (1, 0, 1, 1), 0)
     with pytest.raises(ValueError):
-        sq.apply_braid_move_b((0, 1), 0, "comm")
+        cx.apply_braid_move(b3, (0, 1), 0)
 
 
 def test_matsumoto_b_examples(b2):
     assert sq.matsumoto_connected_b(cs.identity_coset(b2, frozenset({1})))
     w0 = cs.longest_element(b2, frozenset({0, 1}))
     p = cs.coset_of(b2, frozenset(), w0, frozenset())
-    words = {sq.word_of_rex_b(r) for r in at.all_atomic_rexes(p)}
+    words = {at.word_of_rex(r) for r in at.all_atomic_rexes(p)}
     assert words == {(0, 1, 0, 1), (1, 0, 1, 0)}
-    assert sq.braid_closure_b((1, 0, 1, 0)) == words
+    assert cx.braid_closure(b2, (1, 0, 1, 0)) == words
     assert sq.matsumoto_connected_b(p)
 
 
@@ -143,7 +143,7 @@ def test_atomic_rex_bijection_b(rank):
     system = cx.type_b(rank)
     for J in all_subsets(system):
         for _, p in cs.enumerate_core_cosets(system, J):
-            words = {sq.word_of_rex_b(rex) for rex in at.all_atomic_rexes(p)}
+            words = {at.word_of_rex(rex) for rex in at.all_atomic_rexes(p)}
             assert words == set(cx.reduced_words(sq.squash_coset_b(p)))
 
 
