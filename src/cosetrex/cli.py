@@ -15,11 +15,7 @@ from .coxeter import CoxeterSystem, dihedral, type_a, type_b
 
 
 def _system_from_args(args) -> CoxeterSystem:
-    if args.type == "A":
-        return type_a(args.rank)
-    if args.type == "B":
-        return type_b(args.rank)
-    return dihedral(args.bond if args.bond else args.rank)
+    return CoxeterSystem(args.type, args.rank, args.bond if args.type == "I2" else None)
 
 
 def _print_coset(p, fmt: str) -> None:
@@ -71,10 +67,7 @@ def _cmd_atomic_rex(args) -> int:
 
 def _cmd_squash(args) -> int:
     p = _coset_from_args(args)
-    if p.system.cartan == "I2":
-        raise ValueError("squashing needs a type A or B coset, got I2")
-    sigma = squash_a.squash_coset(p) if p.system.cartan == "A" else squash_b.squash_coset_b(p)
-    print(coxeter.format_element(sigma))
+    print(coxeter.format_element(squash_a.squash_coset(p)))
     return 0
 
 
@@ -82,8 +75,7 @@ def _cmd_unsquash(args) -> int:
     system = _system_from_args(args)
     J = cosets.parse_subset(args.right)
     sigma = coxeter.parse_element(atomic.squashed_system(system, J), args.sigma)
-    unsquash = squash_a.unsquash if system.cartan == "A" else squash_b.unsquash_b
-    _, p = unsquash(system, J, sigma)
+    _, p = squash_a.unsquash(system, J, sigma)
     _print_coset(p, args.format)
     return 0
 
@@ -129,7 +121,7 @@ def _systems(cartan: str, max_rank: int) -> list[CoxeterSystem]:
         return [type_a(r) for r in range(1, max_rank + 1)]
     if cartan == "B":
         return [type_b(r) for r in range(1, max_rank + 1)]
-    return [dihedral(m) for m in range(3, max(3, max_rank) + 1)]
+    return [dihedral(m) for m in range(3, max_rank + 1)]
 
 
 def _suite_core_atomic(cartan: str, max_rank: int, emit) -> list[str]:
@@ -151,39 +143,46 @@ def _suite_core_atomic(cartan: str, max_rank: int, emit) -> list[str]:
     return failures
 
 
+def _check_squash_bijection(system: CoxeterSystem, J: frozenset, failures: list[str]) -> int:
+    """Check that squashing the core cosets with right frame J is a bijection
+    onto the squashed group: the counts agree, squashing is injective, and
+    squash and unsquash invert each other.  Returns the number of cosets."""
+    found = cosets.enumerate_core_cosets(system, J)
+    small = atomic.squashed_system(system, J)
+    expected = coxeter.group_order(small)
+    if len(found) != expected:
+        failures.append(f"squash count at {system} J={sorted(J)}: {len(found)} != {expected}")
+    images = set()
+    for I, p in found:
+        sigma = squash_a.squash_coset(p)
+        images.add(sigma)
+        if squash_a.unsquash(system, J, sigma) != (I, p):
+            failures.append(f"squash round-trip fails at {p}")
+    if len(images) != len(found):
+        failures.append(f"squash not injective at {system} J={sorted(J)}")
+    for sigma in coxeter.all_elements(small):
+        _, p = squash_a.unsquash(system, J, sigma)
+        if squash_a.squash_coset(p) != sigma:
+            failures.append(f"unsquash round-trip fails at {sigma}")
+    return len(found)
+
+
 def _suite_squash_bijection(cartan: str, max_rank: int, emit) -> list[str]:
     failures = []
     for system in _systems(cartan, max_rank):
         for J in cosets.all_frames(system):
-            found = cosets.enumerate_core_cosets(system, J)
-            small = atomic.squashed_system(system, J)
-            expected = coxeter.group_order(small)
-            if len(found) != expected:
-                failures.append(f"squash count at {system} J={sorted(J)}: {len(found)} != {expected}")
-            images = set()
-            for I, p in found:
-                sigma = squash_a.squash_coset(p)
-                images.add(sigma)
-                if squash_a.unsquash(system, J, sigma) != (I, p):
-                    failures.append(f"squash round-trip fails at {p}")
-            if len(images) != expected:
-                failures.append(f"squash not injective at {system} J={sorted(J)}")
-            for sigma in coxeter.all_elements(small):
-                I, p = squash_a.unsquash(system, J, sigma)
-                if squash_a.squash_coset(p) != sigma:
-                    failures.append(f"unsquash round-trip fails at {sigma}")
-            emit(f"squash-bijection A rank={system.rank} J={cosets.format_subset(J)}: {len(found)} cosets")
+            count = _check_squash_bijection(system, J, failures)
+            emit(f"squash-bijection A rank={system.rank} J={cosets.format_subset(J)}: {count} cosets")
     return failures
 
 
 def _suite_atomic_rex_bijection(cartan: str, max_rank: int, emit) -> list[str]:
     failures = []
     for system in _systems(cartan, max_rank):
-        squash = squash_a.squash_coset if cartan == "A" else squash_b.squash_coset_b
         for J in cosets.all_frames(system):
             for _, p in cosets.enumerate_core_cosets(system, J):
                 words = {atomic.word_of_rex(rex) for rex in atomic.all_atomic_rexes(p)}
-                expected = set(coxeter.reduced_words(squash(p)))
+                expected = set(coxeter.reduced_words(squash_a.squash_coset(p)))
                 if words != expected:
                     failures.append(f"atomic-rex-bijection: {p}")
             emit(f"atomic-rex-bijection {cartan} rank={system.rank} J={cosets.format_subset(J)}: ok")
@@ -370,20 +369,8 @@ def _suite_type_b(cartan: str, max_rank: int, emit) -> list[str]:
                     if (0 in lred) != (0 in rred):
                         failures.append(f"type-b: s0 redundancy asymmetry at {p}")
         for J in subsets:
-            found = cosets.enumerate_core_cosets(system, J)
-            small = atomic.squashed_system(system, J)
-            expected = coxeter.group_order(small)
-            if len(found) != expected:
-                failures.append(f"type-b core count at J={sorted(J)}: {len(found)} != {expected}")
-            for I, p in found:
-                sigma = squash_b.squash_coset_b(p)
-                if squash_b.unsquash_b(system, J, sigma) != (I, p):
-                    failures.append(f"type-b squash round-trip fails at {p}")
-            for sigma in coxeter.all_elements(small):
-                I, p = squash_b.unsquash_b(system, J, sigma)
-                if squash_b.squash_coset_b(p) != sigma:
-                    failures.append(f"type-b unsquash round-trip fails at {sigma}")
-            emit(f"type-b rank={system.rank} J={cosets.format_subset(J)}: {len(found)} core cosets")
+            count = _check_squash_bijection(system, J, failures)
+            emit(f"type-b rank={system.rank} J={cosets.format_subset(J)}: {count} core cosets")
         # squashing is a homomorphism on reduced core compositions
         by_left: dict[frozenset, list] = {}
         by_right: dict[frozenset, list] = {}
@@ -397,8 +384,8 @@ def _suite_type_b(cartan: str, max_rank: int, emit) -> list[str]:
                     if not cosets.is_reduced_composition(p, q):
                         continue
                     r = cosets.star_compose(p, q)
-                    sp, sq = squash_b.squash_coset_b(p), squash_b.squash_coset_b(q)
-                    if squash_b.squash_coset_b(r) != coxeter.multiply(sp, sq):
+                    sp, sq = squash_a.squash_coset(p), squash_a.squash_coset(q)
+                    if squash_a.squash_coset(r) != coxeter.multiply(sp, sq):
                         failures.append(f"type-b: squash not multiplicative at {p} * {q}")
                     if coxeter.length(coxeter.multiply(sp, sq)) != coxeter.length(sp) + coxeter.length(sq):
                         failures.append(f"type-b: squash not length-additive at {p} * {q}")
@@ -440,7 +427,7 @@ def _cmd_verify(args) -> int:
     supported = _SUITE_DEFAULT_RANK[args.suite]
     if cartan not in supported:
         raise ValueError(f"suite {args.suite} supports --type {', '.join(supported)}, not {cartan}")
-    max_rank = args.max_rank if args.max_rank else supported[cartan]
+    max_rank = supported[cartan] if args.max_rank is None else args.max_rank
     cells = 0
 
     def emit(line: str) -> None:
@@ -464,7 +451,7 @@ def _cmd_verify(args) -> int:
 def _add_system_flags(parser, need_rank=True) -> None:
     parser.add_argument("--type", choices=("A", "B", "I2"), default="A")
     parser.add_argument("--rank", type=int, default=0, required=need_rank)
-    parser.add_argument("--bond", type=int, default=0, help="bond m for I2 systems")
+    parser.add_argument("--bond", type=int, default=0, help="bond m for I2 systems, which have --rank 2")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -516,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run an exhaustive verification suite")
     p.add_argument("suite", choices=sorted(_SUITES))
     p.add_argument("--type", choices=("A", "B", "I2"), default="A")
-    p.add_argument("--max-rank", type=int, default=0, help="max rank (max bond for I2)")
+    p.add_argument("--max-rank", type=int, help="max rank (max bond for I2)")
     p.add_argument("--quiet", action="store_true", help="suppress per-cell progress")
     p.set_defaults(func=_cmd_verify)
 

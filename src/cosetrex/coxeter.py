@@ -304,15 +304,17 @@ def length(w: Element) -> int:
 
 
 def act(w: Element, x: int) -> int:
-    """Image of the point x, with w(-x) = -w(x) in type B."""
+    """Image of the point x of the window: {1..n} in type A, and {-n..n}
+    with w(-x) = -w(x) in type B."""
     system = w.system
-    if system.cartan == "A":
-        return w.data[x - 1]
-    if system.cartan == "B":
-        if x == 0:
-            return 0
-        return w.data[x - 1] if x > 0 else -w.data[-x - 1]
-    raise ValueError("I2 elements act on no window")
+    d = w.data
+    if system.cartan == "I2":
+        raise ValueError("I2 elements act on no window")
+    if 0 < x <= len(d):
+        return d[x - 1]
+    if system.cartan == "B" and -len(d) <= x <= 0:
+        return -d[-x - 1] if x else 0
+    raise ValueError(f"point {x} is outside the window of {system}")
 
 
 def is_right_descent(w: Element, i: int) -> bool:

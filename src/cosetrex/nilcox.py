@@ -26,8 +26,7 @@ from .cosets import (
     star_compose,
 )
 from .atomic import atomic_generator, coset_of_atom, squashed_system
-from .squash_a import block_classes
-from .squash_b import block_classes_b
+from .squash_a import glued_runs
 
 
 @dataclass(eq=True)
@@ -176,38 +175,25 @@ def verify_relations(system: CoxeterSystem) -> RelationReport:
 
 
 def composition_of(system: CoxeterSystem, J: Iterable[int]) -> tuple[int, ...]:
-    """The block-size composition identifying the object J."""
-    J = check_subset(system, J)
-    if system.cartan == "A":
-        return tuple(len(blk) for blk in block_classes(system, J))
-    if system.cartan == "B":
-        blocks = block_classes_b(system, J)
-        return ((len(blocks[0]) + 1) // 2,) + tuple(len(blk) for blk in blocks[1:])
-    raise ValueError("compositions identify type A and B objects only")
+    """The block-size composition identifying the object J: the lengths of
+    the runs of the window glued along J (in type B the first part counts 0
+    and the positive points of the central block)."""
+    return tuple(len(run) for run in glued_runs(system, J))
 
 
 def frame_from_composition(system: CoxeterSystem, parts: Sequence[int]) -> Frame:
     """Inverse of composition_of."""
     if any(part < 1 for part in parts):
         raise ValueError("composition parts must be positive")
-    if system.cartan == "A":
-        if sum(parts) != system.points:
-            raise ValueError(f"composition must sum to {system.points}")
-        out, x = set(), 0
-        for part in parts:
-            out.update(range(x + 1, x + part))
-            x += part
-        return frozenset(out)
-    if system.cartan == "B":
-        if sum(parts) != system.rank + 1:
-            raise ValueError(f"composition must sum to {system.rank + 1}")
-        out = set(range(parts[0] - 1))
-        x = parts[0] - 1
-        for part in parts[1:]:
-            out.update(range(x + 1, x + part))
-            x += part
-        return frozenset(out)
-    raise ValueError("compositions identify type A and B objects only")
+    start = system.simple_indices.start
+    total = system.points - start + 1
+    if sum(parts) != total:
+        raise ValueError(f"composition must sum to {total}")
+    out, x = set(), start
+    for part in parts:
+        out.update(range(x, x + part - 1))
+        x += part
+    return frozenset(out)
 
 
 def format_composition(parts: Sequence[int]) -> str:

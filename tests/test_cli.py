@@ -3,6 +3,8 @@ import json
 import pytest
 
 from cosetrex import cosets as cs
+from cosetrex import coxeter as cx
+from cosetrex import squash_a
 from cosetrex.cli import main
 
 S11_TEXT = "[{2,3,6,10} +8 -8 +9 -10 +7 -6 +8 -8 +5 -5 +6 -7 +4 -2]"
@@ -174,6 +176,8 @@ I2_COSET = json.dumps({"cartan": "I2", "rank": 2, "bond": 5, "left": [], "right"
         ("squash", "--coset", I2_COSET),
         ("squash", "--coset", "{}"),
         ("atomic-rex", "--type", "A", "--rank", "3"),
+        ("enumerate-core", "--type", "I2", "--rank", "5", "--right", "{}"),
+        ("enumerate-core", "--type", "I2", "--rank", "3", "--bond", "5", "--right", "{}"),
     ],
     ids=" ".join,
 )
@@ -184,8 +188,40 @@ def test_unsupported_input_is_a_one_line_usage_error(capsys, argv):
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
 
 
-def test_verify_with_no_cells_fails(capsys):
-    code, out, err = run(capsys, "verify", "core-atomic", "--type", "A", "--max-rank", "-1")
+@pytest.mark.parametrize(
+    "cartan, max_rank", [("A", "-1"), ("A", "0"), ("I2", "1")], ids=" ".join
+)
+def test_verify_with_no_cells_fails(capsys, cartan, max_rank):
+    code, out, err = run(capsys, "verify", "core-atomic", "--type", cartan, "--max-rank", max_rank)
     assert code == 1
     assert "all checks passed" not in out
     assert "no cells checked" in err
+
+
+def test_i2_system_takes_its_bond(capsys):
+    code, out, _ = run(capsys, "enumerate-core", "--type", "I2", "--rank", "2", "--bond", "5", "--right", "{}")
+    assert code == 0
+    assert out.strip().splitlines()[-1] == "count: 10"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "squash-bijection", "--type", "A", "--max-rank", "3"),
+        ("verify", "type-b", "--type", "B", "--max-rank", "2"),
+        ("verify", "atomic-rex-bijection", "--type", "B", "--max-rank", "2"),
+    ],
+    ids=" ".join,
+)
+def test_verify_catches_a_wrong_squash(capsys, monkeypatch, argv):
+    right = squash_a.squash_coset
+
+    def swapped(p):
+        sigma = right(p)
+        return cx.Element(sigma.system, sigma.data[1::-1] + sigma.data[2:])
+
+    monkeypatch.setattr(squash_a, "squash_coset", swapped)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert "all checks passed" not in out
+    assert "FAIL: " in err

@@ -87,6 +87,21 @@ def test_multiply_matches_oracle_exhaustive(a3):
             assert cx.multiply(w, v).data == perm_mult(w.data, v.data)
 
 
+def test_act_on_the_window_only(a2, b2):
+    w = cx.element_from_images(a2, (2, 3, 1))
+    assert [cx.act(w, x) for x in (1, 2, 3)] == [2, 3, 1]
+    for x in (0, -1, 4):
+        with pytest.raises(ValueError):
+            cx.act(w, x)
+    v = cx.element_from_images(b2, (-2, 1))
+    assert [cx.act(v, x) for x in range(-2, 3)] == [-1, 2, 0, -2, 1]
+    for x in (-3, 3):
+        with pytest.raises(ValueError):
+            cx.act(v, x)
+    with pytest.raises(ValueError):
+        cx.act(cx.identity(cx.dihedral(5)), 1)
+
+
 def test_length_examples(a3):
     assert cx.length(cx.identity(a3)) == 0
     w = cx.element_from_images(a3, (3, 4, 1, 2))

@@ -92,21 +92,11 @@ def test_psi_examples(a3):
 def test_psi_nonzero_iff_reduced(system):
     from itertools import product
 
-    from cosetrex import squash_b as sqb
-
-    unsquash = (
-        (lambda J, sigma: sqa.unsquash(system, J, sigma))
-        if system.cartan == "A"
-        else (lambda J, sigma: sqb.unsquash_b(system, J, sigma))
-    )
     for J in all_subsets(system):
-        k = nc.n_strands(system, J)
-        indices = list(range(1, k)) if system.cartan == "A" else list(range(k))
+        small = at.squashed_system(system, J)
+        indices = list(small.simple_indices)
         if not indices:
             continue
-        small = (
-            cx.type_a(k - 1) if system.cartan == "A" else cx.type_b(k)
-        )
         for n_letters in range(4):
             for word in product(indices, repeat=n_letters):
                 f = nc.psi(system, J, word)
@@ -114,7 +104,7 @@ def test_psi_nonzero_iff_reduced(system):
                 reduced = cx.length(sigma) == len(word)
                 assert bool(f.coeffs) == reduced
                 if reduced:
-                    _, p = unsquash(J, sigma)
+                    _, p = sqa.unsquash(system, J, sigma)
                     assert f == nc.basis_morphism(p)
 
 

@@ -20,7 +20,7 @@ def test_block_classes_examples():
     assert sq.block_classes(a6, frozenset()) == tuple((x,) for x in range(1, 8))
     assert sq.block_classes(a6, set(range(1, 7))) == (tuple(range(1, 8)),)
     with pytest.raises(ValueError):
-        sq.block_classes(cx.type_b(3), {1})
+        sq.block_classes(cx.dihedral(5), {1})
 
 
 def test_is_block_permutation(a3):

@@ -5,52 +5,53 @@ import pytest
 from cosetrex import atomic as at
 from cosetrex import cosets as cs
 from cosetrex import coxeter as cx
+from cosetrex import squash_a as sqa
 from cosetrex import squash_b as sq
 from conftest import all_subsets
 
 
 def test_block_classes_b_examples(b2):
-    assert sq.block_classes_b(b2, frozenset()) == ((0,), (1,), (2,))
-    assert sq.block_classes_b(b2, {0}) == ((-1, 0, 1), (2,))
-    assert sq.block_classes_b(b2, {1}) == ((0,), (1, 2))
-    assert sq.block_classes_b(b2, {0, 1}) == ((-2, -1, 0, 1, 2),)
+    assert sqa.block_classes(b2, frozenset()) == ((0,), (1,), (2,))
+    assert sqa.block_classes(b2, {0}) == ((-1, 0, 1), (2,))
+    assert sqa.block_classes(b2, {1}) == ((0,), (1, 2))
+    assert sqa.block_classes(b2, {0, 1}) == ((-2, -1, 0, 1, 2),)
     with pytest.raises(ValueError):
-        sq.block_classes_b(cx.type_a(2), {1})
+        sqa.block_classes(cx.dihedral(4), {1})
 
 
 def test_is_block_permutation_b(b2):
-    assert sq.is_block_permutation_b(cx.identity(b2), {0}, {0})
+    assert sqa.is_block_permutation(cx.identity(b2), {0}, {0})
     w0 = cs.longest_element(b2, frozenset({0, 1}))
-    assert sq.is_block_permutation_b(w0, frozenset(), frozenset())
+    assert sqa.is_block_permutation(w0, frozenset(), frozenset())
     # s1 breaks the J = {1} block {1,2}
-    assert not sq.is_block_permutation_b(cx.simple(b2, 0), {1}, {1})
+    assert not sqa.is_block_permutation(cx.simple(b2, 0), {1}, {1})
 
 
 def test_squash_examples(b2):
     q = cs.identity_coset(b2, frozenset({0}))
-    assert sq.squash_coset_b(q) == cx.identity(cx.type_b(1))
+    assert sqa.squash_coset(q) == cx.identity(cx.type_b(1))
     w0 = cs.longest_element(b2, frozenset({0, 1}))
     p = cs.coset_of(b2, frozenset(), w0, frozenset())
-    assert sq.squash_coset_b(p).data == (-1, -2)
+    assert sqa.squash_coset(p).data == (-1, -2)
     r = cs.coset_of(b2, {0}, w0, {0})
     assert r.min.data == (1, -2)
     assert cs.is_core(r)
-    assert sq.squash_coset_b(r).data == (-1,)
+    assert sqa.squash_coset(r).data == (-1,)
     with pytest.raises(ValueError):
-        sq.squash_coset_b(cs.coset_of(b2, {1}, cx.simple(b2, 0), {1}))
+        sqa.squash_coset(cs.coset_of(b2, {1}, cx.simple(b2, 0), {1}))
 
 
 def test_unsquash_examples(b2):
     J = frozenset({0})
     sigma = cx.element_from_images(cx.type_b(1), (-1,))
-    I, p = sq.unsquash_b(b2, J, sigma)
+    I, p = sqa.unsquash(b2, J, sigma)
     assert I == J
     assert p.min.data == (1, -2)
     ident = cx.identity(cx.type_b(1))
-    I, q = sq.unsquash_b(b2, J, ident)
+    I, q = sqa.unsquash(b2, J, ident)
     assert I == J and q == cs.identity_coset(b2, J)
     with pytest.raises(ValueError):
-        sq.unsquash_b(b2, J, cx.identity(cx.type_b(2)))
+        sqa.unsquash(b2, J, cx.identity(cx.type_b(2)))
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
@@ -63,11 +64,11 @@ def test_core_counts_and_roundtrip(rank):
         small = at.squashed_system(system, J)
         assert small.rank == k
         for I, p in found:
-            sigma = sq.squash_coset_b(p)
-            assert sq.unsquash_b(system, J, sigma) == (I, p)
+            sigma = sqa.squash_coset(p)
+            assert sqa.unsquash(system, J, sigma) == (I, p)
         for sigma in cx.all_elements(small):
-            I, p = sq.unsquash_b(system, J, sigma)
-            assert sq.squash_coset_b(p) == sigma
+            I, p = sqa.unsquash(system, J, sigma)
+            assert sqa.squash_coset(p) == sigma
 
 
 def test_atomic_generator_b_examples(b2, b3):
@@ -90,7 +91,7 @@ def test_atomic_generator_b_squashes_to_simple(rank):
             a = at.atomic_generator(system, J, i)
             assert a.right == J
             assert at.atomic_index(a) == i
-            assert sq.squash_coset_b(at.coset_of_atom(a)) == cx.simple(small, i)
+            assert sqa.squash_coset(at.coset_of_atom(a)) == cx.simple(small, i)
 
 
 @pytest.mark.parametrize("rank", [2, 3])
@@ -102,7 +103,7 @@ def test_lift_word_roundtrip_b(rank):
             for rex in at.all_atomic_rexes(p):
                 word = at.word_of_rex(rex)
                 assert at.lift_word(system, J, word) == rex
-                assert cx.element_from_word(small, word) == sq.squash_coset_b(p)
+                assert cx.element_from_word(small, word) == sqa.squash_coset(p)
 
 
 def test_apply_braid_move_b(b3):
@@ -144,7 +145,7 @@ def test_atomic_rex_bijection_b(rank):
     for J in all_subsets(system):
         for _, p in cs.enumerate_core_cosets(system, J):
             words = {at.word_of_rex(rex) for rex in at.all_atomic_rexes(p)}
-            assert words == set(cx.reduced_words(sq.squash_coset_b(p)))
+            assert words == set(cx.reduced_words(sqa.squash_coset(p)))
 
 
 @pytest.mark.parametrize("rank", [2, 3])
@@ -177,6 +178,6 @@ def test_squash_b_is_reduced_homomorphism(rank):
                 if not cs.is_reduced_composition(p, q):
                     continue
                 r = cs.star_compose(p, q)
-                sp, sq_ = sq.squash_coset_b(p), sq.squash_coset_b(q)
-                assert sq.squash_coset_b(r) == cx.multiply(sp, sq_)
+                sp, sq_ = sqa.squash_coset(p), sqa.squash_coset(q)
+                assert sqa.squash_coset(r) == cx.multiply(sp, sq_)
                 assert cx.length(cx.multiply(sp, sq_)) == cx.length(sp) + cx.length(sq_)
