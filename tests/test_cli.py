@@ -188,10 +188,15 @@ def test_unsupported_input_is_a_one_line_usage_error(capsys, argv):
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
 
 
-@pytest.mark.parametrize(
-    "cartan, max_rank", [("A", "-1"), ("A", "0"), ("I2", "1")], ids=" ".join
-)
-def test_verify_with_no_cells_fails(capsys, cartan, max_rank):
+def test_verify_with_no_cells_fails(capsys):
+    code, out, err = run(capsys, "verify", "core-atomic", "--type", "A", "--max-rank", "-1")
+    assert code == 1
+    assert "all checks passed" not in out
+    assert "no cells checked" in err
+
+
+@pytest.mark.parametrize("cartan, max_rank", [("A", "0"), ("I2", "1")], ids=" ".join)
+def test_verify_below_the_smallest_rank_fails(capsys, cartan, max_rank):
     code, out, err = run(capsys, "verify", "core-atomic", "--type", cartan, "--max-rank", max_rank)
     assert code == 1
     assert "all checks passed" not in out
