@@ -15,7 +15,7 @@ from .coxeter import CoxeterSystem, dihedral, type_a, type_b
 
 
 def _system_from_args(args) -> CoxeterSystem:
-    return CoxeterSystem(args.type, args.rank, args.bond if args.type == "I2" else None)
+    return CoxeterSystem(args.type, args.rank, args.bond)
 
 
 def _print_coset(p, fmt: str) -> None:
@@ -47,6 +47,8 @@ def _coset_from_args(args):
         return cosets.coset_from_json(json.loads(args.coset))
     if None in (args.left, args.right, args.min):
         raise ValueError("give the coset as --coset JSON, or as --left, --right and --min")
+    if args.rank is None:
+        raise ValueError("--left, --right and --min need --rank")
     system = _system_from_args(args)
     w = coxeter.parse_element(system, args.min)
     return cosets.coset_of(
@@ -450,8 +452,8 @@ def _cmd_verify(args) -> int:
 
 def _add_system_flags(parser, need_rank=True) -> None:
     parser.add_argument("--type", choices=("A", "B", "I2"), default="A")
-    parser.add_argument("--rank", type=int, default=0, required=need_rank)
-    parser.add_argument("--bond", type=int, default=0, help="bond m for I2 systems, which have --rank 2")
+    parser.add_argument("--rank", type=int, required=need_rank)
+    parser.add_argument("--bond", type=int, help="bond m for I2 systems, which have --rank 2")
 
 
 def build_parser() -> argparse.ArgumentParser:

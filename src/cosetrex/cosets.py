@@ -34,10 +34,9 @@ Frame = frozenset[int]
 
 def check_subset(system: CoxeterSystem, indices: Iterable[int]) -> Frame:
     out = frozenset(indices)
-    bad = out - set(system.simple_indices)
-    if bad:
-        raise ValueError(f"indices {sorted(bad)} out of range for {system}")
-    return out
+    if out <= system.index_set:
+        return out
+    raise ValueError(f"indices {sorted(out - system.index_set)} out of range for {system}")
 
 
 def all_frames(system: CoxeterSystem) -> list[Frame]:

@@ -18,15 +18,21 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 from math import factorial
+from operator import itemgetter, neg
 from typing import Iterable, Iterator, Sequence
 
 
 @dataclass(frozen=True)
 class CoxeterSystem:
-    """A finite Coxeter system; ``bond`` is only meaningful for I2."""
+    """A finite Coxeter system; ``bond`` is only meaningful for I2.
+
+    Equality is by value.  The hash, ``simple_indices``, their set
+    ``index_set`` and the identity are computed once, in ``__post_init__``;
+    ``simple`` fills in the simple reflections on first use.
+    """
 
     cartan: str
     rank: int
@@ -40,19 +46,27 @@ class CoxeterSystem:
                 raise ValueError("I2 systems have rank 2")
             if self.bond is None or self.bond < 3:
                 raise ValueError("I2 needs a bond m >= 3")
+            indices, identity_data = range(1, 3), ()
         else:
             if self.rank < 0:
                 raise ValueError("rank must be non-negative")
             if self.bond is not None:
                 raise ValueError("bond is only meaningful for I2")
+            if self.cartan == "A":
+                indices, identity_data = range(1, self.rank + 1), tuple(range(1, self.rank + 2))
+            else:
+                indices, identity_data = range(self.rank), tuple(range(1, self.rank + 1))
+        for name, value in (
+            ("_hash", hash((self.cartan, self.rank, self.bond))),
+            ("simple_indices", indices),
+            ("index_set", frozenset(indices)),
+            ("_identity", Element(self, identity_data)),
+            ("_simples", {}),
+        ):
+            object.__setattr__(self, name, value)
 
-    @property
-    def simple_indices(self) -> range:
-        if self.cartan == "A":
-            return range(1, self.rank + 1)
-        if self.cartan == "B":
-            return range(self.rank)
-        return range(1, 3)
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def points(self) -> int:
@@ -128,7 +142,7 @@ def _braid_moves(table: list, word: tuple[int, ...], positions: Iterable[int]) -
 
 def _check_word(system: CoxeterSystem, word: Sequence[int]) -> tuple[int, ...]:
     word = tuple(word)
-    bad = set(word) - set(system.simple_indices)
+    bad = set(word) - system.index_set
     if bad:
         raise ValueError(f"letters {sorted(bad)} out of range for {system}")
     return word
@@ -159,39 +173,74 @@ def braid_closure(system: CoxeterSystem, word: Sequence[int]) -> set[tuple[int, 
     return seen
 
 
-@dataclass(frozen=True)
 class Element:
-    system: CoxeterSystem
-    data: tuple[int, ...]
+    """An element of ``system``: its image tuple (types A and B) or its
+    normal-form word (I2) is ``data``.
+
+    Immutable.  The hash is computed once, from ``data``; equality tests
+    the systems by identity before it compares them by value.
+    """
+
+    __slots__ = ("system", "data", "_hash")
+
+    def __init__(self, system: CoxeterSystem, data: tuple[int, ...]) -> None:
+        _set_system(self, system)
+        _set_data(self, data)
+        _set_hash(self, hash(data))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Element:
+            return NotImplemented
+        return (self.system is other.system or self.system == other.system) and self.data == other.data
+
+    def __repr__(self) -> str:
+        return f"Element(system={self.system!r}, data={self.data!r})"
+
+    def __reduce__(self):
+        return Element, (self.system, self.data)
 
     def __mul__(self, other: "Element") -> "Element":
         return multiply(self, other)
 
 
+# the slots' own setters, which __setattr__ refuses to other callers
+_set_system = Element.system.__set__
+_set_data = Element.data.__set__
+_set_hash = Element._hash.__set__
+
+
 def identity(system: CoxeterSystem) -> Element:
-    if system.cartan == "A":
-        return Element(system, tuple(range(1, system.rank + 2)))
-    if system.cartan == "B":
-        return Element(system, tuple(range(1, system.rank + 1)))
-    return Element(system, ())
+    return system._identity
 
 
 def simple(system: CoxeterSystem, i: int) -> Element:
-    """The simple reflection s_i."""
-    if i not in system.simple_indices:
+    """The simple reflection s_i, built once per system."""
+    try:
+        return system._simples[i]
+    except KeyError:
+        pass
+    if i not in system.index_set:
         raise ValueError(f"index {i} out of range for {system}")
-    if system.cartan == "A":
-        d = list(range(1, system.rank + 2))
-        d[i - 1], d[i] = d[i], d[i - 1]
-        return Element(system, tuple(d))
-    if system.cartan == "B":
-        d = list(range(1, system.rank + 1))
+    if system.cartan == "I2":
+        s = Element(system, (i,))
+    else:
+        d = list(system._identity.data)
         if i == 0:
             d[0] = -1
         else:
             d[i - 1], d[i] = d[i], d[i - 1]
-        return Element(system, tuple(d))
-    return Element(system, (i,))
+        s = Element(system, tuple(d))
+    system._simples[i] = s
+    return s
 
 
 def element_from_images(system: CoxeterSystem, images: Sequence[int]) -> Element:
@@ -248,21 +297,23 @@ def _i2_right_mult(w: Element, g: int) -> Element:
 
 
 def multiply(w: Element, v: Element) -> Element:
-    if w.system != v.system:
-        raise ValueError("cannot multiply elements of different systems")
     system = w.system
-    if system.cartan == "A":
-        wd = w.data
-        return Element(system, tuple(wd[x - 1] for x in v.data))
-    if system.cartan == "B":
-        wd = w.data
-        return Element(
-            system, tuple(wd[x - 1] if x > 0 else -wd[-x - 1] for x in v.data)
-        )
-    acc = w
-    for g in v.data:
-        acc = _i2_right_mult(acc, g)
-    return acc
+    if system is not v.system and system != v.system:
+        raise ValueError("cannot multiply elements of different systems")
+    if system.cartan == "I2":
+        acc = w
+        for g in v.data:
+            acc = _i2_right_mult(acc, g)
+        return acc
+    # gather w(x) for the images x of v from a tuple that holds w(x) at index x
+    wd = w.data
+    images = (0,) + wd
+    if system.cartan == "B":  # w(-x) = -w(x), at the negative indices
+        images += tuple(map(neg, reversed(wd)))
+    points = v.data
+    if len(points) > 1:  # itemgetter returns a bare item, not a tuple, for one point
+        return Element(system, itemgetter(*points)(images))
+    return Element(system, tuple(images[x] for x in points))
 
 
 @lru_cache(maxsize=None)
@@ -375,7 +426,7 @@ def reduced_words(w: Element) -> tuple[tuple[int, ...], ...]:
 
 def star_product(w: Element, v: Element) -> Element:
     """Demazure product: fold a reduced word of v into w, never descending."""
-    if w.system != v.system:
+    if w.system is not v.system and w.system != v.system:
         raise ValueError("cannot star-multiply elements of different systems")
     acc = w
     for i in reduced_word(v):
@@ -385,28 +436,50 @@ def star_product(w: Element, v: Element) -> Element:
 
 
 def bruhat_leq(w: Element, v: Element) -> bool:
-    """Bruhat order via subword search along a fixed reduced word of v."""
-    if w.system != v.system:
+    """Bruhat order via subword search along a fixed reduced word of v.
+
+    sub(u, k) asks whether u is a subword product of word[k:]; it is
+    (s_i u is one of word[k+1:], when i = word[k] is a left descent of u)
+    or (u is one of word[k+1:]).  The search runs on an explicit stack
+    over the (u, k) memo, so no recursion limit caps the length of v.
+    """
+    if w.system is not v.system and w.system != v.system:
         raise ValueError("cannot compare elements of different systems")
     word = reduced_word(v)
     system = w.system
     memo: dict[tuple[Element, int], bool] = {}
 
-    def sub(u: Element, k: int) -> bool:
+    def settled(u: Element, k: int) -> bool | None:
+        """sub(u, k) if it is known without a search, else None."""
         lu = length(u)
         if lu == 0:
             return True
         if lu > len(word) - k:
             return False
-        key = (u, k)
-        if key not in memo:
-            i = word[k]
-            memo[key] = (
-                is_left_descent(u, i) and sub(multiply(simple(system, i), u), k + 1)
-            ) or sub(u, k + 1)
-        return memo[key]
+        return memo.get((u, k))
 
-    return sub(w, 0)
+    stack = [(w, 0)]
+    while stack:
+        u, k = stack[-1]
+        if settled(u, k) is not None:
+            stack.pop()
+            continue
+        i = word[k]
+        if is_left_descent(u, i):
+            down = multiply(simple(system, i), u)
+            found = settled(down, k + 1)
+            if found is None:
+                stack.append((down, k + 1))
+                continue
+            if found:
+                memo[u, k] = True
+                continue
+        found = settled(u, k + 1)
+        if found is None:
+            stack.append((u, k + 1))
+            continue
+        memo[u, k] = found
+    return settled(w, 0)
 
 
 def conjugate(w: Element, i: int) -> Element:

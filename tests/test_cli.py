@@ -178,6 +178,9 @@ I2_COSET = json.dumps({"cartan": "I2", "rank": 2, "bond": 5, "left": [], "right"
         ("atomic-rex", "--type", "A", "--rank", "3"),
         ("enumerate-core", "--type", "I2", "--rank", "5", "--right", "{}"),
         ("enumerate-core", "--type", "I2", "--rank", "3", "--bond", "5", "--right", "{}"),
+        ("unsquash", "--type", "A", "--rank", "3", "--right", "{3}", "--sigma", "[2,3,1]", "--bond", "4"),
+        ("atomic-rex", "--left", "{1}", "--right", "{3}", "--min", "[3,4,1,2]"),
+        ("squash", "--left", "{1}", "--right", "{3}", "--min", "[3,4,1,2]"),
     ],
     ids=" ".join,
 )
@@ -186,6 +189,13 @@ def test_unsupported_input_is_a_one_line_usage_error(capsys, argv):
     assert code == 2
     assert "all checks passed" not in out
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["atomic-rex", "squash"])
+def test_coset_flags_without_a_rank_name_the_missing_rank(capsys, command):
+    code, _, err = run(capsys, command, "--left", "{1}", "--right", "{3}", "--min", "[3,4,1,2]")
+    assert code == 2
+    assert "--rank" in err and "permutation" not in err
 
 
 def test_verify_with_no_cells_fails(capsys):

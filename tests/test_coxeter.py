@@ -1,4 +1,7 @@
+import copy
 import itertools
+import pickle
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -258,6 +261,49 @@ def test_bruhat_partial_order_on_s4(a3):
                     assert leq[w, u]
 
 
+def _bruhat_leq_recursive(w, v):
+    """The recursive subword search that bruhat_leq replaced, kept as its reference."""
+    word = cx.reduced_word(v)
+    memo = {}
+
+    def sub(u, k):
+        lu = cx.length(u)
+        if lu == 0:
+            return True
+        if lu > len(word) - k:
+            return False
+        key = (u, k)
+        if key not in memo:
+            i = word[k]
+            memo[key] = (
+                cx.is_left_descent(u, i) and sub(cx.multiply(cx.simple(w.system, i), u), k + 1)
+            ) or sub(u, k + 1)
+        return memo[key]
+
+    return sub(w, 0)
+
+
+@pytest.mark.parametrize("system", [cx.type_a(3), cx.type_b(3), cx.dihedral(5)], ids=str)
+def test_bruhat_matches_recursive_version(system):
+    els = list(cx.all_elements(system))
+    for w in els:
+        for v in els:
+            assert cx.bruhat_leq(w, v) == _bruhat_leq_recursive(w, v)
+
+
+def test_bruhat_on_the_longest_element_of_a45_needs_no_deep_recursion():
+    a45 = cx.type_a(45)
+    w0 = cx.element_from_images(a45, tuple(range(46, 0, -1)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        assert cx.bruhat_leq(w0, w0)
+        assert cx.bruhat_leq(cx.simple(a45, 7), w0)
+        assert not cx.bruhat_leq(w0, cx.simple(a45, 7))
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def test_conjugate_and_as_simple(a3):
     for i in a3.simple_indices:
         assert cx.conjugate(cx.identity(a3), i) == cx.simple(a3, i)
@@ -329,3 +375,65 @@ def test_inverse_and_length_symmetry(images):
     assert cx.multiply(w, cx.inverse(w)) == cx.identity(system)
     reversed_word = tuple(reversed(cx.reduced_word(w)))
     assert cx.element_from_word(system, reversed_word) == cx.inverse(w)
+
+
+@pytest.mark.parametrize("make", [cx.type_a, cx.type_b], ids=["A", "B"])
+def test_equal_elements_hash_equal_across_constructors_and_systems(make):
+    one, two = make(3), make(3)
+    assert one is not two and one == two and hash(one) == hash(two)
+    word = (2, 1, 2) + tuple(one.simple_indices)
+    by_word = cx.element_from_word(one, word)
+    by_images = cx.element_from_images(two, by_word.data)
+    by_product = cx.multiply(cx.element_from_word(two, word[:2]), cx.element_from_word(one, word[2:]))
+    for w in (by_images, by_product):
+        assert w == by_word and hash(w) == hash(by_word)
+    assert len({by_word, by_images, by_product}) == 1
+    assert cx.multiply(cx.simple(one, 1), cx.simple(two, 1)) == cx.identity(two)
+
+
+def test_equal_dihedral_elements_hash_equal():
+    one, two = cx.dihedral(5), cx.dihedral(5)
+    w = cx.element_from_word(one, (2, 1, 2))
+    v = cx.multiply(cx.simple(two, 2), cx.element_from_word(two, (1, 2)))
+    assert w == v and hash(w) == hash(v)
+
+
+def test_elements_of_different_systems_with_the_same_data_are_unequal():
+    a2, b3 = cx.type_a(2), cx.type_b(3)
+    assert cx.identity(a2).data == cx.identity(b3).data
+    assert cx.identity(a2) != cx.identity(b3)
+    assert len({cx.identity(a2), cx.identity(b3)}) == 2
+    i5, i7 = cx.dihedral(5), cx.dihedral(7)
+    assert cx.simple(i5, 1).data == cx.simple(i7, 1).data
+    assert cx.simple(i5, 1) != cx.simple(i7, 1)
+    assert cx.identity(a2) != cx.identity(a2).data
+
+
+def test_element_is_immutable_and_keeps_its_constructor_and_repr(a3):
+    w = cx.simple(a3, 1)
+    for name, value in (("data", (1, 2, 3, 4)), ("system", cx.type_a(3)), ("other", 1)):
+        with pytest.raises(AttributeError):
+            setattr(w, name, value)
+    with pytest.raises(AttributeError):
+        del w.data
+    assert w.data == (2, 1, 3, 4) and w.system is a3
+    assert repr(w) == "Element(system=CoxeterSystem(cartan='A', rank=3, bond=None), data=(2, 1, 3, 4))"
+    assert cx.Element(a3, (2, 1, 3, 4)) == cx.Element(system=a3, data=(2, 1, 3, 4)) == w
+    assert copy.deepcopy(w) == w and pickle.loads(pickle.dumps(w)) == w
+
+
+@pytest.mark.parametrize("system", SMALL_SYSTEMS, ids=str)
+def test_simple_is_cached_and_still_checks_its_index(system):
+    for i in system.simple_indices:
+        assert cx.simple(system, i) is cx.simple(system, i)
+        assert cx.length(cx.simple(system, i)) == 1
+    assert cx.identity(system) is cx.identity(system)
+    assert system.index_set == frozenset(system.simple_indices)
+    for i in (system.simple_indices.start - 1, system.simple_indices.stop, -1):
+        with pytest.raises(ValueError):
+            cx.simple(system, i)
+
+
+def test_simple_matches_the_permutation_oracle(a3):
+    for i in a3.simple_indices:
+        assert cx.simple(a3, i).data == perm_simple(4, i)
