@@ -11,7 +11,7 @@ import sys
 from typing import Callable, Sequence
 
 from . import atomic, cosets, coxeter, expressions, nilcox, squash_a, squash_b
-from .coxeter import CoxeterSystem, dihedral, type_a, type_b
+from .coxeter import CoxeterSystem, dihedral
 
 
 def _system_from_args(args) -> CoxeterSystem:
@@ -29,16 +29,18 @@ def _print_coset(p, fmt: str) -> None:
         )
 
 
-def _cmd_eval_expr(args) -> int:
-    system = _system_from_args(args)
-    expr = expressions.parse_expression(system, args.expr)
-    p = expressions.evaluate(expr)
-    reduced = expressions.is_reduced(expr)
-    if args.format == "json":
+def _print_result(p, reduced: bool, fmt: str) -> None:
+    if fmt == "json":
         print(json.dumps({"coset": cosets.coset_to_json(p), "reduced": reduced}, sort_keys=True))
     else:
         _print_coset(p, "text")
         print(f"reduced: {str(reduced).lower()}")
+
+
+def _cmd_eval_expr(args) -> int:
+    system = _system_from_args(args)
+    expr = expressions.parse_expression(system, args.expr)
+    _print_result(expressions.evaluate(expr), expressions.is_reduced(expr), args.format)
     return 0
 
 
@@ -58,11 +60,8 @@ def _coset_from_args(args):
 
 def _cmd_atomic_rex(args) -> int:
     p = _coset_from_args(args)
-    if args.all:
-        for rex in atomic.all_atomic_rexes(p):
-            print(expressions.format_expression(atomic.one_step_of_atoms(p.system, rex, p.left)))
-    else:
-        rex = atomic.atomic_rex_of_core(p)
+    rexes = atomic.all_atomic_rexes(p) if args.all else [atomic.atomic_rex_of_core(p)]
+    for rex in rexes:
         print(expressions.format_expression(atomic.one_step_of_atoms(p.system, rex, p.left)))
     return 0
 
@@ -106,327 +105,264 @@ def _cmd_compose(args) -> int:
         q = expressions.evaluate(expr)
         reduced = reduced and expressions.is_reduced(expr) and cosets.is_reduced_composition(acc, q)
         acc = cosets.star_compose(acc, q)
-    if args.format == "json":
-        print(json.dumps({"coset": cosets.coset_to_json(acc), "reduced": reduced}, sort_keys=True))
-    else:
-        _print_coset(acc, "text")
-        print(f"reduced: {str(reduced).lower()}")
+    _print_result(acc, reduced, args.format)
     return 0
 
 
 # ---------------------------------------------------------------------------
-# verification suites
+# verification suites: each check(system, emit, fail) checks one system,
+# emits one line per cell and reports each failure through fail
 
 
 def _systems(cartan: str, max_rank: int) -> list[CoxeterSystem]:
-    if cartan == "A":
-        return [type_a(r) for r in range(1, max_rank + 1)]
-    if cartan == "B":
-        return [type_b(r) for r in range(1, max_rank + 1)]
-    return [dihedral(m) for m in range(3, max_rank + 1)]
+    if cartan == "I2":
+        return [dihedral(m) for m in range(3, max_rank + 1)]
+    return [CoxeterSystem(cartan, r) for r in range(1, max_rank + 1)]
 
 
-def _suite_core_atomic(cartan: str, max_rank: int, emit) -> list[str]:
-    failures = []
-    for system in _systems(cartan, max_rank):
-        for J in cosets.all_frames(system):
-            count = 0
-            for _, p in cosets.enumerate_core_cosets(system, J):
-                count += 1
-                rex = atomic.atomic_rex_of_core(p)
-                composed, reduced = atomic.compose_atomics(system, rex, p.left)
-                expr = atomic.one_step_of_atoms(system, rex, p.left)
-                if not (reduced and composed == p and expressions.is_reduced(expr)
-                        and expressions.evaluate(expr) == p):
-                    failures.append(f"core-atomic: {p}")
-            emit(f"core-atomic {system.cartan} rank={system.rank}"
-                 f"{'' if system.bond is None else f' m={system.bond}'}"
-                 f" J={cosets.format_subset(J)}: {count} cosets")
-    return failures
+def _core_by_right(system: CoxeterSystem):
+    """Each right frame J with the core cosets (I, p) out of it."""
+    for J in cosets.all_frames(system):
+        yield J, cosets.enumerate_core_cosets(system, J)
 
 
-def _check_squash_bijection(system: CoxeterSystem, J: frozenset, failures: list[str]) -> int:
-    """Check that squashing the core cosets with right frame J is a bijection
-    onto the squashed group: the counts agree, squashing is injective, and
-    squash and unsquash invert each other.  Returns the number of cosets."""
-    found = cosets.enumerate_core_cosets(system, J)
+def _cosets_by_left(system: CoxeterSystem):
+    """Each left frame I with every (I, J)-coset, over all right frames J."""
+    frames = cosets.all_frames(system)
+    for I in frames:
+        yield I, (p for J in frames for p in cosets.enumerate_cosets(system, I, J))
+
+
+def _composable_core_pairs(core):
+    """Group the core cosets of _core_by_right by frame: each frame J with the
+    pairs (p, q) where p has right frame J and q has left frame J."""
+    by_left: dict[frozenset, list] = {}
+    by_right: dict[frozenset, list] = {}
+    for J, found in core:
+        for I, p in found:
+            by_left.setdefault(I, []).append(p)
+            by_right.setdefault(J, []).append(p)
+    for J, qs in by_left.items():
+        yield J, ((p, q) for p in by_right.get(J, []) for q in qs)
+
+
+def _check_core_atomic(system: CoxeterSystem, emit, fail) -> None:
+    for J, found in _core_by_right(system):
+        for _, p in found:
+            rex = atomic.atomic_rex_of_core(p)
+            composed, reduced = atomic.compose_atomics(system, rex, p.left)
+            expr = atomic.one_step_of_atoms(system, rex, p.left)
+            if not (reduced and composed == p and expressions.is_reduced(expr)
+                    and expressions.evaluate(expr) == p):
+                fail(f"core-atomic: {p}")
+        emit(f"core-atomic {system.cartan} rank={system.rank}"
+             f"{'' if system.bond is None else f' m={system.bond}'}"
+             f" J={cosets.format_subset(J)}: {len(found)} cosets")
+
+
+def _check_squash_bijection(system: CoxeterSystem, J: frozenset, found, fail) -> None:
+    """Check that squashing the core cosets found with right frame J is a
+    bijection onto the squashed group: the counts agree, squashing is
+    injective, and squash and unsquash invert each other."""
     small = atomic.squashed_system(system, J)
     expected = coxeter.group_order(small)
     if len(found) != expected:
-        failures.append(f"squash count at {system} J={sorted(J)}: {len(found)} != {expected}")
+        fail(f"squash count at {system} J={sorted(J)}: {len(found)} != {expected}")
     images = set()
     for I, p in found:
         sigma = squash_a.squash_coset(p)
         images.add(sigma)
         if squash_a.unsquash(system, J, sigma) != (I, p):
-            failures.append(f"squash round-trip fails at {p}")
+            fail(f"squash round-trip fails at {p}")
     if len(images) != len(found):
-        failures.append(f"squash not injective at {system} J={sorted(J)}")
+        fail(f"squash not injective at {system} J={sorted(J)}")
     for sigma in coxeter.all_elements(small):
         _, p = squash_a.unsquash(system, J, sigma)
         if squash_a.squash_coset(p) != sigma:
-            failures.append(f"unsquash round-trip fails at {sigma}")
-    return len(found)
+            fail(f"unsquash round-trip fails at {sigma}")
 
 
-def _suite_squash_bijection(cartan: str, max_rank: int, emit) -> list[str]:
-    failures = []
-    for system in _systems(cartan, max_rank):
-        for J in cosets.all_frames(system):
-            count = _check_squash_bijection(system, J, failures)
-            emit(f"squash-bijection A rank={system.rank} J={cosets.format_subset(J)}: {count} cosets")
-    return failures
+def _check_squash(system: CoxeterSystem, emit, fail) -> None:
+    for J, found in _core_by_right(system):
+        _check_squash_bijection(system, J, found, fail)
+        emit(f"squash-bijection A rank={system.rank} J={cosets.format_subset(J)}: {len(found)} cosets")
 
 
-def _suite_atomic_rex_bijection(cartan: str, max_rank: int, emit) -> list[str]:
-    failures = []
-    for system in _systems(cartan, max_rank):
-        for J in cosets.all_frames(system):
-            for _, p in cosets.enumerate_core_cosets(system, J):
-                words = {atomic.word_of_rex(rex) for rex in atomic.all_atomic_rexes(p)}
-                expected = set(coxeter.reduced_words(squash_a.squash_coset(p)))
-                if words != expected:
-                    failures.append(f"atomic-rex-bijection: {p}")
-            emit(f"atomic-rex-bijection {cartan} rank={system.rank} J={cosets.format_subset(J)}: ok")
-    return failures
+def _check_atomic_rex_bijection(system: CoxeterSystem, emit, fail) -> None:
+    for J, found in _core_by_right(system):
+        for _, p in found:
+            words = {atomic.word_of_rex(rex) for rex in atomic.all_atomic_rexes(p)}
+            expected = set(coxeter.reduced_words(squash_a.squash_coset(p)))
+            if words != expected:
+                fail(f"atomic-rex-bijection: {p}")
+        emit(f"atomic-rex-bijection {system.cartan} rank={system.rank} J={cosets.format_subset(J)}: ok")
 
 
-def _suite_matsumoto(cartan: str, max_rank: int, emit) -> list[str]:
-    failures = []
-    for system in _systems(cartan, max_rank):
-        connected = squash_b.matsumoto_connected_b if cartan == "B" else atomic.matsumoto_connected
-        for J in cosets.all_frames(system):
-            for _, p in cosets.enumerate_core_cosets(system, J):
-                if not connected(p):
-                    failures.append(f"matsumoto: braid closure misses expressions of {p}")
-            emit(f"matsumoto {cartan} rank={system.rank} J={cosets.format_subset(J)}: ok")
-    return failures
+def _check_matsumoto(system: CoxeterSystem, emit, fail) -> None:
+    connected = squash_b.matsumoto_connected_b if system.cartan == "B" else atomic.matsumoto_connected
+    for J, found in _core_by_right(system):
+        for _, p in found:
+            if not connected(p):
+                fail(f"matsumoto: braid closure misses expressions of {p}")
+        emit(f"matsumoto {system.cartan} rank={system.rank} J={cosets.format_subset(J)}: ok")
 
 
-def _suite_mimimi(cartan: str, max_rank: int, emit) -> list[str]:
-    failures = []
-    for system in _systems(cartan, max_rank):
-        by_left: dict[frozenset, list] = {}
-        by_right: dict[frozenset, list] = {}
-        for J in cosets.all_frames(system):
-            for I, p in cosets.enumerate_core_cosets(system, J):
-                by_left.setdefault(I, []).append(p)
-                by_right.setdefault(J, []).append(p)
-        pairs = 0
-        for J, qs in by_left.items():
-            for p in by_right.get(J, []):
-                for q in qs:
-                    pairs += 1
-                    lhs = cosets.is_reduced_composition(p, q)
-                    prod = coxeter.multiply(p.min, q.min)
-                    rhs = coxeter.length(prod) == coxeter.length(p.min) + coxeter.length(q.min)
-                    if lhs != rhs:
-                        failures.append(f"mimimi reducedness mismatch: {p} * {q}")
-                    elif lhs:
-                        r = cosets.star_compose(p, q)
-                        if r.min != prod or not cosets.is_core(r):
-                            failures.append(f"mimimi composite mismatch: {p} * {q}")
-            emit(f"mimimi {cartan} rank={system.rank} through J={cosets.format_subset(J)}: ok")
-        emit(f"mimimi {cartan} rank={system.rank}: {pairs} pairs")
-    return failures
+def _check_mimimi(system: CoxeterSystem, emit, fail) -> None:
+    pairs = 0
+    for J, composable in _composable_core_pairs(_core_by_right(system)):
+        for p, q in composable:
+            pairs += 1
+            lhs = cosets.is_reduced_composition(p, q)
+            prod = coxeter.multiply(p.min, q.min)
+            rhs = coxeter.length(prod) == coxeter.length(p.min) + coxeter.length(q.min)
+            if lhs != rhs:
+                fail(f"mimimi reducedness mismatch: {p} * {q}")
+            elif lhs:
+                r = cosets.star_compose(p, q)
+                if r.min != prod or not cosets.is_core(r):
+                    fail(f"mimimi composite mismatch: {p} * {q}")
+        emit(f"mimimi {system.cartan} rank={system.rank} through J={cosets.format_subset(J)}: ok")
+    emit(f"mimimi {system.cartan} rank={system.rank}: {pairs} pairs")
 
 
-def _all_atoms(system: CoxeterSystem):
-    for M in cosets.all_frames(system):
-        for s in sorted(M):
-            yield atomic.atomic_from(system, M, s)
+def _check_atomatom(system: CoxeterSystem, emit, fail) -> None:
+    atoms = [atomic.atomic_from(system, M, s) for M in cosets.all_frames(system) for s in sorted(M)]
+    for a in atoms:
+        p = atomic.coset_of_atom(a)
+        chain = cosets.star_compose(cosets.star_compose(p, cosets.invert(p)), p)
+        if chain != p:
+            fail(f"atomatom: p*(p^-1)*p != p at {a}")
+    for a in atoms:
+        for b in atoms:
+            pa, pb = atomic.coset_of_atom(a), atomic.coset_of_atom(b)
+            if pa.right != pb.left:
+                continue
+            if cosets.is_reduced_composition(pa, pb):
+                continue
+            prod = cosets.star_compose(pa, pb)
+            if cosets.is_core(prod) != (pa == pb):
+                fail(f"atomatom: non-reduced core test fails at {a}, {b}")
+            if pa == pb and prod != pa:
+                fail(f"atomatom: p*p != p at {a}")
+    # a_i^I * a_i^J is never reduced and lands on the [J, Js, J]-coset
+    for J in cosets.all_frames(system):
+        for i in atomic.squashed_system(system, J).simple_indices:
+            aJ = atomic.atomic_generator(system, J, i)
+            aI = atomic.atomic_generator(system, aJ.left, i)
+            pI, pJ = atomic.coset_of_atom(aI), atomic.coset_of_atom(aJ)
+            if cosets.is_reduced_composition(pI, pJ):
+                fail(f"aa=a: reduced composition at J={sorted(J)} i={i}")
+            expected = cosets.coset_of(system, J, cosets.longest_element(system, aJ.mid), J)
+            if cosets.star_compose(pI, pJ) != expected:
+                fail(f"aa=a: wrong composite at J={sorted(J)} i={i}")
+    emit(f"atomatom {system.cartan} rank={system.rank}: {len(atoms)} atoms")
 
 
-def _suite_atomatom(cartan: str, max_rank: int, emit) -> list[str]:
-    failures = []
-    for system in _systems(cartan, max_rank):
-        atoms = list(_all_atoms(system))
-        for a in atoms:
-            p = atomic.coset_of_atom(a)
-            chain = cosets.star_compose(cosets.star_compose(p, cosets.invert(p)), p)
-            if chain != p:
-                failures.append(f"atomatom: p*(p^-1)*p != p at {a}")
-        for a in atoms:
-            for b in atoms:
-                pa, pb = atomic.coset_of_atom(a), atomic.coset_of_atom(b)
-                if pa.right != pb.left:
-                    continue
-                if cosets.is_reduced_composition(pa, pb):
-                    continue
-                prod = cosets.star_compose(pa, pb)
-                if cosets.is_core(prod) != (pa == pb):
-                    failures.append(f"atomatom: non-reduced core test fails at {a}, {b}")
-                if pa == pb and prod != pa:
-                    failures.append(f"atomatom: p*p != p at {a}")
-        # a_i^I * a_i^J is never reduced and lands on the [J, Js, J]-coset
-        for J in cosets.all_frames(system):
-            for i in atomic.squashed_system(system, J).simple_indices:
-                aJ = atomic.atomic_generator(system, J, i)
-                aI = atomic.atomic_generator(system, aJ.left, i)
-                pI, pJ = atomic.coset_of_atom(aI), atomic.coset_of_atom(aJ)
-                if cosets.is_reduced_composition(pI, pJ):
-                    failures.append(f"aa=a: reduced composition at J={sorted(J)} i={i}")
-                expected = cosets.coset_of(
-                    system, J, cosets.longest_element(system, aJ.mid), J
-                )
-                if cosets.star_compose(pI, pJ) != expected:
-                    failures.append(f"aa=a: wrong composite at J={sorted(J)} i={i}")
-        emit(f"atomatom {cartan} rank={system.rank}: {len(atoms)} atoms")
-    return failures
+def _check_nilcox_relations(system: CoxeterSystem, emit, fail) -> None:
+    report = nilcox.verify_relations(system)
+    for failure in report.failures:
+        fail(failure)
+    for J, found in _core_by_right(system):
+        expected = coxeter.group_order(atomic.squashed_system(system, J))
+        basis = [p for _, p in found]
+        if len(basis) != expected:
+            fail(f"basis count at {system} J={sorted(J)}: {len(basis)} != {expected}")
+        if nilcox.reachable_cosets(system, J) != set(basis):
+            fail(f"reachable generator products differ from the core basis at {system} J={sorted(J)}")
+    emit(f"nilcox-relations {system.cartan} rank={system.rank}: {report.checked} relation instances")
 
 
-def _suite_nilcox_relations(cartan: str, max_rank: int, emit) -> list[str]:
-    failures = []
-    for system in _systems(cartan, max_rank):
-        report = nilcox.verify_relations(system)
-        failures.extend(report.failures)
-        for J in cosets.all_frames(system):
-            expected = coxeter.group_order(atomic.squashed_system(system, J))
-            basis = nilcox.ad_basis(system, J)
-            reachable = nilcox.reachable_cosets(system, J)
-            if len(basis) != expected:
-                failures.append(f"basis count at {system} J={sorted(J)}: {len(basis)} != {expected}")
-            if reachable != set(basis):
-                failures.append(f"reachable generator products differ from the core basis at {system} J={sorted(J)}")
-        emit(f"nilcox-relations {cartan} rank={system.rank}: {report.checked} relation instances")
-    return failures
+def _add_remove_works(p, I: frozenset, M: frozenset, pmax) -> bool:
+    """Whether the one-step expression [I, I|M, M] followed by the core
+    factorization of the (M, J)-coset of pmax is reduced and evaluates to p."""
+    tail = atomic.factor_through_core(cosets.coset_of(p.system, M, pmax, p.right))
+    expr = expressions.concatenate(expressions.MultistepExpression(p.system, (I, I | M, M)), tail)
+    return expressions.is_reduced(expr) and expressions.evaluate(expr) == p
 
 
-def _suite_add_remove(cartan: str, max_rank: int, emit) -> list[str]:
-    failures = []
-    for system in _systems(cartan, max_rank):
-        subsets = cosets.all_frames(system)
-        for I in subsets:
-            for J in subsets:
-                for p in cosets.enumerate_cosets(system, I, J):
-                    pmax = cosets.max_elem(p)
-                    ldes = coxeter.left_descents(pmax)
-                    lred = cosets.left_redundancy(p)
-                    wI = cosets.longest_element(system, I)
-                    for s in system.simple_indices:
-                        if s not in I:
-                            bigger = I | {s}
-                            tail = atomic.factor_through_core(cosets.coset_of(system, bigger, pmax, J))
-                            expr = expressions.concatenate(
-                                expressions.MultistepExpression(system, (I, bigger, bigger)), tail
-                            )
-                            works = expressions.is_reduced(expr) and expressions.evaluate(expr) == p
-                            if works != (s in ldes):
-                                failures.append(f"add-remove: +{s} at {p}")
-                        else:
-                            smaller = I - {s}
-                            # the remainder coset of a reduced removal has
-                            # maximum w_{I-s} w_I max(p)
-                            nmax = coxeter.multiply(
-                                coxeter.multiply(cosets.longest_element(system, smaller), wI), pmax
-                            )
-                            tail = atomic.factor_through_core(cosets.coset_of(system, smaller, nmax, J))
-                            expr = expressions.concatenate(
-                                expressions.MultistepExpression(system, (I, I, smaller)), tail
-                            )
-                            works = expressions.is_reduced(expr) and expressions.evaluate(expr) == p
-                            if works != (s not in lred):
-                                failures.append(f"add-remove: -{s} at {p}")
-            emit(f"add-remove {cartan} rank={system.rank} I={cosets.format_subset(I)}: ok")
-    return failures
+def _check_add_remove(system: CoxeterSystem, emit, fail) -> None:
+    for I, found in _cosets_by_left(system):
+        wI = cosets.longest_element(system, I)
+        for p in found:
+            pmax = cosets.max_elem(p)
+            ldes = coxeter.left_descents(pmax)
+            lred = cosets.left_redundancy(p)
+            for s in system.simple_indices:
+                if s not in I:
+                    if _add_remove_works(p, I, I | {s}, pmax) != (s in ldes):
+                        fail(f"add-remove: +{s} at {p}")
+                else:
+                    smaller = I - {s}
+                    # the remainder coset of a reduced removal has
+                    # maximum w_{I-s} w_I max(p)
+                    nmax = coxeter.multiply(
+                        coxeter.multiply(cosets.longest_element(system, smaller), wI), pmax
+                    )
+                    if _add_remove_works(p, I, smaller, nmax) != (s not in lred):
+                        fail(f"add-remove: -{s} at {p}")
+        emit(f"add-remove {system.cartan} rank={system.rank} I={cosets.format_subset(I)}: ok")
+def _check_redundancy_a(system: CoxeterSystem, emit, fail) -> None:
+    for I, found in _cosets_by_left(system):
+        for p in found:
+            rred = cosets.right_redundancy(p)
+            lred = cosets.left_redundancy(p)
+            pmin = p.min
+            for j in p.right:
+                stated = coxeter.act(pmin, j + 1) == coxeter.act(pmin, j) + 1 and coxeter.act(pmin, j) in I
+                if stated != (j in rred):
+                    fail(f"redundancy-a: j={j} at {p}")
+            if frozenset(coxeter.act(pmin, j) for j in rred) != lred:
+                fail(f"redundancy-a: leftred != min(rightred) at {p}")
+            if cosets.is_core(p):
+                for j in p.right:
+                    stated = coxeter.act(pmin, j + 1) == coxeter.act(pmin, j) + 1
+                    if stated != (j in rred):
+                        fail(f"redundancy-a (core): j={j} at {p}")
+        emit(f"redundancy-a rank={system.rank} I={cosets.format_subset(I)}: ok")
 
 
-def _suite_redundancy_a(cartan: str, max_rank: int, emit) -> list[str]:
-    failures = []
-    for system in _systems(cartan, max_rank):
-        subsets = cosets.all_frames(system)
-        for I in subsets:
-            for J in subsets:
-                for p in cosets.enumerate_cosets(system, I, J):
-                    rred = cosets.right_redundancy(p)
-                    lred = cosets.left_redundancy(p)
-                    pmin = p.min
-                    for j in J:
-                        stated = (
-                            coxeter.act(pmin, j + 1) == coxeter.act(pmin, j) + 1
-                            and coxeter.act(pmin, j) in I
-                        )
-                        if stated != (j in rred):
-                            failures.append(f"redundancy-a: j={j} at {p}")
-                    if frozenset(coxeter.act(pmin, j) for j in rred) != lred:
-                        failures.append(f"redundancy-a: leftred != min(rightred) at {p}")
-                    if cosets.is_core(p):
-                        for j in J:
-                            stated = coxeter.act(pmin, j + 1) == coxeter.act(pmin, j) + 1
-                            if stated != (j in rred):
-                                failures.append(f"redundancy-a (core): j={j} at {p}")
-            emit(f"redundancy-a rank={system.rank} I={cosets.format_subset(I)}: ok")
-    return failures
+def _check_type_b(system: CoxeterSystem, emit, fail) -> None:
+    for _, found in _cosets_by_left(system):
+        for p in found:
+            if (0 in cosets.left_redundancy(p)) != (0 in cosets.right_redundancy(p)):
+                fail(f"type-b: s0 redundancy asymmetry at {p}")
+    core = list(_core_by_right(system))
+    for J, found in core:
+        _check_squash_bijection(system, J, found, fail)
+        emit(f"type-b rank={system.rank} J={cosets.format_subset(J)}: {len(found)} core cosets")
+    # squashing is a homomorphism on reduced core compositions
+    for _, composable in _composable_core_pairs(core):
+        for p, q in composable:
+            if not cosets.is_reduced_composition(p, q):
+                continue
+            r = cosets.star_compose(p, q)
+            sp, sq = squash_a.squash_coset(p), squash_a.squash_coset(q)
+            if squash_a.squash_coset(r) != coxeter.multiply(sp, sq):
+                fail(f"type-b: squash not multiplicative at {p} * {q}")
+            if coxeter.length(coxeter.multiply(sp, sq)) != coxeter.length(sp) + coxeter.length(sq):
+                fail(f"type-b: squash not length-additive at {p} * {q}")
+    emit(f"type-b rank={system.rank}: done")
 
 
-def _suite_type_b(cartan: str, max_rank: int, emit) -> list[str]:
-    failures = []
-    for system in _systems(cartan, max_rank):
-        subsets = cosets.all_frames(system)
-        for I in subsets:
-            for J in subsets:
-                for p in cosets.enumerate_cosets(system, I, J):
-                    lred = cosets.left_redundancy(p)
-                    rred = cosets.right_redundancy(p)
-                    if (0 in lred) != (0 in rred):
-                        failures.append(f"type-b: s0 redundancy asymmetry at {p}")
-        for J in subsets:
-            count = _check_squash_bijection(system, J, failures)
-            emit(f"type-b rank={system.rank} J={cosets.format_subset(J)}: {count} core cosets")
-        # squashing is a homomorphism on reduced core compositions
-        by_left: dict[frozenset, list] = {}
-        by_right: dict[frozenset, list] = {}
-        for J in subsets:
-            for I, p in cosets.enumerate_core_cosets(system, J):
-                by_left.setdefault(I, []).append(p)
-                by_right.setdefault(J, []).append(p)
-        for J, qs in by_left.items():
-            for p in by_right.get(J, []):
-                for q in qs:
-                    if not cosets.is_reduced_composition(p, q):
-                        continue
-                    r = cosets.star_compose(p, q)
-                    sp, sq = squash_a.squash_coset(p), squash_a.squash_coset(q)
-                    if squash_a.squash_coset(r) != coxeter.multiply(sp, sq):
-                        failures.append(f"type-b: squash not multiplicative at {p} * {q}")
-                    if coxeter.length(coxeter.multiply(sp, sq)) != coxeter.length(sp) + coxeter.length(sq):
-                        failures.append(f"type-b: squash not length-additive at {p} * {q}")
-        emit(f"type-b rank={system.rank}: done")
-    return failures
-
-
-_SUITES: dict[str, Callable] = {
-    "core-atomic": _suite_core_atomic,
-    "squash-bijection": _suite_squash_bijection,
-    "atomic-rex-bijection": _suite_atomic_rex_bijection,
-    "matsumoto": _suite_matsumoto,
-    "mimimi": _suite_mimimi,
-    "atomatom": _suite_atomatom,
-    "nilcox-relations": _suite_nilcox_relations,
-    "add-remove": _suite_add_remove,
-    "redundancy-a": _suite_redundancy_a,
-    "type-b": _suite_type_b,
-}
-
-# the types each suite supports, with their default max rank (max bond for I2)
-_SUITE_DEFAULT_RANK = {
-    "core-atomic": {"A": 5, "B": 3, "I2": 7},
-    "squash-bijection": {"A": 5},
-    "atomic-rex-bijection": {"A": 4, "B": 3},
-    "matsumoto": {"A": 4, "B": 3},
-    "mimimi": {"A": 4, "B": 3, "I2": 3},
-    "atomatom": {"A": 4, "B": 3},
-    "nilcox-relations": {"A": 4, "B": 3},
-    "add-remove": {"A": 3, "B": 3, "I2": 3},
-    "redundancy-a": {"A": 4},
-    "type-b": {"B": 3},
+# each suite's check, and the types it supports with their default max rank
+# (max bond for I2)
+_SUITES: dict[str, tuple[Callable, dict[str, int]]] = {
+    "core-atomic": (_check_core_atomic, {"A": 5, "B": 3, "I2": 7}),
+    "squash-bijection": (_check_squash, {"A": 5}),
+    "atomic-rex-bijection": (_check_atomic_rex_bijection, {"A": 4, "B": 3}),
+    "matsumoto": (_check_matsumoto, {"A": 4, "B": 3}),
+    "mimimi": (_check_mimimi, {"A": 4, "B": 3, "I2": 3}),
+    "atomatom": (_check_atomatom, {"A": 4, "B": 3}),
+    "nilcox-relations": (_check_nilcox_relations, {"A": 4, "B": 3}),
+    "add-remove": (_check_add_remove, {"A": 3, "B": 3, "I2": 3}),
+    "redundancy-a": (_check_redundancy_a, {"A": 4}),
+    "type-b": (_check_type_b, {"B": 3}),
 }
 
 
 def _cmd_verify(args) -> int:
-    suite = _SUITES[args.suite]
+    check, supported = _SUITES[args.suite]
     cartan = args.type
-    supported = _SUITE_DEFAULT_RANK[args.suite]
     if cartan not in supported:
         raise ValueError(f"suite {args.suite} supports --type {', '.join(supported)}, not {cartan}")
     max_rank = supported[cartan] if args.max_rank is None else args.max_rank
@@ -438,7 +374,9 @@ def _cmd_verify(args) -> int:
         if not args.quiet:
             print(line)
 
-    failures = suite(cartan, max_rank, emit)
+    failures: list[str] = []
+    for system in _systems(cartan, max_rank):
+        check(system, emit, failures.append)
     if not cells:
         failures.append(f"no cells checked at max rank {max_rank}")
     if failures:
@@ -456,6 +394,15 @@ def _add_system_flags(parser, need_rank=True) -> None:
     parser.add_argument("--bond", type=int, help="bond m for I2 systems, which have --rank 2")
 
 
+def _add_coset_flags(parser) -> None:
+    """A coset, as --coset JSON or as --left, --right and --min with the system flags."""
+    _add_system_flags(parser, need_rank=False)
+    parser.add_argument("--coset", help="coset as JSON")
+    parser.add_argument("--left")
+    parser.add_argument("--right")
+    parser.add_argument("--min")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cosetrex", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -467,20 +414,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval_expr)
 
     p = sub.add_parser("atomic-rex", help="atomic expression of a core coset")
-    _add_system_flags(p, need_rank=False)
-    p.add_argument("--coset", help="coset as JSON")
-    p.add_argument("--left")
-    p.add_argument("--right")
-    p.add_argument("--min")
+    _add_coset_flags(p)
     p.add_argument("--all", action="store_true", help="list every atomic expression")
     p.set_defaults(func=_cmd_atomic_rex)
 
     p = sub.add_parser("squash", help="squashed permutation of a core coset")
-    _add_system_flags(p, need_rank=False)
-    p.add_argument("--coset", help="coset as JSON")
-    p.add_argument("--left")
-    p.add_argument("--right")
-    p.add_argument("--min")
+    _add_coset_flags(p)
     p.set_defaults(func=_cmd_squash)
 
     p = sub.add_parser("unsquash", help="lift a squashed permutation to a core coset")

@@ -20,7 +20,6 @@ from .cosets import (
     all_frames,
     check_subset,
     coset_to_json,
-    enumerate_core_cosets,
     identity_coset,
     is_reduced_composition,
     star_compose,
@@ -97,11 +96,6 @@ def ad_compose(f: ADMorphism, g: ADMorphism) -> ADMorphism:
     return ADMorphism(f.system, g.source, f.target, coeffs)
 
 
-def n_strands(system: CoxeterSystem, J: Frame) -> int:
-    """Number of strands (type A) or block pairs (type B) at the object J."""
-    return squashed_system(system, J).points
-
-
 def generator(system: CoxeterSystem, J: Iterable[int], i: int) -> ADMorphism:
     """The atomic generator symbol d_i at the object J."""
     return basis_morphism(coset_of_atom(atomic_generator(system, J, i)))
@@ -118,11 +112,6 @@ def psi(system: CoxeterSystem, J: Iterable[int], word: Sequence[int]) -> ADMorph
     for i in reversed(word):
         acc = ad_compose(generator(system, acc.target, i), acc)
     return acc
-
-
-def ad_basis(system: CoxeterSystem, J: Iterable[int], cap: int = 10000) -> list[DoubleCoset]:
-    """All core cosets with right frame J: a basis of the morphisms out of J."""
-    return [p for _, p in enumerate_core_cosets(system, J, cap)]
 
 
 def reachable_cosets(system: CoxeterSystem, J: Iterable[int]) -> set[DoubleCoset]:

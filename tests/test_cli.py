@@ -2,10 +2,11 @@ import json
 
 import pytest
 
+from cosetrex import atomic
 from cosetrex import cosets as cs
 from cosetrex import coxeter as cx
 from cosetrex import squash_a
-from cosetrex.cli import main
+from cosetrex.cli import _SUITES, main
 
 S11_TEXT = "[{2,3,6,10} +8 -8 +9 -10 +7 -6 +8 -8 +5 -5 +6 -7 +4 -2]"
 
@@ -240,3 +241,50 @@ def test_verify_catches_a_wrong_squash(capsys, monkeypatch, argv):
     assert code == 1
     assert "all checks passed" not in out
     assert "FAIL: " in err
+
+
+@pytest.mark.parametrize(
+    "suite, cartan",
+    [(suite, cartan) for suite, (_, supported) in _SUITES.items() for cartan in supported],
+)
+def test_every_suite_passes_at_small_rank(capsys, suite, cartan):
+    max_rank = "3" if cartan == "I2" else "2"
+    code, out, err = run(capsys, "verify", suite, "--type", cartan, "--max-rank", max_rank)
+    lines = out.splitlines()
+    assert code == 0, err
+    assert len(lines) >= 2
+    assert lines[-1] == f"{suite}: all checks passed"
+
+
+def _drop_last_atom(monkeypatch):
+    right = atomic.atomic_rex_of_core
+    monkeypatch.setattr(atomic, "atomic_rex_of_core", lambda p: right(p)[:-1])
+
+
+def _negate_reducedness(monkeypatch):
+    right = cs.is_reduced_composition
+    monkeypatch.setattr(cs, "is_reduced_composition", lambda p, q: not right(p, q))
+
+
+def _no_right_redundancy(monkeypatch):
+    monkeypatch.setattr(cs, "right_redundancy", lambda p: frozenset())
+
+
+@pytest.mark.parametrize(
+    "fault, suite, cartan, max_rank",
+    [
+        (_drop_last_atom, "core-atomic", "A", "3"),
+        (_drop_last_atom, "matsumoto", "B", "2"),
+        (_negate_reducedness, "mimimi", "A", "3"),
+        (_no_right_redundancy, "redundancy-a", "A", "3"),
+    ],
+    ids=lambda value: getattr(value, "__name__", value),
+)
+def test_verify_catches_a_wrong_answer_in_each_walk(capsys, monkeypatch, fault, suite, cartan, max_rank):
+    fault(monkeypatch)
+    code, out, err = run(capsys, "verify", suite, "--type", cartan, "--max-rank", max_rank)
+    assert code == 1
+    assert "all checks passed" not in out
+    assert any(
+        line.startswith(f"FAIL: {suite}") and "DoubleCoset(" in line for line in err.splitlines()
+    )
