@@ -84,7 +84,7 @@ def _cmd_unsquash(args) -> int:
 def _cmd_enumerate_core(args) -> int:
     system = _system_from_args(args)
     J = cosets.parse_subset(args.right)
-    found = cosets.enumerate_core_cosets(system, J)
+    found = cosets.enumerate_core_cosets(system, J, budget=args.budget)
     for _, p in found:
         _print_coset(p, args.format)
     print(f"count: {len(found)}")
@@ -114,23 +114,29 @@ def _cmd_compose(args) -> int:
 # emits one line per cell and reports each failure through fail
 
 
-def _systems(cartan: str, max_rank: int) -> list[CoxeterSystem]:
+def _systems(cartan: str, max_rank: int, budget: int) -> list[CoxeterSystem]:
+    """The systems of a verify run, each checked against the budget before
+    any is verified; the walks below therefore enumerate with no limit."""
     if cartan == "I2":
-        return [dihedral(m) for m in range(3, max_rank + 1)]
-    return [CoxeterSystem(cartan, r) for r in range(1, max_rank + 1)]
+        systems = [dihedral(m) for m in range(3, max_rank + 1)]
+    else:
+        systems = [CoxeterSystem(cartan, r) for r in range(1, max_rank + 1)]
+    for system in systems:
+        cosets.check_budget(system, budget)
+    return systems
 
 
 def _core_by_right(system: CoxeterSystem):
     """Each right frame J with the core cosets (I, p) out of it."""
     for J in cosets.all_frames(system):
-        yield J, cosets.enumerate_core_cosets(system, J)
+        yield J, cosets.enumerate_core_cosets(system, J, budget=None)
 
 
 def _cosets_by_left(system: CoxeterSystem):
     """Each left frame I with every (I, J)-coset, over all right frames J."""
     frames = cosets.all_frames(system)
     for I in frames:
-        yield I, (p for J in frames for p in cosets.enumerate_cosets(system, I, J))
+        yield I, (p for J in frames for p in cosets.enumerate_cosets(system, I, J, budget=None))
 
 
 def _composable_core_pairs(core):
@@ -375,7 +381,7 @@ def _cmd_verify(args) -> int:
             print(line)
 
     failures: list[str] = []
-    for system in _systems(cartan, max_rank):
+    for system in _systems(cartan, max_rank, args.budget):
         check(system, emit, failures.append)
     if not cells:
         failures.append(f"no cells checked at max rank {max_rank}")
@@ -392,6 +398,11 @@ def _add_system_flags(parser, need_rank=True) -> None:
     parser.add_argument("--type", choices=("A", "B", "I2"), default="A")
     parser.add_argument("--rank", type=int, required=need_rank)
     parser.add_argument("--bond", type=int, help="bond m for I2 systems, which have --rank 2")
+
+
+def _add_budget_flag(parser) -> None:
+    parser.add_argument("--budget", type=int, default=cosets.DEFAULT_BUDGET,
+                        help="largest group order to take on (default %(default)s)")
 
 
 def _add_coset_flags(parser) -> None:
@@ -433,6 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_system_flags(p)
     p.add_argument("--right", required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
+    _add_budget_flag(p)
     p.set_defaults(func=_cmd_enumerate_core)
 
     p = sub.add_parser("compose", help="star-compose a chain of expressions from a file")
@@ -446,6 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", choices=("A", "B", "I2"), default="A")
     p.add_argument("--max-rank", type=int, help="max rank (max bond for I2)")
     p.add_argument("--quiet", action="store_true", help="suppress per-cell progress")
+    _add_budget_flag(p)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -190,24 +190,73 @@ def _coset_sort_key(p: DoubleCoset):
     return (tuple(sorted(p.left)), length(p.min), p.min.data)
 
 
+DEFAULT_BUDGET = 10000
+
+
+def check_budget(system: CoxeterSystem, budget: int | None) -> None:
+    """Refuse a system whose group order exceeds the budget; None is no limit."""
+    if budget is not None and group_order(system) > budget:
+        raise ValueError(f"group order {group_order(system)} exceeds budget {budget}")
+
+
+def _mask(indices: Iterable[int]) -> int:
+    return sum(1 << i for i in indices)
+
+
+@lru_cache(maxsize=None)
+def _descent_table(system: CoxeterSystem) -> tuple[tuple, ...]:
+    """One row (w, left-descent mask, right-descent mask, conj) per element w.
+
+    Bit i of a mask stands for s_i.  conj[k] is the simple index of
+    w s_j w^{-1} for the k-th simple index j, or None when j is a right
+    descent of w or w s_j w^{-1} is not simple.  Rows share equal conj
+    tuples: A6 has 468 distinct ones over 5040 elements.
+    """
+    shared: dict[tuple, tuple] = {}
+    rows = []
+    for w in all_elements(system):
+        inv = inverse(w)
+        ld = rd = 0
+        conj = []
+        for j in system.simple_indices:
+            if is_right_descent(inv, j):
+                ld |= 1 << j
+            if is_right_descent(w, j):
+                rd |= 1 << j
+                conj.append(None)
+            else:
+                conj.append(as_simple(conjugate(w, j)))
+        conj = tuple(conj)
+        rows.append((w, ld, rd, shared.setdefault(conj, conj)))
+    return tuple(rows)
+
+
 def enumerate_cosets(
     system: CoxeterSystem,
     left: Iterable[int],
     right: Iterable[int],
-    cap: int = 10000,
+    budget: int | None = DEFAULT_BUDGET,
 ) -> list[DoubleCoset]:
-    """All (I,J)-cosets, by brute-force canonicalization over W."""
-    if group_order(system) > cap:
-        raise ValueError(f"group order {group_order(system)} exceeds budget {cap}")
-    seen: dict[Element, DoubleCoset] = {}
-    for w in all_elements(system):
-        p = coset_of(system, left, w, right)
-        seen.setdefault(p.min, p)
-    return sorted(seen.values(), key=_coset_sort_key)
+    """All (I,J)-cosets.
+
+    An element w is the minimal element of its (I,J)-coset exactly when it
+    has no left descent in I and no right descent in J.
+    """
+    check_budget(system, budget)
+    left = check_subset(system, left)
+    right = check_subset(system, right)
+    lmask, rmask = _mask(left), _mask(right)
+    out = [
+        DoubleCoset(system, left, right, w)
+        for w, ld, rd, _ in _descent_table(system)
+        if not (ld & lmask or rd & rmask)
+    ]
+    out.sort(key=_coset_sort_key)
+    return out
 
 
 def enumerate_core_cosets(
-    system: CoxeterSystem, right: Iterable[int], cap: int = 10000
+    system: CoxeterSystem, right: Iterable[int], budget: int | None = DEFAULT_BUDGET
 ) -> list[tuple[Frame, DoubleCoset]]:
     """All core cosets with the given right frame, over every left frame.
 
@@ -215,21 +264,17 @@ def enumerate_core_cosets(
     exactly when it has no right descent in J and conjugates every s_j,
     j in J, to a simple reflection; the left frame is then w J w^{-1}.
     """
-    if group_order(system) > cap:
-        raise ValueError(f"group order {group_order(system)} exceeds budget {cap}")
+    check_budget(system, budget)
     right = check_subset(system, right)
+    rmask = _mask(right)
+    slots = [j - system.simple_indices.start for j in right]
     out = []
-    for w in all_elements(system):
-        if any(is_right_descent(w, j) for j in right):
+    for w, _, rd, conj in _descent_table(system):
+        if rd & rmask:
             continue
-        conj = set()
-        for j in right:
-            i = as_simple(conjugate(w, j))
-            if i is None:
-                break
-            conj.add(i)
-        else:
-            left = frozenset(conj)
+        images = [conj[k] for k in slots]
+        if None not in images:
+            left = frozenset(images)
             out.append((left, DoubleCoset(system, left, right, w)))
     out.sort(key=lambda pair: _coset_sort_key(pair[1]))
     return out

@@ -19,7 +19,6 @@ from .cosets import (
     Frame,
     all_frames,
     check_subset,
-    coset_to_json,
     identity_coset,
     is_reduced_composition,
     star_compose,
@@ -183,29 +182,3 @@ def frame_from_composition(system: CoxeterSystem, parts: Sequence[int]) -> Frame
         out.update(range(x, x + part - 1))
         x += part
     return frozenset(out)
-
-
-def format_composition(parts: Sequence[int]) -> str:
-    return "(" + ",".join(str(n) for n in parts) + ")"
-
-
-def parse_composition(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not (text.startswith("(") and text.endswith(")")):
-        raise ValueError(f"expected a composition like (2,1,1), got {text!r}")
-    body = text[1:-1].strip()
-    if not body:
-        raise ValueError("a composition needs at least one part")
-    return tuple(int(tok) for tok in body.split(","))
-
-
-def morphism_to_json(f: ADMorphism) -> dict:
-    terms = [
-        {"coset": coset_to_json(p), "coefficient": c}
-        for p, c in sorted(f.coeffs.items(), key=lambda item: (sorted(item[0].left), item[0].min.data))
-    ]
-    return {
-        "source": sorted(f.source),
-        "target": sorted(f.target),
-        "terms": terms,
-    }

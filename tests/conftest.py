@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from cosetrex import cosets as cs
 from cosetrex import coxeter as cx
 
 
@@ -67,6 +68,41 @@ def all_subsets(system):
         frozenset(i for b, i in enumerate(indices) if mask >> b & 1)
         for mask in range(1 << len(indices))
     ]
+
+
+def _coset_order(p):
+    return (sorted(p.left), cx.length(p.min), p.min.data)
+
+
+def enumerate_cosets_oracle(system, left, right):
+    """All (I,J)-cosets, by canonicalizing every element of W."""
+    seen = {}
+    for w in cx.all_elements(system):
+        p = cs.coset_of(system, left, w, right)
+        seen.setdefault(p.min, p)
+    return sorted(seen.values(), key=_coset_order)
+
+
+def enumerate_core_cosets_oracle(system, right):
+    """All (I, p) with p core and right frame J, by testing every element of W
+    for right descents in J and for conjugating each s_j to a simple
+    reflection."""
+    right = frozenset(right)
+    out = []
+    for w in cx.all_elements(system):
+        if any(cx.is_right_descent(w, j) for j in right):
+            continue
+        conj = set()
+        for j in right:
+            i = cx.as_simple(cx.conjugate(w, j))
+            if i is None:
+                break
+            conj.add(i)
+        else:
+            left = frozenset(conj)
+            out.append((left, cs.DoubleCoset(system, left, right, w)))
+    out.sort(key=lambda pair: _coset_order(pair[1]))
+    return out
 
 
 @pytest.fixture(scope="session")

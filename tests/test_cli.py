@@ -182,6 +182,8 @@ I2_COSET = json.dumps({"cartan": "I2", "rank": 2, "bond": 5, "left": [], "right"
         ("unsquash", "--type", "A", "--rank", "3", "--right", "{3}", "--sigma", "[2,3,1]", "--bond", "4"),
         ("atomic-rex", "--left", "{1}", "--right", "{3}", "--min", "[3,4,1,2]"),
         ("squash", "--left", "{1}", "--right", "{3}", "--min", "[3,4,1,2]"),
+        ("verify", "core-atomic", "--type", "A", "--max-rank", "4", "--budget", "100"),
+        ("enumerate-core", "--type", "A", "--rank", "7", "--right", "{}"),
     ],
     ids=" ".join,
 )
@@ -197,6 +199,20 @@ def test_coset_flags_without_a_rank_name_the_missing_rank(capsys, command):
     code, _, err = run(capsys, command, "--left", "{1}", "--right", "{3}", "--min", "[3,4,1,2]")
     assert code == 2
     assert "--rank" in err and "permutation" not in err
+
+
+def test_verify_over_budget_prints_no_cell(capsys):
+    code, out, _ = run(capsys, "verify", "core-atomic", "--type", "A", "--max-rank", "4", "--budget", "100")
+    assert code == 2 and out == ""
+
+
+def test_budget_admits_a_group_of_its_order(capsys):
+    code, out, _ = run(capsys, "verify", "core-atomic", "--type", "A", "--max-rank", "4", "--budget", "120")
+    assert code == 0
+    assert out.splitlines()[-1] == "core-atomic: all checks passed"
+    code, out, _ = run(capsys, "enumerate-core", "--type", "A", "--rank", "4", "--right", "{}", "--budget", "120")
+    assert code == 0
+    assert out.splitlines()[-1] == "count: 120"
 
 
 def test_verify_with_no_cells_fails(capsys):
@@ -288,3 +304,36 @@ def test_verify_catches_a_wrong_answer_in_each_walk(capsys, monkeypatch, fault, 
     assert any(
         line.startswith(f"FAIL: {suite}") and "DoubleCoset(" in line for line in err.splitlines()
     )
+
+
+def _drop_a_table_row(monkeypatch):
+    right = cs._descent_table
+    monkeypatch.setattr(cs, "_descent_table", lambda system: right(system)[:-1])
+
+
+def _identity_conjugates_to_nothing(monkeypatch):
+    right = cs._descent_table
+
+    def table(system):
+        (w, ld, rd, conj), *rest = right(system)
+        assert w == cx.identity(system)
+        return ((w, ld, rd, (None,) * len(conj)), *rest)
+
+    monkeypatch.setattr(cs, "_descent_table", table)
+
+
+@pytest.mark.parametrize("fault", [_drop_a_table_row, _identity_conjugates_to_nothing], ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "squash-bijection", "--type", "A", "--max-rank", "3"),
+        ("verify", "type-b", "--type", "B", "--max-rank", "2"),
+    ],
+    ids=" ".join,
+)
+def test_verify_catches_a_wrong_descent_table(capsys, monkeypatch, fault, argv):
+    fault(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert "all checks passed" not in out
+    assert any(line.startswith("FAIL: squash count at ") for line in err.splitlines())

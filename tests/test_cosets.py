@@ -2,7 +2,7 @@ import pytest
 
 from cosetrex import coxeter as cx
 from cosetrex import cosets as cs
-from conftest import all_subsets
+from conftest import all_subsets, enumerate_core_cosets_oracle, enumerate_cosets_oracle
 
 
 def exs4_p(a3):
@@ -178,7 +178,7 @@ def test_enumerate_examples(a2, a3):
     with pytest.raises(ValueError):
         cs.enumerate_cosets(cx.type_a(7), frozenset(), frozenset())
     with pytest.raises(ValueError):
-        cs.enumerate_core_cosets(a3, frozenset({1}), cap=10)
+        cs.enumerate_core_cosets(a3, frozenset({1}), budget=10)
 
 
 @pytest.mark.parametrize("system", [cx.type_a(3), cx.type_b(2), cx.dihedral(6)], ids=str)
@@ -191,6 +191,27 @@ def test_enumerate_core_matches_naive_filter(system):
                 if cs.is_core(p):
                     naive.append((I, p))
         assert sorted(fast, key=repr) == sorted(naive, key=repr)
+
+
+@pytest.mark.parametrize(
+    "system",
+    [cx.type_a(r) for r in range(5)] + [cx.type_b(r) for r in range(4)] + [cx.dihedral(m) for m in range(3, 8)],
+    ids=str,
+)
+def test_enumerators_match_their_oracles(system):
+    # equal as lists: the same cosets in the same order
+    frames = all_subsets(system)
+    for J in frames:
+        assert cs.enumerate_core_cosets(system, J) == enumerate_core_cosets_oracle(system, J)
+        for I in frames:
+            assert cs.enumerate_cosets(system, I, J) == enumerate_cosets_oracle(system, I, J)
+
+
+def test_enumerators_keep_the_budget(a3):
+    assert len(cs.enumerate_core_cosets(a3, frozenset(), budget=24)) == 24
+    assert len(cs.enumerate_cosets(a3, frozenset(), frozenset(), budget=None)) == 24
+    with pytest.raises(ValueError, match="group order 24 exceeds budget 23"):
+        cs.enumerate_cosets(a3, frozenset(), frozenset(), budget=23)
 
 
 @pytest.mark.parametrize("system", [cx.type_a(3), cx.type_b(2)], ids=str)

@@ -192,30 +192,3 @@ def test_running_example_strand_labels():
     f = nc.psi(system, right, (5, 6, 4, 5, 3, 4, 2))
     (p,) = f.coeffs
     assert p.left == left and p.right == right
-
-
-def test_composition_text_form():
-    assert nc.format_composition((1, 1, 3, 2, 1, 2, 1)) == "(1,1,3,2,1,2,1)"
-    assert nc.parse_composition("(1,1,3,2,1,2,1)") == (1, 1, 3, 2, 1, 2, 1)
-    with pytest.raises(ValueError):
-        nc.parse_composition("1,2")
-    with pytest.raises(ValueError):
-        nc.parse_composition("()")
-
-
-def test_morphism_json(a3):
-    f = nc.basis_morphism(exs4_p(a3))
-    doc = nc.morphism_to_json(f)
-    assert doc["source"] == [3] and doc["target"] == [1]
-    assert doc["terms"] == [
-        {
-            "coset": {
-                "cartan": "A",
-                "rank": 3,
-                "left": [1],
-                "right": [3],
-                "min": [3, 4, 1, 2],
-            },
-            "coefficient": 1,
-        }
-    ]
