@@ -13,6 +13,7 @@ from typing import Iterable, Sequence
 
 from .coxeter import (
     CoxeterSystem,
+    all_paths,
     as_simple,
     braid_closure,
     conjugate,
@@ -165,21 +166,27 @@ def _peel(p: DoubleCoset, a: AtomicCoset, pmax) -> DoubleCoset:
     return coset_of(p.system, a.right, multiply(w, pmax), p.right)
 
 
+# the atomic expressions of every core coset that all_atomic_rexes has walked through
+_ATOMIC_REXES: dict[DoubleCoset, tuple[tuple[AtomicCoset, ...], ...]] = {}
+
+
 @lru_cache(maxsize=None)
 def all_atomic_rexes(p: DoubleCoset) -> tuple[tuple[AtomicCoset, ...], ...]:
-    """Every atomic reduced expression of a core coset, by full branching."""
+    """Every atomic reduced expression of a core coset, by full branching:
+    the paths that peel one possible first atom at a time."""
     if not is_core(p):
         raise ValueError("atomic expressions are only defined for core cosets")
+    return all_paths(p, _atomic_steps, _ATOMIC_REXES)
+
+
+def _atomic_steps(p: DoubleCoset) -> list[tuple[AtomicCoset, DoubleCoset]]:
+    """Each possible first atom of p, in order, with the remainder it leaves."""
     pmax = max_elem(p)
-    extra = sorted(left_descents(pmax) - p.left)
-    if not extra:
-        return ((),)
     out = []
-    for s in extra:
+    for s in sorted(left_descents(pmax) - p.left):
         a = atomic_from(p.system, p.left | {s}, s)
-        for rest in all_atomic_rexes(_peel(p, a, pmax)):
-            out.append((a,) + rest)
-    return tuple(out)
+        out.append((a, _peel(p, a, pmax)))
+    return out
 
 
 def matsumoto_connected(p: DoubleCoset) -> bool:

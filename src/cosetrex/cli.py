@@ -46,7 +46,11 @@ def _cmd_eval_expr(args) -> int:
 
 def _coset_from_args(args):
     if args.coset:
-        return cosets.coset_from_json(json.loads(args.coset))
+        try:
+            doc = json.loads(args.coset)
+        except RecursionError:
+            raise ValueError("coset JSON is nested too deeply") from None
+        return cosets.coset_from_json(doc)
     if None in (args.left, args.right, args.min):
         raise ValueError("give the coset as --coset JSON, or as --left, --right and --min")
     if args.rank is None:
@@ -116,13 +120,14 @@ def _cmd_compose(args) -> int:
 
 def _systems(cartan: str, max_rank: int, budget: int) -> list[CoxeterSystem]:
     """The systems of a verify run, each checked against the budget before
-    any is verified; the walks below therefore enumerate with no limit."""
-    if cartan == "I2":
-        systems = [dihedral(m) for m in range(3, max_rank + 1)]
-    else:
-        systems = [CoxeterSystem(cartan, r) for r in range(1, max_rank + 1)]
-    for system in systems:
+    any is verified; the walks below therefore enumerate with no limit.
+    Group orders grow with the rank, so the first system over the budget
+    ends the run before any larger one is built."""
+    systems = []
+    for r in range(3 if cartan == "I2" else 1, max_rank + 1):
+        system = dihedral(r) if cartan == "I2" else CoxeterSystem(cartan, r)
         cosets.check_budget(system, budget)
+        systems.append(system)
     return systems
 
 

@@ -18,6 +18,7 @@ from .coxeter import (
     all_elements,
     as_simple,
     conjugate,
+    element_from_data,
     group_order,
     identity,
     inverse,
@@ -309,12 +310,4 @@ def coset_from_json(doc: dict) -> DoubleCoset:
     ):
         raise ValueError("coset JSON needs an integer rank and bond, and integer lists left, right and min")
     system = CoxeterSystem(doc["cartan"], doc["rank"], doc.get("bond"))
-    if system.cartan == "I2":
-        from .coxeter import element_from_word
-
-        w = element_from_word(system, doc["min"])
-    else:
-        from .coxeter import element_from_images
-
-        w = element_from_images(system, doc["min"])
-    return coset_of(system, doc["left"], w, doc["right"])
+    return coset_of(system, doc["left"], element_from_data(system, doc["min"]), doc["right"])

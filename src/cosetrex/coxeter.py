@@ -21,61 +21,67 @@ from collections import deque
 from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 from math import factorial
-from operator import itemgetter, neg
-from typing import Iterable, Iterator, Sequence
+from operator import index, itemgetter, mul, neg
+from typing import Callable, Iterable, Iterator, Sequence
 
 
-@dataclass(frozen=True)
+# the one CoxeterSystem of each value, keyed by (cartan, rank, bond)
+_SYSTEMS: dict[tuple, "CoxeterSystem"] = {}
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class CoxeterSystem:
     """A finite Coxeter system; ``bond`` is only meaningful for I2.
 
-    Equality is by value.  The hash, ``simple_indices``, their set
-    ``index_set`` and the identity are computed once, in ``__post_init__``;
-    ``simple`` fills in the simple reflections on first use.
+    Interned: building a system, also by ``pickle`` or ``copy``, returns the
+    one object of its value, so equality and hashing are by identity.  The
+    first build computes ``simple_indices``, their set ``index_set`` and the
+    identity, and ``simple`` caches each simple reflection per system.  Type
+    A of rank r is the unsigned part of type B on the window {1, .., r+1}:
+    its simple indices start at 1, not 0, and ``points`` = rank + start.
     """
 
     cartan: str
     rank: int
     bond: int | None = None
 
-    def __post_init__(self) -> None:
-        if self.cartan not in ("A", "B", "I2"):
-            raise ValueError(f"unknown Cartan type {self.cartan!r}")
-        if self.cartan == "I2":
-            if self.rank != 2:
+    def __new__(cls, cartan: str, rank: int, bond: int | None = None) -> "CoxeterSystem":
+        if cartan not in ("A", "B", "I2"):
+            raise ValueError(f"unknown Cartan type {cartan!r}")
+        # index() refuses 3.0 before the lookup, where 3.0 == 3 would find rank 3
+        key = (cartan, index(rank), None if bond is None else index(bond))
+        if key in _SYSTEMS:
+            return _SYSTEMS[key]
+        cartan, rank, bond = key
+        if cartan == "I2":
+            if rank != 2:
                 raise ValueError("I2 systems have rank 2")
-            if self.bond is None or self.bond < 3:
+            if bond is None or bond < 3:
                 raise ValueError("I2 needs a bond m >= 3")
             indices, identity_data = range(1, 3), ()
         else:
-            if self.rank < 0:
+            if rank < 0:
                 raise ValueError("rank must be non-negative")
-            if self.bond is not None:
+            if bond is not None:
                 raise ValueError("bond is only meaningful for I2")
-            if self.cartan == "A":
-                indices, identity_data = range(1, self.rank + 1), tuple(range(1, self.rank + 2))
-            else:
-                indices, identity_data = range(self.rank), tuple(range(1, self.rank + 1))
-        for name, value in (
-            ("_hash", hash((self.cartan, self.rank, self.bond))),
-            ("simple_indices", indices),
-            ("index_set", frozenset(indices)),
-            ("_identity", Element(self, identity_data)),
-            ("_simples", {}),
-        ):
-            object.__setattr__(self, name, value)
+            start = 1 if cartan == "A" else 0
+            indices, identity_data = range(start, rank + start), tuple(range(1, rank + start + 1))
+        self = object.__new__(cls)
+        self.__dict__.update(
+            cartan=cartan, rank=rank, bond=bond, simple_indices=indices, index_set=frozenset(indices),
+            _identity=Element(self, identity_data),
+        )
+        return _SYSTEMS.setdefault(key, self)
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __reduce__(self):
+        return CoxeterSystem, (self.cartan, self.rank, self.bond)
 
     @property
     def points(self) -> int:
         """Size of the window the group permutes (types A and B only)."""
-        if self.cartan == "A":
-            return self.rank + 1
-        if self.cartan == "B":
-            return self.rank
-        raise ValueError("I2 elements act on no window")
+        if self.cartan == "I2":
+            raise ValueError("I2 elements act on no window")
+        return self.rank + self.simple_indices.start
 
 
 def type_a(rank: int) -> CoxeterSystem:
@@ -110,10 +116,12 @@ def braid_relation(system: CoxeterSystem, i: int, j: int) -> tuple[tuple[int, ..
     """The two sides of the braid relation of s_i and s_j: the alternating
     words of length m_ij starting with i and with j."""
     m = coxeter_m(system, i, j)
-    return (
-        tuple(i if k % 2 == 0 else j for k in range(m)),
-        tuple(j if k % 2 == 0 else i for k in range(m)),
-    )
+    return _alternating(i, j, m), _alternating(j, i, m)
+
+
+def _alternating(first: int, second: int, length: int) -> tuple[int, ...]:
+    """The word first, second, first, .. of the given length."""
+    return (first, second) * (length // 2) + (first,) * (length % 2)
 
 
 @lru_cache(maxsize=None)
@@ -177,8 +185,8 @@ class Element:
     """An element of ``system``: its image tuple (types A and B) or its
     normal-form word (I2) is ``data``.
 
-    Immutable.  The hash is computed once, from ``data``; equality tests
-    the systems by identity before it compares them by value.
+    Immutable.  The hash is computed once, from ``data``; equality
+    compares the (interned) systems by identity and then the data.
     """
 
     __slots__ = ("system", "data", "_hash")
@@ -200,7 +208,7 @@ class Element:
     def __eq__(self, other) -> bool:
         if other.__class__ is not Element:
             return NotImplemented
-        return (self.system is other.system or self.system == other.system) and self.data == other.data
+        return self.system is other.system and self.data == other.data
 
     def __repr__(self) -> str:
         return f"Element(system={self.system!r}, data={self.data!r})"
@@ -222,37 +230,28 @@ def identity(system: CoxeterSystem) -> Element:
     return system._identity
 
 
+@lru_cache(maxsize=None)
 def simple(system: CoxeterSystem, i: int) -> Element:
-    """The simple reflection s_i, built once per system."""
-    try:
-        return system._simples[i]
-    except KeyError:
-        pass
+    """The simple reflection s_i, built once per (interned) system."""
     if i not in system.index_set:
         raise ValueError(f"index {i} out of range for {system}")
     if system.cartan == "I2":
-        s = Element(system, (i,))
+        return Element(system, (i,))
+    d = list(system._identity.data)
+    if i == 0:
+        d[0] = -1
     else:
-        d = list(system._identity.data)
-        if i == 0:
-            d[0] = -1
-        else:
-            d[i - 1], d[i] = d[i], d[i - 1]
-        s = Element(system, tuple(d))
-    system._simples[i] = s
-    return s
+        d[i - 1], d[i] = d[i], d[i - 1]
+    return Element(system, tuple(d))
 
 
 def element_from_images(system: CoxeterSystem, images: Sequence[int]) -> Element:
     """Validated constructor from an image tuple (types A and B)."""
     images = tuple(images)
     n = system.points
-    if system.cartan == "A":
-        if sorted(images) != list(range(1, n + 1)):
-            raise ValueError(f"{images} is not a permutation of 1..{n}")
-    else:
-        if sorted(abs(x) for x in images) != list(range(1, n + 1)):
-            raise ValueError(f"{images} is not a signed permutation of 1..{n}")
+    signed = system.cartan == "B"
+    if sorted(map(abs, images)) != list(range(1, n + 1)) or not (signed or all(x > 0 for x in images)):
+        raise ValueError(f"{images} is not a {'signed ' if signed else ''}permutation of 1..{n}")
     return Element(system, images)
 
 
@@ -270,14 +269,12 @@ def _i2_other(g: int) -> int:
 
 def _i2_alt_word(length: int, last: int) -> tuple[int, ...]:
     """The alternating {1,2}-word of the given length ending in ``last``."""
-    if length == 0:
-        return ()
     first = last if length % 2 == 1 else _i2_other(last)
-    return tuple(first if k % 2 == 0 else _i2_other(first) for k in range(length))
+    return _alternating(first, _i2_other(first), length)
 
 
 def _i2_longest(system: CoxeterSystem) -> tuple[int, ...]:
-    return tuple(1 if k % 2 == 0 else 2 for k in range(system.bond))
+    return _alternating(1, 2, system.bond)
 
 
 def _i2_right_mult(w: Element, g: int) -> Element:
@@ -298,7 +295,7 @@ def _i2_right_mult(w: Element, g: int) -> Element:
 
 def multiply(w: Element, v: Element) -> Element:
     system = w.system
-    if system is not v.system and system != v.system:
+    if system is not v.system:
         raise ValueError("cannot multiply elements of different systems")
     if system.cartan == "I2":
         acc = w
@@ -319,39 +316,25 @@ def multiply(w: Element, v: Element) -> Element:
 @lru_cache(maxsize=None)
 def inverse(w: Element) -> Element:
     system = w.system
-    if system.cartan == "A":
-        inv = [0] * len(w.data)
-        for i, x in enumerate(w.data, 1):
-            inv[x - 1] = i
-        return Element(system, tuple(inv))
-    if system.cartan == "B":
-        inv = [0] * len(w.data)
-        for i, x in enumerate(w.data, 1):
-            if x > 0:
-                inv[x - 1] = i
-            else:
-                inv[-x - 1] = -i
-        return Element(system, tuple(inv))
-    word = w.data[::-1]
-    if len(word) == system.bond:
-        word = _i2_longest(system)
-    return Element(system, word)
+    if system.cartan == "I2":
+        word = w.data[::-1]
+        if len(word) == system.bond:
+            word = _i2_longest(system)
+        return Element(system, word)
+    inv = [0] * len(w.data)
+    for i, x in enumerate(w.data, 1):
+        inv[abs(x) - 1] = i if x > 0 else -i
+    return Element(system, tuple(inv))
 
 
 @lru_cache(maxsize=None)
 def length(w: Element) -> int:
-    system = w.system
+    """Inversions plus, in type B, the sum of the negated negative images."""
     d = w.data
-    if system.cartan == "A":
-        return sum(
-            1 for i in range(len(d)) for j in range(i + 1, len(d)) if d[i] > d[j]
-        )
-    if system.cartan == "B":
-        inv = sum(
-            1 for i in range(len(d)) for j in range(i + 1, len(d)) if d[i] > d[j]
-        )
-        return inv + sum(-x for x in d if x < 0)
-    return len(d)
+    if w.system.cartan == "I2":
+        return len(d)
+    inversions = sum(1 for i in range(len(d)) for j in range(i + 1, len(d)) if d[i] > d[j])
+    return inversions + sum(-x for x in d if x < 0)
 
 
 def act(w: Element, x: int) -> int:
@@ -369,17 +352,10 @@ def act(w: Element, x: int) -> int:
 
 
 def is_right_descent(w: Element, i: int) -> bool:
-    system = w.system
     d = w.data
-    if system.cartan == "A":
-        return d[i - 1] > d[i]
-    if system.cartan == "B":
-        if i == 0:
-            return d[0] < 0
-        return d[i - 1] > d[i]
-    if not d:
-        return False
-    return len(d) == system.bond or d[-1] == i
+    if w.system.cartan == "I2":
+        return bool(d) and (len(d) == w.system.bond or d[-1] == i)
+    return d[i - 1] > d[i] if i else d[0] < 0  # s_0 is type B's sign change
 
 
 def is_left_descent(w: Element, i: int) -> bool:
@@ -411,22 +387,45 @@ def reduced_word(w: Element) -> tuple[int, ...]:
         cur = multiply(simple(cur.system, i), cur)
 
 
+# the reduced words of every element that reduced_words has walked through
+_REDUCED_WORDS: dict[Element, tuple[tuple[int, ...], ...]] = {}
+
+
 @lru_cache(maxsize=None)
 def reduced_words(w: Element) -> tuple[tuple[int, ...], ...]:
     """All reduced words for w, in lexicographic order."""
-    ld = left_descents(w)
-    if not ld:
-        return ((),)
-    out = []
-    for i in sorted(ld):
-        rest = reduced_words(multiply(simple(w.system, i), w))
-        out.extend((i,) + word for word in rest)
-    return tuple(out)
+    return all_paths(w, _strip_left_descents, _REDUCED_WORDS)
+
+
+def _strip_left_descents(u: Element) -> list[tuple[int, Element]]:
+    """Each left descent i of u, in order, with s_i u."""
+    return [(i, multiply(simple(u.system, i), u)) for i in sorted(left_descents(u))]
+
+
+def all_paths(root, steps: Callable, memo: dict) -> tuple[tuple, ...]:
+    """The labels along every path from root down to a node with no steps,
+    where steps(node) lists its (label, child) pairs in order (a node with
+    no steps has the one empty path); memo keeps the paths of each node
+    across calls.  Children are done before their parent, on an explicit
+    stack, so no recursion limit caps the depth.
+    """
+    waiting: dict = {}  # node -> its steps, until its children are done
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node in waiting:  # its children are done
+            below = waiting.pop(node)
+            memo[node] = tuple((label,) + rest for label, child in below for rest in memo[child]) or ((),)
+        elif node not in memo:
+            waiting[node] = steps(node)
+            stack.append(node)
+            stack.extend(child for _, child in waiting[node])
+    return memo[root]
 
 
 def star_product(w: Element, v: Element) -> Element:
     """Demazure product: fold a reduced word of v into w, never descending."""
-    if w.system is not v.system and w.system != v.system:
+    if w.system is not v.system:
         raise ValueError("cannot star-multiply elements of different systems")
     acc = w
     for i in reduced_word(v):
@@ -443,7 +442,7 @@ def bruhat_leq(w: Element, v: Element) -> bool:
     or (u is one of word[k+1:]).  The search runs on an explicit stack
     over the (u, k) memo, so no recursion limit caps the length of v.
     """
-    if w.system is not v.system and w.system != v.system:
+    if w.system is not v.system:
         raise ValueError("cannot compare elements of different systems")
     word = reduced_word(v)
     system = w.system
@@ -489,39 +488,30 @@ def conjugate(w: Element, i: int) -> Element:
 
 def as_simple(e: Element) -> int | None:
     """The index i with e = s_i, or None if e is not a simple reflection."""
-    if length(e) != 1:
-        return None
-    for i in e.system.simple_indices:
-        if e == simple(e.system, i):
-            return i
-    return None
+    return reduced_word(e)[0] if length(e) == 1 else None
 
 
 def group_order(system: CoxeterSystem) -> int:
-    if system.cartan == "A":
-        return factorial(system.rank + 1)
-    if system.cartan == "B":
-        return 2 ** system.rank * factorial(system.rank)
-    return 2 * system.bond
+    if system.cartan == "I2":
+        return 2 * system.bond
+    return factorial(system.points) * (2 ** system.points if system.cartan == "B" else 1)
 
 
 def all_elements(system: CoxeterSystem) -> Iterator[Element]:
-    """Every group element, in a fixed deterministic order."""
-    if system.cartan == "A":
-        for p in itertools.permutations(range(1, system.rank + 2)):
-            yield Element(system, p)
-    elif system.cartan == "B":
-        for p in itertools.permutations(range(1, system.rank + 1)):
-            for signs in itertools.product((1, -1), repeat=system.rank):
-                yield Element(system, tuple(s * x for s, x in zip(signs, p)))
-    else:
+    """Every group element, in a fixed deterministic order: by permutation
+    of the window, then by signs (type B); by length, then first letter (I2)."""
+    if system.cartan == "I2":
         yield identity(system)
         for ell in range(1, system.bond):
             for first in (1, 2):
-                yield Element(
-                    system, tuple(first if k % 2 == 0 else _i2_other(first) for k in range(ell))
-                )
+                yield Element(system, _alternating(first, _i2_other(first), ell))
         yield Element(system, _i2_longest(system))
+        return
+    n = system.points
+    signs = (1, -1) if system.cartan == "B" else (1,)
+    for p in itertools.permutations(range(1, n + 1)):
+        for s in itertools.product(signs, repeat=n):
+            yield Element(system, tuple(map(mul, s, p)))
 
 
 def format_element(w: Element) -> str:
@@ -530,13 +520,20 @@ def format_element(w: Element) -> str:
     return "[" + ",".join(str(x) for x in w.data) + "]"
 
 
+def element_from_data(system: CoxeterSystem, data: Sequence[int]) -> Element:
+    """The element stored as data: any word in the simple indices for I2, the image tuple for A and B."""
+    if system.cartan == "I2":
+        return element_from_word(system, data)
+    return element_from_images(system, data)
+
+
 def parse_element(system: CoxeterSystem, text: str) -> Element:
+    """The text form of format_element: "2 1" for I2, "[3,4,1,2]" for A and B."""
     text = text.strip()
     if system.cartan == "I2":
-        word = tuple(int(tok) for tok in text.split())
-        return element_from_word(system, word)
-    if not (text.startswith("[") and text.endswith("]")):
+        tokens = text.split()
+    elif text.startswith("[") and text.endswith("]"):
+        tokens = text[1:-1].split(",") if text[1:-1].strip() else []
+    else:
         raise ValueError(f"expected an image list like [3,4,1,2], got {text!r}")
-    body = text[1:-1].strip()
-    images = tuple(int(tok) for tok in body.split(",")) if body else ()
-    return element_from_images(system, images)
+    return element_from_data(system, [int(tok) for tok in tokens])

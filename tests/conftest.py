@@ -1,7 +1,9 @@
 """Shared brute-force oracles, kept independent of the library internals."""
 from __future__ import annotations
 
+import sys
 from collections import deque
+from contextlib import contextmanager
 from itertools import combinations
 
 import pytest
@@ -103,6 +105,20 @@ def enumerate_core_cosets_oracle(system, right):
             out.append((left, cs.DoubleCoset(system, left, right, w)))
     out.sort(key=lambda pair: _coset_order(pair[1]))
     return out
+
+
+@contextmanager
+def recursion_headroom(frames):
+    """Lower the recursion limit to the current stack depth plus frames."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,7 @@ from cosetrex import atomic as at
 from cosetrex import cosets as cs
 from cosetrex import coxeter as cx
 from cosetrex import expressions as ex
-from conftest import all_subsets
+from conftest import all_subsets, recursion_headroom
 
 
 def all_atoms(system):
@@ -106,6 +106,48 @@ def test_all_atomic_rexes_examples(a2):
     q = cs.coset_of(a2, frozenset(), w0, frozenset())
     words = at.all_atomic_rexes(q)
     assert len(words) == 2  # one per reduced word of the longest element
+
+
+def _all_atomic_rexes_recursive(p, memo):
+    """The recursive search that all_atomic_rexes replaced, kept as its reference."""
+    if p not in memo:
+        pmax = cs.max_elem(p)
+        extra = sorted(cx.left_descents(pmax) - p.left)
+        if not extra:
+            memo[p] = ((),)
+        else:
+            out = []
+            for s in extra:
+                a = at.atomic_from(p.system, p.left | {s}, s)
+                q = cs.coset_of(
+                    p.system, a.right, cx.multiply(cs.longest_element(p.system, a.right),
+                                                   cx.multiply(cs.longest_element(p.system, a.mid), pmax)), p.right
+                )
+                out.extend((a,) + rest for rest in _all_atomic_rexes_recursive(q, memo))
+            memo[p] = tuple(out)
+    return memo[p]
+
+
+@pytest.mark.parametrize(
+    "system", [cx.type_a(r) for r in range(1, 5)] + [cx.type_b(r) for r in range(1, 4)], ids=str
+)
+def test_all_atomic_rexes_match_the_recursive_version(system):
+    memo = {}
+    for J in all_subsets(system):
+        for _, p in cs.enumerate_core_cosets(system, J):
+            assert at.all_atomic_rexes(p) == _all_atomic_rexes_recursive(p, memo)
+
+
+def test_all_atomic_rexes_needs_no_deep_recursion():
+    # the ({}, s_1 .. s_n, {})-coset of A_n has one atomic expression, of n atoms
+    n = 60
+    system = cx.type_a(n)
+    p = cs.coset_of(system, (), cx.element_from_word(system, range(1, n + 1)), ())
+    with recursion_headroom(40):
+        with pytest.raises(RecursionError):
+            _all_atomic_rexes_recursive(p, {})
+        (rex,) = at.all_atomic_rexes(p)
+    assert at.word_of_rex(rex) == tuple(range(1, n + 1))
 
 
 @pytest.mark.parametrize("system", [cx.type_a(3), cx.type_b(2), cx.dihedral(6)], ids=str)

@@ -1,12 +1,18 @@
+import argparse
+import io
 import json
+import re
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cosetrex import atomic
+from cosetrex import atomic, cli
 from cosetrex import cosets as cs
 from cosetrex import coxeter as cx
 from cosetrex import squash_a
-from cosetrex.cli import _SUITES, main
+from cosetrex.cli import _SUITES, build_parser, main
 
 S11_TEXT = "[{2,3,6,10} +8 -8 +9 -10 +7 -6 +8 -8 +5 -5 +6 -7 +4 -2]"
 
@@ -163,6 +169,8 @@ def test_verify_unknown_suite_usage_error(capsys):
 
 
 I2_COSET = json.dumps({"cartan": "I2", "rank": 2, "bond": 5, "left": [], "right": [], "min": [1]})
+# nested deeper than the JSON decoder's recursion limit
+DEEP_JSON = "[" * 100000
 
 
 @pytest.mark.parametrize(
@@ -184,8 +192,9 @@ I2_COSET = json.dumps({"cartan": "I2", "rank": 2, "bond": 5, "left": [], "right"
         ("squash", "--left", "{1}", "--right", "{3}", "--min", "[3,4,1,2]"),
         ("verify", "core-atomic", "--type", "A", "--max-rank", "4", "--budget", "100"),
         ("enumerate-core", "--type", "A", "--rank", "7", "--right", "{}"),
+        ("squash", "--coset", DEEP_JSON),
     ],
-    ids=" ".join,
+    ids=lambda argv: " ".join(argv).replace(DEEP_JSON, "[*100000"),
 )
 def test_unsupported_input_is_a_one_line_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -204,6 +213,27 @@ def test_coset_flags_without_a_rank_name_the_missing_rank(capsys, command):
 def test_verify_over_budget_prints_no_cell(capsys):
     code, out, _ = run(capsys, "verify", "core-atomic", "--type", "A", "--max-rank", "4", "--budget", "100")
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize(
+    "cartan, constructor, ranks, order",
+    [("A", "CoxeterSystem", range(1, 8), 40320), ("B", "CoxeterSystem", range(1, 7), 46080),
+     ("I2", "dihedral", range(3, 5002), 10002)],
+    ids=["A", "B", "I2"],
+)
+def test_verify_builds_no_system_past_the_first_over_budget_rank(capsys, monkeypatch, cartan, constructor, ranks, order):
+    built = []
+    build = getattr(cli, constructor)
+
+    def counting(*args):
+        built.append(args[-1])  # the rank, or the bond of a dihedral group
+        return build(*args)
+
+    monkeypatch.setattr(cli, constructor, counting)
+    code, out, err = run(capsys, "verify", "core-atomic", "--type", cartan, "--max-rank", "1000000")
+    assert code == 2 and out == ""
+    assert err == f"error: group order {order} exceeds budget 10000\n"
+    assert built == list(ranks)
 
 
 def test_budget_admits_a_group_of_its_order(capsys):
@@ -337,3 +367,123 @@ def test_verify_catches_a_wrong_descent_table(capsys, monkeypatch, fault, argv):
     assert code == 1
     assert "all checks passed" not in out
     assert any(line.startswith("FAIL: squash count at ") for line in err.splitlines())
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: argument vectors of the real subcommands and flags, with junk values
+
+_JUNK = st.sampled_from(["", " ", "x", "-1", "1.5", "[", "]", "{", "}", "--"])
+_SMALL_INTS = st.lists(st.integers(-1, 6), max_size=4)
+
+
+@st.composite
+def _coset_docs(draw):
+    """A well-formed coset of A or B up to rank 4 (core or not), or one with
+    a key dropped or given a junk value."""
+    cartan = draw(st.sampled_from(["A", "B"]))
+    rank = draw(st.integers(0, 4))
+    start = 1 if cartan == "A" else 0
+    images = draw(st.permutations(range(1, rank + start + 1)))
+    signs = [draw(st.sampled_from([1, -1])) if cartan == "B" else 1 for _ in images]
+    frames = st.lists(st.integers(start, rank + start), max_size=rank, unique=True)  # the last index is one too far
+    doc = {"cartan": cartan, "rank": rank, "left": draw(frames), "right": draw(frames),
+           "min": [s * x for s, x in zip(signs, images)]}
+    key = draw(st.sampled_from([None, "cartan", "rank", "left", "right", "min", "bond"]))
+    if key is not None:
+        junk = draw(st.sampled_from(["I2", "Z", 1, 2.5, True, None, -1, 13, "x", [[1]], [1.5], [9], {"a": 1}, "drop"]))
+        if junk == "drop":
+            doc.pop(key, None)
+        else:
+            doc[key] = junk
+    return doc
+
+
+_COSETS = st.one_of(
+    _coset_docs().map(json.dumps),
+    st.sampled_from(["{}", "[]", "null", "not json", '"A"', '{"cartan": }', "1e999", "[" * 50 + "]" * 50, DEEP_JSON]),
+)
+_SUBSETS = st.one_of(
+    _SMALL_INTS.map(lambda xs: "{" + ",".join(map(str, xs)) + "}"),
+    st.sampled_from(["{1,,2}", "{a}", "1,2", "{1", "{1.0}", "{13}"]),
+)
+_ELEMENTS = st.one_of(
+    st.integers(1, 5).flatmap(lambda n: st.permutations(range(1, n + 1))).map(lambda xs: "[" + ",".join(map(str, xs)) + "]"),
+    st.lists(st.integers(-5, 6), max_size=6).map(lambda xs: "[" + ",".join(map(str, xs)) + "]"),
+    st.lists(st.integers(0, 3), max_size=6).map(lambda xs: " ".join(map(str, xs))),
+    _JUNK,
+)
+_EXPRS = st.one_of(
+    st.sampled_from(["[{1} +2 -1]", "[[{1} < {1,2} > {2}]]", "[{1} +2 +2]", "[{9} +1 -1]", "[[{}]]", "[{1} +x]"]),
+    st.text(alphabet="[]{}<>+-, 0123456789", max_size=20),
+)
+# a value for every flag that takes one; ranks and bonds stay at most 12
+_VALUES = {
+    "--type": st.sampled_from(["A", "A", "B", "B", "I2", "C"]),
+    "--rank": st.one_of(st.integers(-1, 4).map(str), st.integers(-2, 12).map(str), _JUNK),
+    "--bond": st.one_of(st.integers(-1, 12).map(str), _JUNK),
+    "--expr": _EXPRS,
+    "--format": st.sampled_from(["text", "json", "xml"]),
+    "--coset": _COSETS,
+    "--left": _SUBSETS,
+    "--right": _SUBSETS,
+    "--min": _ELEMENTS,
+    "--sigma": _ELEMENTS,
+    "--exprs": st.just("no-such-file.txt"),
+    "--budget": st.one_of(st.integers(-5, 1000).map(str), _JUNK),
+    # verify always gets a small max rank: its defaults take seconds per suite
+    "--max-rank": st.one_of(st.integers(-1, 3).map(str), _JUNK),
+}
+_SUBCOMMANDS = next(
+    action.choices for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction)
+)
+
+
+@st.composite
+def _junk_argv(draw):
+    """A subcommand with a random choice of its flags (a required one is left
+    out now and then), each with a value drawn from _VALUES."""
+    command = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    argv = [command]
+    for action in _SUBCOMMANDS[command]._actions:
+        if not action.option_strings:  # the verify suite
+            argv += draw(st.sampled_from([[], ["nope"]] + [[suite] for suite in sorted(_SUITES)]))
+        elif action.dest == "help":
+            continue
+        elif action.nargs == 0:
+            argv += draw(st.sampled_from([[], action.option_strings]))
+        elif action.dest == "max_rank" or draw(st.integers(0, 9)) < (9 if action.required else 5):
+            argv += [action.option_strings[0], draw(_VALUES[action.option_strings[0]])]
+    return argv
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+def test_every_flag_has_junk_values():
+    flags = {
+        action.option_strings[0]
+        for sub in _SUBCOMMANDS.values()
+        for action in sub._actions
+        if action.option_strings and action.nargs != 0 and action.dest != "help"
+    }
+    assert flags == set(_VALUES)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_junk_argv())
+def test_junk_arguments_end_in_an_exit_code_not_a_traceback(argv):
+    code, err = _run_quietly(argv)  # an uncaught exception fails the test here
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        lines = err.splitlines()
+        assert re.match(r"(cosetrex( [\w-]+)?: )?error: ", lines[-1]), err
+        assert len(lines) == 1 or lines[0].startswith("usage: "), err
+        assert not any("error:" in line for line in lines[:-1]), err

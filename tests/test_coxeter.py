@@ -1,5 +1,6 @@
 import copy
 import itertools
+import json
 import pickle
 import sys
 
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cosetrex import atomic as at
+from cosetrex import cosets as cs
 from cosetrex import coxeter as cx
 from conftest import (
     bruhat_leq_oracle,
@@ -15,6 +18,7 @@ from conftest import (
     perm_from_word,
     perm_mult,
     perm_simple,
+    recursion_headroom,
 )
 
 SMALL_SYSTEMS = [cx.type_a(2), cx.type_a(3), cx.type_b(2), cx.dihedral(4), cx.dihedral(5)]
@@ -29,6 +33,30 @@ def test_system_validation():
         cx.dihedral(2)
     with pytest.raises(ValueError):
         cx.CoxeterSystem("A", 2, bond=3)
+    with pytest.raises(ValueError):
+        cx.type_b(-1)
+    # interned values that 3.0 and 5.0 compare equal to must not be found
+    cx.type_a(3), cx.dihedral(5)
+    with pytest.raises(TypeError):
+        cx.CoxeterSystem("A", 3.0)
+    with pytest.raises(TypeError):
+        cx.dihedral(5.0)
+
+
+def test_systems_are_interned_on_every_path():
+    a3, b3, i5 = cx.CoxeterSystem("A", 3), cx.CoxeterSystem("B", 3), cx.CoxeterSystem("I2", 2, 5)
+    assert cx.type_a(3) is a3 and cx.CoxeterSystem(cartan="A", rank=3, bond=None) is a3
+    assert cx.type_b(3) is b3 and cx.dihedral(5) is i5
+    p = cs.coset_of(a3, {1}, cx.element_from_images(a3, (3, 4, 1, 2)), {3})
+    assert cs.coset_from_json(json.loads(json.dumps(cs.coset_to_json(p)))).system is a3
+    assert at.squashed_system(cx.type_a(5), {1, 4}) is a3
+    assert at.squashed_system(cx.type_b(5), {0, 3}) is b3
+    for system in (a3, b3, i5):
+        assert pickle.loads(pickle.dumps(system)) is system
+        assert copy.copy(system) is system and copy.deepcopy(system) is system
+        assert pickle.loads(pickle.dumps(cx.identity(system))).system is system
+        assert hash(system) == object.__hash__(system)
+    assert repr(a3) == "CoxeterSystem(cartan='A', rank=3, bond=None)"
 
 
 def test_coxeter_matrix():
@@ -380,7 +408,7 @@ def test_inverse_and_length_symmetry(images):
 @pytest.mark.parametrize("make", [cx.type_a, cx.type_b], ids=["A", "B"])
 def test_equal_elements_hash_equal_across_constructors_and_systems(make):
     one, two = make(3), make(3)
-    assert one is not two and one == two and hash(one) == hash(two)
+    assert one is two and one == two and hash(one) == hash(two)
     word = (2, 1, 2) + tuple(one.simple_indices)
     by_word = cx.element_from_word(one, word)
     by_images = cx.element_from_images(two, by_word.data)
@@ -437,3 +465,88 @@ def test_simple_is_cached_and_still_checks_its_index(system):
 def test_simple_matches_the_permutation_oracle(a3):
     for i in a3.simple_indices:
         assert cx.simple(a3, i).data == perm_simple(4, i)
+
+
+def _all_elements_by_type(system):
+    """The element order all_elements keeps: a branch for each type."""
+    if system.cartan == "A":
+        return list(itertools.permutations(range(1, system.rank + 2)))
+    if system.cartan == "B":
+        return [
+            tuple(s * x for s, x in zip(signs, p))
+            for p in itertools.permutations(range(1, system.rank + 1))
+            for signs in itertools.product((1, -1), repeat=system.rank)
+        ]
+    words = [()] + [
+        tuple(first if k % 2 == 0 else 3 - first for k in range(ell))
+        for ell in range(1, system.bond)
+        for first in (1, 2)
+    ]
+    return words + [tuple(1 if k % 2 == 0 else 2 for k in range(system.bond))]
+
+
+@pytest.mark.parametrize(
+    "system",
+    [cx.type_a(r) for r in range(6)] + [cx.type_b(r) for r in range(5)] + [cx.dihedral(m) for m in range(3, 8)],
+    ids=str,
+)
+def test_all_elements_keeps_its_order(system):
+    assert [w.data for w in cx.all_elements(system)] == _all_elements_by_type(system)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_type_a_is_the_unsigned_part_of_type_b(rank):
+    a, b = cx.type_a(rank), cx.type_b(rank + 1)
+    assert a.points == b.points == rank + 1
+    for w in cx.all_elements(a):
+        v = cx.element_from_images(b, w.data)
+        assert cx.inverse(w).data == cx.inverse(v).data
+        assert cx.length(w) == cx.length(v)
+        assert cx.right_descents(w) == cx.right_descents(v) - {0}
+    flipped = (-1,) + tuple(range(2, rank + 2))
+    with pytest.raises(ValueError, match=rf"is not a permutation of 1\.\.{rank + 1}$"):
+        cx.element_from_images(a, flipped)
+    assert cx.element_from_images(b, flipped) == cx.simple(b, 0)
+    with pytest.raises(ValueError, match=rf"is not a signed permutation of 1\.\.{rank + 1}$"):
+        cx.element_from_images(b, (2,) * (rank + 1))
+
+
+def _reduced_words_recursive(w, memo):
+    """The recursive search that reduced_words replaced, kept as its reference."""
+    if w not in memo:
+        ld = cx.left_descents(w)
+        if not ld:
+            memo[w] = ((),)
+        else:
+            out = []
+            for i in sorted(ld):
+                rest = _reduced_words_recursive(cx.multiply(cx.simple(w.system, i), w), memo)
+                out.extend((i,) + word for word in rest)
+            memo[w] = tuple(out)
+    return memo[w]
+
+
+@pytest.mark.parametrize(
+    "system", [cx.type_a(r) for r in range(1, 5)] + [cx.type_b(r) for r in range(1, 4)], ids=str
+)
+def test_reduced_words_match_the_recursive_version(system):
+    memo = {}
+    for w in cx.all_elements(system):
+        assert cx.reduced_words(w) == _reduced_words_recursive(w, memo)
+
+
+@pytest.mark.parametrize(
+    "w, word",
+    [
+        # s_1 s_2 .. s_n of A_n has one reduced word, n letters long
+        (cx.element_from_word(cx.type_a(300), range(1, 301)), tuple(range(1, 301))),
+        # an alternating element shorter than the bond has one reduced word
+        (cx.element_from_word(cx.dihedral(400), (1, 2) * 100), (1, 2) * 100),
+    ],
+    ids=["A300", "I2(400)"],
+)
+def test_reduced_words_needs_no_deep_recursion(w, word):
+    with recursion_headroom(100):
+        with pytest.raises(RecursionError):
+            _reduced_words_recursive(w, {})
+        assert cx.reduced_words(w) == (word,)
