@@ -62,6 +62,12 @@ def atomic_from(system: CoxeterSystem, mid: Iterable[int], s: int) -> AtomicCose
     mid = check_subset(system, mid)
     if s not in mid:
         raise ValueError(f"{s} is not in {sorted(mid)}")
+    return _atom(system, mid, s)
+
+
+@lru_cache(maxsize=None)
+def _atom(system: CoxeterSystem, mid: Frame, s: int) -> AtomicCoset:
+    # one object per atom: the cached greedy steps hold many references to few atoms
     w = longest_element(system, mid)
     t = as_simple(conjugate(w, s))
     if t is None:  # conjugation by w_M permutes the simples of M
@@ -138,26 +144,35 @@ def atomic_rex_of_core(p: DoubleCoset) -> tuple[AtomicCoset, ...]:
 
     At each step, add the smallest left descent of the maximum not already
     in the left frame, remove its conjugate under the enlarged longest
-    element, and recurse on the shorter remainder coset.
+    element, and recurse on the shorter remainder coset.  The remainder is
+    again a core coset with the same right frame, and the step depends only
+    on the current coset, so each coset's step is computed once.
     """
     if not is_core(p):
         raise ValueError("atomic expressions are only defined for core cosets")
     atoms: list[AtomicCoset] = []
     cur = p
-    while True:
-        pmax = max_elem(cur)
-        extra = left_descents(pmax) - cur.left
-        if not extra:
-            break
-        a = atomic_from(cur.system, cur.left | {min(extra)}, min(extra))
+    while (step := _greedy_step(cur)) is not None:
+        a, cur = step
         atoms.append(a)
-        nxt = _peel(cur, a, pmax)
-        if length(max_elem(nxt)) >= length(pmax):
-            raise AssertionError("atomic peeling failed to shorten the coset")
-        cur = nxt
     if cur.left != cur.right or cur.min != identity(cur.system):
         raise AssertionError(f"descent-saturated core coset {cur} is not the identity coset")
     return tuple(atoms)
+
+
+@lru_cache(maxsize=None)
+def _greedy_step(cur: DoubleCoset) -> tuple[AtomicCoset, DoubleCoset] | None:
+    """The greedy first atom of cur with the remainder it leaves, or None
+    when every left descent of the maximum is in the left frame."""
+    pmax = max_elem(cur)
+    extra = left_descents(pmax) - cur.left
+    if not extra:
+        return None
+    a = atomic_from(cur.system, cur.left | {min(extra)}, min(extra))
+    nxt = _peel(cur, a, pmax)
+    if length(max_elem(nxt)) >= length(pmax):
+        raise AssertionError("atomic peeling failed to shorten the coset")
+    return a, nxt
 
 
 def _peel(p: DoubleCoset, a: AtomicCoset, pmax) -> DoubleCoset:

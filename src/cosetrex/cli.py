@@ -162,7 +162,8 @@ def _check_core_atomic(system: CoxeterSystem, emit, fail) -> None:
         for _, p in found:
             rex = atomic.atomic_rex_of_core(p)
             composed, reduced = atomic.compose_atomics(system, rex, p.left)
-            expr = atomic.one_step_of_atoms(system, rex, p.left)
+            # built one-step for its validation, converted once for both checks
+            expr = expressions.to_multistep(atomic.one_step_of_atoms(system, rex, p.left))
             if not (reduced and composed == p and expressions.is_reduced(expr)
                     and expressions.evaluate(expr) == p):
                 fail(f"core-atomic: {p}")

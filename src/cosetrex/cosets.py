@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import mul
 from typing import Iterable
 
 from .coxeter import (
@@ -19,13 +20,13 @@ from .coxeter import (
     as_simple,
     conjugate,
     element_from_data,
-    group_order,
     identity,
     inverse,
     is_left_descent,
     is_right_descent,
     length,
     multiply,
+    order_factors,
     simple,
     star_product,
 )
@@ -125,7 +126,7 @@ def left_redundancy(p: DoubleCoset) -> Frame:
         i = as_simple(conjugate(p.min, j))
         if i is not None and i in p.left:
             out.add(i)
-    return frozenset(out)
+    return p.left if out == p.left else frozenset(out)
 
 
 @lru_cache(maxsize=None)
@@ -137,7 +138,7 @@ def right_redundancy(p: DoubleCoset) -> Frame:
         j = as_simple(conjugate(inv, i))
         if j is not None and j in p.right:
             out.add(j)
-    return frozenset(out)
+    return p.right if out == p.right else frozenset(out)
 
 
 @lru_cache(maxsize=None)
@@ -195,9 +196,18 @@ DEFAULT_BUDGET = 10000
 
 
 def check_budget(system: CoxeterSystem, budget: int | None) -> None:
-    """Refuse a system whose group order exceeds the budget; None is no limit."""
-    if budget is not None and group_order(system) > budget:
-        raise ValueError(f"group order {group_order(system)} exceeds budget {budget}")
+    """Refuse a system whose group order exceeds the budget; None is no limit.
+
+    The order is multiplied up one factor at a time and refused as soon as
+    it passes the budget, so a huge group is refused after a few factors.
+    """
+    if budget is None:
+        return
+    products = accumulate(order_factors(system), mul, initial=1)
+    for order in products:
+        if order > budget:
+            more = "" if next(products, None) is None else "more than "
+            raise ValueError(f"group order {more}{order} exceeds budget {budget}")
 
 
 def _mask(indices: Iterable[int]) -> int:
@@ -269,6 +279,7 @@ def enumerate_core_cosets(
     right = check_subset(system, right)
     rmask = _mask(right)
     slots = [j - system.simple_indices.start for j in right]
+    lefts: dict[Frame, Frame] = {}  # one object per left frame
     out = []
     for w, _, rd, conj in _descent_table(system):
         if rd & rmask:
@@ -276,6 +287,7 @@ def enumerate_core_cosets(
         images = [conj[k] for k in slots]
         if None not in images:
             left = frozenset(images)
+            left = lefts.setdefault(left, left)
             out.append((left, DoubleCoset(system, left, right, w)))
     out.sort(key=lambda pair: _coset_sort_key(pair[1]))
     return out

@@ -20,7 +20,7 @@ import itertools
 from collections import deque
 from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
-from math import factorial
+from math import prod
 from operator import index, itemgetter, mul, neg
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -491,10 +491,17 @@ def as_simple(e: Element) -> int | None:
     return reduced_word(e)[0] if length(e) == 1 else None
 
 
-def group_order(system: CoxeterSystem) -> int:
+def order_factors(system: CoxeterSystem) -> Sequence[int]:
+    """Factors of the group order, each above 1, smallest first: 2m for
+    I2(m), 2..n for the permutations of n points (A) and 2, 4, ..., 2n for
+    their signed versions (B)."""
     if system.cartan == "I2":
-        return 2 * system.bond
-    return factorial(system.points) * (2 ** system.points if system.cartan == "B" else 1)
+        return (2 * system.bond,)
+    return range(2, 2 * system.points + 1, 2) if system.cartan == "B" else range(2, system.points + 1)
+
+
+def group_order(system: CoxeterSystem) -> int:
+    return prod(order_factors(system))
 
 
 def all_elements(system: CoxeterSystem) -> Iterator[Element]:

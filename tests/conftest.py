@@ -8,6 +8,7 @@ from itertools import combinations
 
 import pytest
 
+from cosetrex import atomic as at
 from cosetrex import cosets as cs
 from cosetrex import coxeter as cx
 
@@ -105,6 +106,29 @@ def enumerate_core_cosets_oracle(system, right):
             out.append((left, cs.DoubleCoset(system, left, right, w)))
     out.sort(key=lambda pair: _coset_order(pair[1]))
     return out
+
+
+def atomic_rex_of_core_oracle(p):
+    """The greedy atomic expression of a core coset, built afresh at every
+    step: no cached step, no interned atom."""
+    atoms = []
+    cur = p
+    while True:
+        pmax = cs.max_elem(cur)
+        extra = cx.left_descents(pmax) - cur.left
+        if not extra:
+            break
+        s = min(extra)
+        mid = cur.left | {s}
+        w_mid = cs.longest_element(p.system, mid)
+        t = cx.as_simple(cx.conjugate(w_mid, s))
+        a = at.AtomicCoset(p.system, mid - {s}, mid, mid - {t}, s, t)
+        atoms.append(a)
+        # the remainder q with cur = a . q has maximum w_{right(a)} w_mid max(cur)
+        w = cx.multiply(cs.longest_element(p.system, a.right), w_mid)
+        cur = cs.coset_of(p.system, a.right, cx.multiply(w, pmax), p.right)
+    assert cur.left == cur.right and cur.min == cx.identity(p.system)
+    return tuple(atoms)
 
 
 @contextmanager

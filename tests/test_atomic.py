@@ -6,7 +6,7 @@ from cosetrex import atomic as at
 from cosetrex import cosets as cs
 from cosetrex import coxeter as cx
 from cosetrex import expressions as ex
-from conftest import all_subsets, recursion_headroom
+from conftest import all_subsets, atomic_rex_of_core_oracle, recursion_headroom
 
 
 def all_atoms(system):
@@ -41,6 +41,42 @@ def test_atomic_from_type_b_central():
 def test_atomic_from_errors(a3):
     with pytest.raises(ValueError):
         at.atomic_from(a3, {1, 2}, 3)
+
+
+SMALL_SYSTEMS = (
+    [cx.type_a(r) for r in range(1, 5)]
+    + [cx.type_b(r) for r in range(1, 4)]
+    + [cx.dihedral(m) for m in range(3, 8)]
+)
+
+
+@pytest.mark.parametrize("system", SMALL_SYSTEMS, ids=str)
+def test_atomic_from_equals_a_fresh_atom(system):
+    for M in all_subsets(system):
+        w = cs.longest_element(system, M)
+        for s in sorted(M):
+            t = cx.as_simple(cx.conjugate(w, s))
+            a = at.atomic_from(system, M, s)
+            assert a == at.AtomicCoset(system, M - {s}, M, M - {t}, s, t)
+            assert at.atomic_from(system, set(M), s) is a
+        for s in set(system.simple_indices) - M:
+            with pytest.raises(ValueError):
+                at.atomic_from(system, M, s)
+    beyond = system.simple_indices.stop
+    with pytest.raises(ValueError, match="out of range"):
+        at.atomic_from(system, {beyond}, beyond)
+
+
+@pytest.mark.parametrize("order", ["enumeration", "reverse"])
+@pytest.mark.parametrize("system", SMALL_SYSTEMS, ids=str)
+def test_greedy_rex_matches_the_uncached_oracle(system, order):
+    # a cache filled in either order gives the same expressions
+    found = [p for J in all_subsets(system) for _, p in cs.enumerate_core_cosets(system, J)]
+    if order == "reverse":
+        found.reverse()
+    at._greedy_step.cache_clear()
+    for p in found:
+        assert at.atomic_rex_of_core(p) == atomic_rex_of_core_oracle(p)
 
 
 def test_is_atomic_examples(a2, a3):

@@ -1,4 +1,5 @@
 import argparse
+import functools
 import io
 import json
 import re
@@ -192,6 +193,7 @@ DEEP_JSON = "[" * 100000
         ("squash", "--left", "{1}", "--right", "{3}", "--min", "[3,4,1,2]"),
         ("verify", "core-atomic", "--type", "A", "--max-rank", "4", "--budget", "100"),
         ("enumerate-core", "--type", "A", "--rank", "7", "--right", "{}"),
+        ("enumerate-core", "--type", "A", "--rank", "100000", "--right", "{}"),
         ("squash", "--coset", DEEP_JSON),
     ],
     ids=lambda argv: " ".join(argv).replace(DEEP_JSON, "[*100000"),
@@ -307,6 +309,14 @@ def _drop_last_atom(monkeypatch):
     monkeypatch.setattr(atomic, "atomic_rex_of_core", lambda p: right(p)[:-1])
 
 
+def _peel_to_the_identity(monkeypatch):
+    # every remainder becomes the identity coset of the right frame; a fresh
+    # step cache keeps steps cached by earlier tests out, and the fault's own
+    # steps out of later tests
+    monkeypatch.setattr(atomic, "_peel", lambda p, a, pmax: cs.identity_coset(p.system, p.right))
+    monkeypatch.setattr(atomic, "_greedy_step", functools.lru_cache(maxsize=None)(atomic._greedy_step.__wrapped__))
+
+
 def _negate_reducedness(monkeypatch):
     right = cs.is_reduced_composition
     monkeypatch.setattr(cs, "is_reduced_composition", lambda p, q: not right(p, q))
@@ -321,6 +331,7 @@ def _no_right_redundancy(monkeypatch):
     [
         (_drop_last_atom, "core-atomic", "A", "3"),
         (_drop_last_atom, "matsumoto", "B", "2"),
+        (_peel_to_the_identity, "core-atomic", "A", "3"),
         (_negate_reducedness, "mimimi", "A", "3"),
         (_no_right_redundancy, "redundancy-a", "A", "3"),
     ],

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from cosetrex import coxeter as cx
@@ -212,6 +214,30 @@ def test_enumerators_keep_the_budget(a3):
     assert len(cs.enumerate_cosets(a3, frozenset(), frozenset(), budget=None)) == 24
     with pytest.raises(ValueError, match="group order 24 exceeds budget 23"):
         cs.enumerate_cosets(a3, frozenset(), frozenset(), budget=23)
+
+
+@pytest.mark.parametrize(
+    "system",
+    [cx.type_a(r) for r in range(6)] + [cx.type_b(r) for r in range(5)] + [cx.dihedral(m) for m in range(3, 8)],
+    ids=str,
+)
+def test_check_budget_refuses_exactly_the_larger_groups(system):
+    order = cx.group_order(system)
+    for budget in range(-1, order + 2):
+        if budget >= order:
+            cs.check_budget(system, budget)
+            continue
+        with pytest.raises(ValueError) as refused:
+            cs.check_budget(system, budget)
+        stated = re.fullmatch(rf"group order (more than )?(\d+) exceeds budget {budget}", str(refused.value))
+        assert stated, refused.value
+        # a partial product stands below the order, a full one is the order
+        assert budget < int(stated[2]) and (int(stated[2]) < order if stated[1] else int(stated[2]) == order)
+
+
+def test_check_budget_refuses_a_huge_group_at_once():
+    with pytest.raises(ValueError, match="^group order more than 40320 exceeds budget 10000$"):
+        cs.check_budget(cx.type_a(100000), 10000)
 
 
 @pytest.mark.parametrize("system", [cx.type_a(3), cx.type_b(2)], ids=str)
