@@ -88,10 +88,11 @@ def atomic_generator(system: CoxeterSystem, J: Iterable[int], i: int) -> AtomicC
     """The atomic coset with right frame J squashing to the simple s_i:
     the i-th gap of J, counted from the first simple index."""
     J = check_subset(system, J)
-    indices = squashed_system(system, J).simple_indices
-    if i not in indices:
-        raise ValueError(f"generator index {i} out of range {indices.start}..{indices.stop - 1}")
-    s = sorted(set(system.simple_indices) - J)[i - indices.start]
+    gaps = sorted(system.index_set - J)
+    start = system.simple_indices.start
+    if not 0 <= i - start < len(gaps):
+        raise ValueError(f"generator index {i} out of range {start}..{start + len(gaps) - 1}")
+    s = gaps[i - start]
     mid = J | {s}
     return atomic_from(system, mid, as_simple(conjugate(longest_element(system, mid), s)))
 
@@ -181,35 +182,42 @@ def _peel(p: DoubleCoset, a: AtomicCoset, pmax) -> DoubleCoset:
     return coset_of(p.system, a.right, multiply(w, pmax), p.right)
 
 
-# the atomic expressions of every core coset that all_atomic_rexes has walked through
-_ATOMIC_REXES: dict[DoubleCoset, tuple[tuple[AtomicCoset, ...], ...]] = {}
+# the index words of every core coset that atomic_words has walked through
+_ATOMIC_WORDS: dict[DoubleCoset, tuple[tuple[int, ...], ...]] = {}
 
 
-@lru_cache(maxsize=None)
-def all_atomic_rexes(p: DoubleCoset) -> tuple[tuple[AtomicCoset, ...], ...]:
-    """Every atomic reduced expression of a core coset, by full branching:
-    the paths that peel one possible first atom at a time."""
+def atomic_words(p: DoubleCoset) -> tuple[tuple[int, ...], ...]:
+    """The index words of every atomic reduced expression of a core coset,
+    by full branching: the paths that peel one possible first atom at a
+    time, each labelled by its atom's index."""
     if not is_core(p):
         raise ValueError("atomic expressions are only defined for core cosets")
-    return all_paths(p, _atomic_steps, _ATOMIC_REXES)
+    return all_paths(p, _atomic_steps, _ATOMIC_WORDS)
 
 
-def _atomic_steps(p: DoubleCoset) -> list[tuple[AtomicCoset, DoubleCoset]]:
-    """Each possible first atom of p, in order, with the remainder it leaves."""
+def all_atomic_rexes(p: DoubleCoset) -> tuple[tuple[AtomicCoset, ...], ...]:
+    """Every atomic reduced expression of a core coset, in the order of
+    atomic_words, each lifted from its index word."""
+    return tuple(lift_word(p.system, p.right, w) for w in atomic_words(p))
+
+
+def _atomic_steps(p: DoubleCoset) -> list[tuple[int, DoubleCoset]]:
+    """The index of each possible first atom of p, in order, with the
+    remainder it leaves."""
     pmax = max_elem(p)
     out = []
     for s in sorted(left_descents(pmax) - p.left):
         a = atomic_from(p.system, p.left | {s}, s)
-        out.append((a, _peel(p, a, pmax)))
+        out.append((atomic_index(a), _peel(p, a, pmax)))
     return out
 
 
 def matsumoto_connected(p: DoubleCoset) -> bool:
     """Whether braid moves of the squashed group reach every atomic reduced
     expression of the core coset p from its greedy one."""
-    rexes = {word_of_rex(r) for r in all_atomic_rexes(p)}
+    words = set(atomic_words(p))
     small = squashed_system(p.system, p.right)
-    return braid_closure(small, word_of_rex(atomic_rex_of_core(p))) == rexes
+    return braid_closure(small, word_of_rex(atomic_rex_of_core(p))) == words
 
 
 def one_step_of_atoms(

@@ -14,8 +14,10 @@ from . import atomic, cosets, coxeter, expressions, nilcox, squash_a, squash_b
 from .coxeter import CoxeterSystem, dihedral
 
 
-def _system_from_args(args) -> CoxeterSystem:
-    return CoxeterSystem(args.type, args.rank, args.bond)
+def _system_from_args(args, budget: int | None = None) -> CoxeterSystem:
+    key = coxeter.system_key(args.type, args.rank, args.bond)
+    cosets.check_budget(key, budget)  # before a huge system is built
+    return CoxeterSystem(*key)
 
 
 def _print_coset(p, fmt: str) -> None:
@@ -86,7 +88,7 @@ def _cmd_unsquash(args) -> int:
 
 
 def _cmd_enumerate_core(args) -> int:
-    system = _system_from_args(args)
+    system = _system_from_args(args, args.budget)
     J = cosets.parse_subset(args.right)
     found = cosets.enumerate_core_cosets(system, J, budget=args.budget)
     for _, p in found:
@@ -120,14 +122,14 @@ def _cmd_compose(args) -> int:
 
 def _systems(cartan: str, max_rank: int, budget: int) -> list[CoxeterSystem]:
     """The systems of a verify run, each checked against the budget before
-    any is verified; the walks below therefore enumerate with no limit.
-    Group orders grow with the rank, so the first system over the budget
-    ends the run before any larger one is built."""
+    it is built and before any is verified; the walks below therefore
+    enumerate with no limit.  Group orders grow with the rank, so the first
+    rank over the budget ends the run, and no system over it is built."""
     systems = []
     for r in range(3 if cartan == "I2" else 1, max_rank + 1):
-        system = dihedral(r) if cartan == "I2" else CoxeterSystem(cartan, r)
-        cosets.check_budget(system, budget)
-        systems.append(system)
+        key = coxeter.system_key("I2", 2, r) if cartan == "I2" else coxeter.system_key(cartan, r)
+        cosets.check_budget(key, budget)
+        systems.append(dihedral(r) if cartan == "I2" else CoxeterSystem(cartan, r))
     return systems
 
 
@@ -203,7 +205,7 @@ def _check_squash(system: CoxeterSystem, emit, fail) -> None:
 def _check_atomic_rex_bijection(system: CoxeterSystem, emit, fail) -> None:
     for J, found in _core_by_right(system):
         for _, p in found:
-            words = {atomic.word_of_rex(rex) for rex in atomic.all_atomic_rexes(p)}
+            words = set(atomic.atomic_words(p))
             expected = set(coxeter.reduced_words(squash_a.squash_coset(p)))
             if words != expected:
                 fail(f"atomic-rex-bijection: {p}")

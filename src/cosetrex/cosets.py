@@ -16,6 +16,7 @@ from typing import Iterable
 from .coxeter import (
     CoxeterSystem,
     Element,
+    SystemKey,
     all_elements,
     as_simple,
     conjugate,
@@ -195,11 +196,12 @@ def _coset_sort_key(p: DoubleCoset):
 DEFAULT_BUDGET = 10000
 
 
-def check_budget(system: CoxeterSystem, budget: int | None) -> None:
+def check_budget(system: CoxeterSystem | SystemKey, budget: int | None) -> None:
     """Refuse a system whose group order exceeds the budget; None is no limit.
 
     The order is multiplied up one factor at a time and refused as soon as
     it passes the budget, so a huge group is refused after a few factors.
+    Given the system's key, it refuses before the system is built.
     """
     if budget is None:
         return

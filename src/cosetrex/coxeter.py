@@ -22,7 +22,7 @@ from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 from math import prod
 from operator import index, itemgetter, mul, neg
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 
 # the one CoxeterSystem of each value, keyed by (cartan, rank, bond)
@@ -46,24 +46,13 @@ class CoxeterSystem:
     bond: int | None = None
 
     def __new__(cls, cartan: str, rank: int, bond: int | None = None) -> "CoxeterSystem":
-        if cartan not in ("A", "B", "I2"):
-            raise ValueError(f"unknown Cartan type {cartan!r}")
-        # index() refuses 3.0 before the lookup, where 3.0 == 3 would find rank 3
-        key = (cartan, index(rank), None if bond is None else index(bond))
+        key = system_key(cartan, rank, bond)
         if key in _SYSTEMS:
             return _SYSTEMS[key]
         cartan, rank, bond = key
         if cartan == "I2":
-            if rank != 2:
-                raise ValueError("I2 systems have rank 2")
-            if bond is None or bond < 3:
-                raise ValueError("I2 needs a bond m >= 3")
             indices, identity_data = range(1, 3), ()
         else:
-            if rank < 0:
-                raise ValueError("rank must be non-negative")
-            if bond is not None:
-                raise ValueError("bond is only meaningful for I2")
             start = 1 if cartan == "A" else 0
             indices, identity_data = range(start, rank + start), tuple(range(1, rank + start + 1))
         self = object.__new__(cls)
@@ -82,6 +71,34 @@ class CoxeterSystem:
         if self.cartan == "I2":
             raise ValueError("I2 elements act on no window")
         return self.rank + self.simple_indices.start
+
+
+class SystemKey(NamedTuple):
+    """The value of a CoxeterSystem, checked but not built."""
+
+    cartan: str
+    rank: int
+    bond: int | None = None
+
+
+def system_key(cartan: str, rank: int, bond: int | None = None) -> SystemKey:
+    """The checked value of CoxeterSystem(cartan, rank, bond); building
+    nothing, it lets a caller size the group before the system exists."""
+    if cartan not in ("A", "B", "I2"):
+        raise ValueError(f"unknown Cartan type {cartan!r}")
+    # index() refuses 3.0 before the lookup, where 3.0 == 3 would find rank 3
+    key = SystemKey(cartan, index(rank), None if bond is None else index(bond))
+    if cartan == "I2":
+        if key.rank != 2:
+            raise ValueError("I2 systems have rank 2")
+        if key.bond is None or key.bond < 3:
+            raise ValueError("I2 needs a bond m >= 3")
+    else:
+        if key.rank < 0:
+            raise ValueError("rank must be non-negative")
+        if key.bond is not None:
+            raise ValueError("bond is only meaningful for I2")
+    return key
 
 
 def type_a(rank: int) -> CoxeterSystem:
@@ -491,13 +508,13 @@ def as_simple(e: Element) -> int | None:
     return reduced_word(e)[0] if length(e) == 1 else None
 
 
-def order_factors(system: CoxeterSystem) -> Sequence[int]:
+def order_factors(system: CoxeterSystem | SystemKey) -> Sequence[int]:
     """Factors of the group order, each above 1, smallest first: 2m for
-    I2(m), 2..n for the permutations of n points (A) and 2, 4, ..., 2n for
-    their signed versions (B)."""
+    I2(m), 2..rank+1 for the permutations of rank+1 points (A) and 2, 4,
+    ..., 2 rank for the signed permutations of rank points (B)."""
     if system.cartan == "I2":
         return (2 * system.bond,)
-    return range(2, 2 * system.points + 1, 2) if system.cartan == "B" else range(2, system.points + 1)
+    return range(2, 2 * system.rank + 1, 2) if system.cartan == "B" else range(2, system.rank + 2)
 
 
 def group_order(system: CoxeterSystem) -> int:

@@ -97,6 +97,8 @@ def ad_compose(f: ADMorphism, g: ADMorphism) -> ADMorphism:
 
 def generator(system: CoxeterSystem, J: Iterable[int], i: int) -> ADMorphism:
     """The atomic generator symbol d_i at the object J."""
+    if system.cartan == "I2":
+        raise ValueError("nil-Coxeter generators need a type A or B system, got I2")
     return basis_morphism(coset_of_atom(atomic_generator(system, J, i)))
 
 

@@ -6,6 +6,7 @@ from cosetrex import atomic as at
 from cosetrex import cosets as cs
 from cosetrex import coxeter as cx
 from cosetrex import expressions as ex
+from cosetrex import squash_a
 from conftest import all_subsets, atomic_rex_of_core_oracle, recursion_headroom
 
 
@@ -171,7 +172,19 @@ def test_all_atomic_rexes_match_the_recursive_version(system):
     memo = {}
     for J in all_subsets(system):
         for _, p in cs.enumerate_core_cosets(system, J):
-            assert at.all_atomic_rexes(p) == _all_atomic_rexes_recursive(p, memo)
+            expected = _all_atomic_rexes_recursive(p, memo)
+            assert at.all_atomic_rexes(p) == expected
+            assert at.atomic_words(p) == tuple(map(at.word_of_rex, expected))
+
+
+@pytest.mark.parametrize(
+    "system", [cx.type_a(r) for r in range(1, 5)] + [cx.type_b(r) for r in range(1, 4)], ids=str
+)
+def test_greedy_word_is_the_first_reduced_word_of_sigma(system):
+    for J in all_subsets(system):
+        for _, p in cs.enumerate_core_cosets(system, J):
+            sigma = squash_a.squash_coset(p)
+            assert at.word_of_rex(at.atomic_rex_of_core(p)) == cx.reduced_words(sigma)[0]
 
 
 def test_all_atomic_rexes_needs_no_deep_recursion():
