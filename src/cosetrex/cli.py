@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from . import atomic, cosets, coxeter, expressions, nilcox, squash_a, squash_b
@@ -315,6 +316,8 @@ def _check_add_remove(system: CoxeterSystem, emit, fail) -> None:
                     if _add_remove_works(p, I, smaller, nmax) != (s not in lred):
                         fail(f"add-remove: -{s} at {p}")
         emit(f"add-remove {system.cartan} rank={system.rank} I={cosets.format_subset(I)}: ok")
+
+
 def _check_redundancy_a(system: CoxeterSystem, emit, fail) -> None:
     for I, found in _cosets_by_left(system):
         for p in found:
@@ -422,7 +425,10 @@ def _add_coset_flags(parser) -> None:
     parser.add_argument("--min")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it:
+    it binds only the _cmd_* functions and immutable defaults."""
     parser = argparse.ArgumentParser(prog="cosetrex", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

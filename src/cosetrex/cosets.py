@@ -197,7 +197,8 @@ DEFAULT_BUDGET = 10000
 
 
 def check_budget(system: CoxeterSystem | SystemKey, budget: int | None) -> None:
-    """Refuse a system whose group order exceeds the budget; None is no limit.
+    """Refuse a system whose group order exceeds the budget; None is no limit,
+    and a budget below 1, which no group fits, is refused by name.
 
     The order is multiplied up one factor at a time and refused as soon as
     it passes the budget, so a huge group is refused after a few factors.
@@ -205,6 +206,8 @@ def check_budget(system: CoxeterSystem | SystemKey, budget: int | None) -> None:
     """
     if budget is None:
         return
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     products = accumulate(order_factors(system), mul, initial=1)
     for order in products:
         if order > budget:

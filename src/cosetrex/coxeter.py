@@ -392,16 +392,30 @@ def left_descents(w: Element) -> frozenset[int]:
 
 @lru_cache(maxsize=None)
 def reduced_word(w: Element) -> tuple[int, ...]:
-    """A reduced word for w, stripping the smallest left descent first."""
+    """A reduced word for w, stripping the smallest left descent first.
+
+    I2 stores that word as its normal form.  Types A and B strip right
+    descents off a copy of the image list of w^{-1}, in place, as s_i w
+    has inverse w^{-1} s_i.  A step at i leaves the places below i-1 as
+    they were, so the next smallest descent is at least i-1.
+    """
+    system = w.system
+    if system.cartan == "I2":
+        return w.data
+    d = list(inverse(w).data)
+    start = i = system.simple_indices.start
     out = []
-    cur = w
-    while True:
-        ld = left_descents(cur)
-        if not ld:
-            return tuple(out)
-        i = min(ld)
+    while i < len(d):
+        if i == 0 and d[0] < 0:
+            d[0] = -d[0]
+        elif i and d[i - 1] > d[i]:
+            d[i - 1], d[i] = d[i], d[i - 1]
+        else:
+            i += 1
+            continue
         out.append(i)
-        cur = multiply(simple(cur.system, i), cur)
+        i = max(i - 1, start)
+    return tuple(out)
 
 
 # the reduced words of every element that reduced_words has walked through
@@ -441,14 +455,28 @@ def all_paths(root, steps: Callable, memo: dict) -> tuple[tuple, ...]:
 
 
 def star_product(w: Element, v: Element) -> Element:
-    """Demazure product: fold a reduced word of v into w, never descending."""
-    if w.system is not v.system:
+    """Demazure product: fold a reduced word of v into w, never descending.
+
+    Types A and B fold it into w's image list: letter i >= 1 swaps places
+    i-1 and i when they are in order, letter 0 negates a positive first
+    place.  I2 elements are words, so there each letter multiplies."""
+    system = w.system
+    if system is not v.system:
         raise ValueError("cannot star-multiply elements of different systems")
-    acc = w
+    if system.cartan == "I2":
+        acc = w
+        for i in reduced_word(v):
+            if not is_right_descent(acc, i):
+                acc = multiply(acc, simple(system, i))
+        return acc
+    d = list(w.data)
     for i in reduced_word(v):
-        if not is_right_descent(acc, i):
-            acc = multiply(acc, simple(acc.system, i))
-    return acc
+        if i == 0:
+            if d[0] > 0:
+                d[0] = -d[0]
+        elif d[i - 1] < d[i]:
+            d[i - 1], d[i] = d[i], d[i - 1]
+    return Element(system, tuple(d))
 
 
 def bruhat_leq(w: Element, v: Element) -> bool:

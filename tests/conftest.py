@@ -65,6 +65,28 @@ def bruhat_leq_oracle(w, v):
     return False
 
 
+def reduced_word_oracle(w):
+    """A reduced word for w, stripping the smallest left descent first, one
+    multiply per letter."""
+    out = []
+    while True:
+        descents = cx.left_descents(w)
+        if not descents:
+            return tuple(out)
+        i = min(descents)
+        out.append(i)
+        w = cx.multiply(cx.simple(w.system, i), w)
+
+
+def star_product_oracle(w, v):
+    """The Demazure product: fold the oracle's reduced word of v into w, one
+    multiply per letter that is not a right descent."""
+    for i in reduced_word_oracle(v):
+        if not cx.is_right_descent(w, i):
+            w = cx.multiply(w, cx.simple(w.system, i))
+    return w
+
+
 def all_subsets(system):
     indices = list(system.simple_indices)
     return [

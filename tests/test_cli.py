@@ -256,6 +256,18 @@ def test_budget_admits_a_group_of_its_order(capsys):
     assert out.splitlines()[-1] == "count: 120"
 
 
+@pytest.mark.parametrize(
+    "argv, budget",
+    [(("enumerate-core", "--type", "A", "--rank", "1", "--right", "{}"), "0"),
+     (("verify", "core-atomic", "--type", "A"), "-5")],
+    ids=["enumerate-core", "verify"],
+)
+def test_a_budget_below_one_is_refused_by_name(capsys, argv, budget):
+    code, out, err = run(capsys, *argv, "--budget", budget)
+    assert code == 2 and out == ""
+    assert err == f"error: budget must be at least 1, got {budget}\n"
+
+
 def test_verify_with_no_cells_fails(capsys):
     code, out, err = run(capsys, "verify", "core-atomic", "--type", "A", "--max-rank", "-1")
     assert code == 1
@@ -495,13 +507,41 @@ def _junk_argv(draw):
 
 
 def _run_quietly(argv):
+    """main(argv)'s exit code, stdout and stderr; argparse's refusals included."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+# a refusal by argparse, a coset query and a verify run
+_REUSE_ARGVS = [
+    ["squash", "--nope"],
+    ["squash", "--coset", json.dumps({"cartan": "A", "rank": 3, "left": [1], "right": [3], "min": [3, 4, 1, 2]})],
+    ["verify", "core-atomic", "--type", "A", "--max-rank", "2"],
+]
+
+
+def test_a_shared_parser_answers_each_call_as_a_fresh_one():
+    fresh = []
+    for argv in _REUSE_ARGVS:
+        build_parser.cache_clear()  # each call the first of its process
+        fresh.append(_run_quietly(argv))
+    build_parser.cache_clear()
+    assert [_run_quietly(argv) for argv in _REUSE_ARGVS] == fresh
+    assert [code for code, _, _ in fresh] == [2, 0, 0]
+    assert fresh[1][1] == "[2,3,1]\n" and fresh[2][1].endswith("core-atomic: all checks passed\n")
+
+
+def test_main_builds_the_parser_once():
+    build_parser.cache_clear()
+    for _ in range(10):
+        for argv in _REUSE_ARGVS[:2]:
+            _run_quietly(argv)
+    assert build_parser.cache_info().misses == 1
 
 
 def test_every_flag_has_junk_values():
@@ -517,7 +557,7 @@ def test_every_flag_has_junk_values():
 @settings(max_examples=200, deadline=None)
 @given(_junk_argv())
 def test_junk_arguments_end_in_an_exit_code_not_a_traceback(argv):
-    code, err = _run_quietly(argv)  # an uncaught exception fails the test here
+    code, _, err = _run_quietly(argv)  # an uncaught exception fails the test here
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     if code == 2:

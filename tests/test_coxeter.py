@@ -19,6 +19,8 @@ from conftest import (
     perm_mult,
     perm_simple,
     recursion_headroom,
+    reduced_word_oracle,
+    star_product_oracle,
 )
 
 SMALL_SYSTEMS = [cx.type_a(2), cx.type_a(3), cx.type_b(2), cx.dihedral(4), cx.dihedral(5)]
@@ -198,6 +200,31 @@ def test_reduced_word_roundtrip_exhaustive(system):
         word = cx.reduced_word(w)
         assert len(word) == cx.length(w)
         assert cx.element_from_word(system, word) == w
+
+
+@pytest.mark.parametrize(
+    "system",
+    [cx.type_a(r) for r in range(6)] + [cx.type_b(r) for r in range(5)] + [cx.dihedral(m) for m in range(3, 13)],
+    ids=str,
+)
+def test_reduced_word_is_the_per_letter_word(system):
+    # the round trip above takes any reduced word; this pins the one word
+    for w in cx.all_elements(system):
+        assert cx.reduced_word(w) == reduced_word_oracle(w)
+        if system.cartan == "I2":
+            assert cx.reduced_word(w) == w.data
+
+
+@pytest.mark.parametrize(
+    "system",
+    [cx.type_a(r) for r in range(4)] + [cx.type_b(r) for r in range(4)] + [cx.dihedral(m) for m in range(3, 8)],
+    ids=str,
+)
+def test_star_product_is_the_per_letter_product(system):
+    els = list(cx.all_elements(system))
+    for w in els:
+        for v in els:
+            assert cx.star_product(w, v) == star_product_oracle(w, v)
 
 
 def test_star_examples(a2):
