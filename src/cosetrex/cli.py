@@ -162,9 +162,10 @@ def _composable_core_pairs(core):
 
 def _check_core_atomic(system: CoxeterSystem, emit, fail) -> None:
     for J, found in _core_by_right(system):
+        tails: dict = {}  # the cell's composed greedy tails, shared by its cosets
         for _, p in found:
             rex = atomic.atomic_rex_of_core(p)
-            composed, reduced = atomic.compose_atomics(system, rex, p.left)
+            composed, reduced = atomic.compose_atomics(system, rex, p.left, tails)
             # built one-step for its validation, converted once for both checks
             expr = expressions.to_multistep(atomic.one_step_of_atoms(system, rex, p.left))
             if not (reduced and composed == p and expressions.is_reduced(expr)

@@ -153,6 +153,25 @@ def atomic_rex_of_core_oracle(p):
     return tuple(atoms)
 
 
+def compose_atomics_oracle(system, atoms, empty_frame=None):
+    """Star-compose a chained atom sequence from the left, one atom at a
+    time, checking each step's reducedness; no memo."""
+    if not atoms:
+        if empty_frame is None:
+            raise ValueError("an empty atom sequence needs an explicit frame")
+        return cs.identity_coset(system, empty_frame), True
+    acc = at.coset_of_atom(atoms[0])
+    reduced = True
+    for a in atoms[1:]:
+        nxt = at.coset_of_atom(a)
+        if acc.right != nxt.left:
+            raise ValueError("frame mismatch in atom sequence")
+        if not cs.is_reduced_composition(acc, nxt):
+            reduced = False
+        acc = cs.star_compose(acc, nxt)
+    return acc, reduced
+
+
 @contextmanager
 def recursion_headroom(frames):
     """Lower the recursion limit to the current stack depth plus frames."""

@@ -3,6 +3,7 @@ import functools
 import io
 import json
 import re
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -355,8 +356,13 @@ def _swap_two_atom_indices(monkeypatch):
 
 
 def _negate_reducedness(monkeypatch):
+    # atomic and nilcox import the function by name, so every module-level
+    # binding of it in the package is rebound, not only the one in cosets
     right = cs.is_reduced_composition
-    monkeypatch.setattr(cs, "is_reduced_composition", lambda p, q: not right(p, q))
+    for module in [m for name, m in sys.modules.items() if name.partition(".")[0] == "cosetrex"]:
+        for name, obj in list(vars(module).items()):
+            if obj is right:
+                monkeypatch.setattr(module, name, lambda p, q: not right(p, q))
 
 
 def _no_right_redundancy(monkeypatch):
@@ -371,6 +377,7 @@ def _no_right_redundancy(monkeypatch):
         (_peel_to_the_identity, "core-atomic", "A", "3"),
         (_swap_two_atom_indices, "matsumoto", "B", "3"),
         (_swap_two_atom_indices, "atomic-rex-bijection", "A", "3"),
+        (_negate_reducedness, "core-atomic", "A", "3"),
         (_negate_reducedness, "mimimi", "A", "3"),
         (_no_right_redundancy, "redundancy-a", "A", "3"),
     ],
