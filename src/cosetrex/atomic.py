@@ -289,33 +289,23 @@ def compose_atomics(
     system: CoxeterSystem,
     atoms: Sequence[AtomicCoset],
     empty_frame: Iterable[int] | None = None,
-    memo: dict | None = None,
 ) -> tuple[DoubleCoset, bool]:
     """Star-compose a chained atom sequence; the flag reports reducedness.
 
     The fold runs from the right, one atom onto the composed tail at a
-    time, and ``memo`` maps each composed tail (a tuple of atoms) to its
-    (coset, flag).  Star composition is associative, and a chain's length
-    deficit is the sum of its non-negative step deficits in any bracketing,
-    so coset and flag are those of the left fold.  A greedy expression's
-    tails are the greedy expressions of its remainders, so one memo shared
-    by the core cosets of one right frame composes each coset once.
+    time.  Star composition is associative, and a chain's length deficit
+    is the sum of its non-negative step deficits in any bracketing, so
+    coset and flag are those of the left fold.
     """
     if not atoms:
         if empty_frame is None:
             raise ValueError("an empty atom sequence needs an explicit frame")
         return identity_coset(system, empty_frame), True
-    atoms = tuple(atoms)
-    memo = {} if memo is None else memo
-    k = 0  # atoms[k:] is the longest tail composed already, else the last atom
-    while k < len(atoms) - 1 and atoms[k:] not in memo:
-        k += 1
-    acc, reduced = memo.get(atoms[k:]) or (coset_of_atom(atoms[k]), True)
-    for j in range(k - 1, -1, -1):
-        nxt = coset_of_atom(atoms[j])
+    acc, reduced = coset_of_atom(atoms[-1]), True
+    for a in reversed(atoms[:-1]):
+        nxt = coset_of_atom(a)
         if nxt.right != acc.left:
             raise ValueError("frame mismatch in atom sequence")
         reduced = reduced and is_reduced_composition(nxt, acc)
         acc = star_compose(nxt, acc)
-        memo[atoms[j:]] = acc, reduced
     return acc, reduced

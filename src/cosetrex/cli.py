@@ -161,19 +161,28 @@ def _composable_core_pairs(core):
 
 
 def _check_core_atomic(system: CoxeterSystem, emit, fail) -> None:
+    """Check one greedy step per core coset p: p is its frame's identity coset,
+    or p = a . q reduced with q in p's cell.  q is shorter, so by induction
+    every greedy atomic expression is reduced and composes to its coset."""
     for J, found in _core_by_right(system):
-        tails: dict = {}  # the cell's composed greedy tails, shared by its cosets
+        cell = {p for _, p in found}
         for _, p in found:
-            rex = atomic.atomic_rex_of_core(p)
-            composed, reduced = atomic.compose_atomics(system, rex, p.left, tails)
-            # built one-step for its validation, converted once for both checks
-            expr = expressions.to_multistep(atomic.one_step_of_atoms(system, rex, p.left))
-            if not (reduced and composed == p and expressions.is_reduced(expr)
-                    and expressions.evaluate(expr) == p):
+            if not _greedy_step_holds(J, cell, p):
                 fail(f"core-atomic: {p}")
         emit(f"core-atomic {system.cartan} rank={system.rank}"
              f"{'' if system.bond is None else f' m={system.bond}'}"
              f" J={cosets.format_subset(J)}: {len(found)} cosets")
+
+
+def _greedy_step_holds(J: frozenset, cell: set, p) -> bool:
+    if not cosets.is_core(p):
+        return False
+    step = atomic._greedy_step(p)
+    if step is None:
+        return p == cosets.identity_coset(p.system, J)
+    head, q = atomic.coset_of_atom(step[0]), step[1]
+    return (q in cell and q.left == head.right and cosets.is_reduced_composition(head, q)
+            and cosets.star_compose(head, q) == p)
 
 
 def _check_squash_bijection(system: CoxeterSystem, J: frozenset, found, fail) -> None:

@@ -317,11 +317,12 @@ def coset_from_json(doc: dict) -> DoubleCoset:
     missing = [key for key in ("cartan", "rank", "left", "right", "min") if key not in doc]
     if missing:
         raise ValueError(f"coset JSON lacks {', '.join(missing)}")
+    # type(x) is int, not isinstance: JSON true and false are bools, a subclass of int
     if not (
-        isinstance(doc["rank"], int)
-        and isinstance(doc.get("bond", 0), (int, type(None)))
+        type(doc["rank"]) is int
+        and type(doc.get("bond")) in (int, type(None))
         and all(
-            isinstance(doc[key], list) and all(isinstance(x, int) for x in doc[key])
+            isinstance(doc[key], list) and all(type(x) is int for x in doc[key])
             for key in ("left", "right", "min")
         )
     ):

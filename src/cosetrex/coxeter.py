@@ -422,7 +422,6 @@ def reduced_word(w: Element) -> tuple[int, ...]:
 _REDUCED_WORDS: dict[Element, tuple[tuple[int, ...], ...]] = {}
 
 
-@lru_cache(maxsize=None)
 def reduced_words(w: Element) -> tuple[tuple[int, ...], ...]:
     """All reduced words for w, in lexicographic order."""
     return all_paths(w, _strip_left_descents, _REDUCED_WORDS)

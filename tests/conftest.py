@@ -155,7 +155,7 @@ def atomic_rex_of_core_oracle(p):
 
 def compose_atomics_oracle(system, atoms, empty_frame=None):
     """Star-compose a chained atom sequence from the left, one atom at a
-    time, checking each step's reducedness; no memo."""
+    time, checking each step's reducedness."""
     if not atoms:
         if empty_frame is None:
             raise ValueError("an empty atom sequence needs an explicit frame")

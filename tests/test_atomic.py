@@ -268,23 +268,20 @@ def test_compose_atomics_examples(a2):
     assert got == cs.coset_of(a2, {1}, cs.longest_element(a2, frozenset({1, 2})), {1})
 
 
-def _assert_composes_as_oracle(system, atoms, empty_frame, memo):
+def _assert_composes_as_oracle(system, atoms, empty_frame):
     want = compose_atomics_oracle(system, atoms, empty_frame)
     assert at.compose_atomics(system, atoms, empty_frame) == want
-    assert at.compose_atomics(system, atoms, empty_frame, memo) == want
     return want
 
 
 @pytest.mark.parametrize("system", SMALL_SYSTEMS, ids=str)
 def test_compose_atomics_matches_left_fold_on_atomic_rexes(system):
-    # the right fold with and without one memo per cell, against the left
-    # fold, on the greedy expression and every atomic expression of each
-    # core coset
+    # the right fold against the left fold, on the greedy expression and
+    # every atomic expression of each core coset
     for J in all_subsets(system):
-        memo = {}
         for _, p in cs.enumerate_core_cosets(system, J):
             for rex in (at.atomic_rex_of_core(p), *at.all_atomic_rexes(p)):
-                assert _assert_composes_as_oracle(system, rex, p.left, memo) == (p, True)
+                assert _assert_composes_as_oracle(system, rex, p.left) == (p, True)
 
 
 @pytest.mark.parametrize("system", [cx.type_a(3), cx.type_b(2)], ids=str)
@@ -292,13 +289,12 @@ def test_compose_atomics_matches_left_fold_on_lifted_chains(system):
     # every lifted word of length at most 3, reduced or not
     flags = []
     for J in all_subsets(system):
-        memo = {}
         start = system.simple_indices.start
         letters = range(start, start + len(system.index_set - J))
         for n in range(4):
             for word in product(letters, repeat=n):
                 atoms = at.lift_word(system, J, word)
-                flags.append(_assert_composes_as_oracle(system, atoms, J, memo)[1])
+                flags.append(_assert_composes_as_oracle(system, atoms, J)[1])
     assert True in flags and False in flags
 
 
@@ -308,18 +304,13 @@ def test_compose_atomics_refuses_a_frame_mismatch(system):
     for a, b in product(atoms, repeat=2):
         if a.right == b.left:
             continue
-        # a valid tail, composed into the memo first, then a bad head on it
+        # a bad head on a valid tail of one or two atoms
         d = next(d for d in atoms if d.left == b.right)
-        memo = {}
-        at.compose_atomics(system, (b, d), None, memo)
         for chain in ((a, b), (a, b, d)):
             with pytest.raises(ValueError):
                 compose_atomics_oracle(system, chain)
             with pytest.raises(ValueError):
                 at.compose_atomics(system, chain)
-            with pytest.raises(ValueError):
-                at.compose_atomics(system, chain, None, memo)
-            assert chain not in memo
 
 
 @pytest.mark.parametrize("system", [cx.type_a(3), cx.type_b(2), cx.dihedral(5)], ids=str)

@@ -196,6 +196,10 @@ DEEP_JSON = "[" * 100000
         ("enumerate-core", "--type", "A", "--rank", "7", "--right", "{}"),
         ("enumerate-core", "--type", "A", "--rank", "100000", "--right", "{}"),
         ("squash", "--coset", DEEP_JSON),
+        # JSON true and false are not the integers 1 and 0
+        ("squash", "--coset", '{"cartan":"A","rank":true,"left":[],"right":[],"min":[2,1]}'),
+        ("atomic-rex", "--coset", '{"cartan":"B","rank":2,"left":[false],"right":[false],"min":[1,2]}'),
+        ("atomic-rex", "--coset", '{"cartan":"I2","rank":2,"bond":true,"left":[],"right":[],"min":[]}'),
     ],
     ids=lambda argv: " ".join(argv).replace(DEEP_JSON, "[*100000"),
 )
@@ -339,6 +343,21 @@ def _peel_to_the_identity(monkeypatch):
     monkeypatch.setattr(atomic, "_greedy_step", functools.lru_cache(maxsize=None)(atomic._greedy_step.__wrapped__))
 
 
+def _stop_one_atom_early(monkeypatch):
+    # the greedy step that would leave the identity coset of its frames is
+    # not taken, so each greedy expression loses its last atom; a fresh step
+    # cache as in _peel_to_the_identity
+    right = atomic._greedy_step.__wrapped__
+
+    def step(cur):
+        found = right(cur)
+        if found is not None and found[1] == cs.identity_coset(cur.system, cur.right):
+            return None
+        return found
+
+    monkeypatch.setattr(atomic, "_greedy_step", functools.lru_cache(maxsize=None)(step))
+
+
 def _swap_two_atom_indices(monkeypatch):
     # the first two indices of each squashed group trade places in the walk's
     # labels; a fresh word memo keeps words walked by earlier tests out, and
@@ -365,6 +384,10 @@ def _negate_reducedness(monkeypatch):
                 monkeypatch.setattr(module, name, lambda p, q: not right(p, q))
 
 
+def _compose_to_the_tail(monkeypatch):
+    monkeypatch.setattr(cs, "star_compose", lambda p, q: q)
+
+
 def _no_right_redundancy(monkeypatch):
     monkeypatch.setattr(cs, "right_redundancy", lambda p: frozenset())
 
@@ -372,12 +395,13 @@ def _no_right_redundancy(monkeypatch):
 @pytest.mark.parametrize(
     "fault, suite, cartan, max_rank",
     [
-        (_drop_last_atom, "core-atomic", "A", "3"),
+        (_stop_one_atom_early, "core-atomic", "A", "3"),
         (_drop_last_atom, "matsumoto", "B", "2"),
         (_peel_to_the_identity, "core-atomic", "A", "3"),
         (_swap_two_atom_indices, "matsumoto", "B", "3"),
         (_swap_two_atom_indices, "atomic-rex-bijection", "A", "3"),
         (_negate_reducedness, "core-atomic", "A", "3"),
+        (_compose_to_the_tail, "core-atomic", "A", "3"),
         (_negate_reducedness, "mimimi", "A", "3"),
         (_no_right_redundancy, "redundancy-a", "A", "3"),
     ],
