@@ -15,12 +15,14 @@ from .coxeter import (
     CoxeterSystem,
     all_paths,
     as_simple,
-    braid_closure,
+    braid_class,
+    braid_steps,
     conjugate,
     identity,
     left_descents,
     length,
     multiply,
+    same_paths,
 )
 from .cosets import (
     DoubleCoset,
@@ -212,12 +214,16 @@ def _atomic_steps(p: DoubleCoset) -> list[tuple[int, DoubleCoset]]:
     return out
 
 
-def matsumoto_connected(p: DoubleCoset) -> bool:
+def matsumoto_connected(p: DoubleCoset, memo: dict | None = None) -> bool:
     """Whether braid moves of the squashed group reach every atomic reduced
-    expression of the core coset p from its greedy one."""
-    words = set(atomic_words(p))
+    expression of the core coset p from its greedy one, and nothing else:
+    same_paths compares the braid class of the greedy index word with the
+    atomic walk from p.  memo keeps the braid classes and the compared
+    pairs; a caller that checks many cosets of one system passes one dict."""
+    memo = {} if memo is None else memo
     small = squashed_system(p.system, p.right)
-    return braid_closure(small, word_of_rex(atomic_rex_of_core(p))) == words
+    start = braid_class(small, word_of_rex(atomic_rex_of_core(p)), memo)
+    return same_paths({start}, braid_steps, {p}, _atomic_steps, memo)
 
 
 def one_step_of_atoms(

@@ -17,7 +17,6 @@ Conventions, fixed once for the whole package:
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 from math import prod
@@ -184,18 +183,76 @@ def apply_braid_move(system: CoxeterSystem, word: Sequence[int], pos: int) -> tu
 
 def braid_closure(system: CoxeterSystem, word: Sequence[int]) -> set[tuple[int, ...]]:
     """All words reachable from word by braid moves (Matsumoto's theorem:
-    every reduced word of the same element, when word is reduced)."""
-    start = _check_word(system, word)
-    table = _braid_table(system)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        for nxt in _braid_moves(table, cur, range(len(cur) - 1)):
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return seen
+    every reduced word of the same element, when word is reduced): the
+    words of its braid class, listed by all_paths."""
+    return set(all_paths(braid_class(system, word, {}), braid_steps, {}))
+
+
+class BraidClass:
+    """One class of words under braid moves, as a node of all_paths: its
+    steps are its (head letter, class of tails) blocks in head order, and
+    word is one of its words.  Equality is identity; a memo keeps one
+    object per class."""
+
+    __slots__ = ("word", "steps")
+
+    def __init__(self, word: tuple[int, ...], steps: list[tuple[int, "BraidClass"]]) -> None:
+        self.word = word
+        self.steps = steps
+
+
+def braid_steps(c: BraidClass) -> list[tuple[int, BraidClass]]:
+    """The steps of a braid class, for all_paths and same_paths."""
+    return c.steps
+
+
+def braid_class(system: CoxeterSystem, word: Sequence[int], memo: dict) -> BraidClass:
+    """The class of word under the braid moves of system, built from the
+    classes of shorter words, listing none of its words.
+
+    A move at a position >= 1 acts on the tail, so the class is a union of
+    blocks h + (class of a tail); moves at position 0 link the blocks.  The
+    move from here to there applies to the words of a block with head
+    here[0] whose tail starts with here[1:]: descending the block's class
+    of tails along those letters reaches classes d, and each d gives the
+    block there[0] + (class of there[1:] + a word of d).  The table's moves
+    undo one another, so the classes partition the words of each length.
+    memo maps each word looked up (keyed with its system) and each block to
+    its class, so a caller that keeps one dict per system builds each class
+    once.  The build recurses one frame per letter of word.
+    """
+    return _braid_class(_braid_table(system), system, _check_word(system, word), memo)
+
+
+def _braid_class(table: list, system: CoxeterSystem, word: tuple[int, ...], memo: dict) -> BraidClass:
+    found = memo.get((system, word))
+    if found is not None:
+        return found
+    if not word:
+        found = BraidClass(word, [])
+    else:
+        first = (word[0], _braid_class(table, system, word[1:], memo))
+        found = memo.get(first)
+        if found is None:
+            blocks = [first]
+            for head, tails in blocks:  # the list grows as moves find new blocks
+                for _, here, there in filter(None, table[head]):
+                    for d in _descend(tails, here[1:]):
+                        block = (there[0], _braid_class(table, system, there[1:] + d.word, memo))
+                        if block not in blocks:
+                            blocks.append(block)
+            found = BraidClass(word, sorted(blocks, key=itemgetter(0)))
+            memo.update(dict.fromkeys(blocks, found))
+    memo[system, word] = found
+    return found
+
+
+def _descend(c: BraidClass, letters: tuple[int, ...]) -> list[BraidClass]:
+    """The classes of the words u with letters + u in class c."""
+    reached = [c]
+    for letter in letters:
+        reached = [child for node in reached for head, child in node.steps if head == letter]
+    return reached
 
 
 class Element:
@@ -451,6 +508,50 @@ def all_paths(root, steps: Callable, memo: dict) -> tuple[tuple, ...]:
             stack.append(node)
             stack.extend(child for _, child in waiting[node])
     return memo[root]
+
+
+def same_paths(roots_a: Iterable, steps_a: Callable, roots_b: Iterable, steps_b: Callable, memo: dict) -> bool:
+    """Whether the label words of all_paths from the nodes roots_a under
+    steps_a, taken together, are those from roots_b under steps_b, without
+    listing any word.
+
+    By the subset construction: two node sets have the same words when
+    both or neither hold a node with no steps, their steps carry the same
+    labels, and for each label the sets of children it leads to have the
+    same words.  A pair of sets reached from the roots that fails this
+    makes the roots differ, so the walk stops there.  When none fails,
+    memo keeps every pair walked as equal, for later calls with the same
+    two step functions.  The pairs wait on an explicit stack, so no
+    recursion limit caps the depth.
+    """
+    root = (frozenset(roots_a), frozenset(roots_b))
+    seen, stack = {root}, [root]
+    while stack:
+        pair = stack.pop()
+        if pair in memo:
+            continue
+        end_a, after_a = _after_labels(pair[0], steps_a)
+        end_b, after_b = _after_labels(pair[1], steps_b)
+        if end_a != end_b or after_a.keys() != after_b.keys():
+            return False
+        for label, children in after_a.items():
+            nxt = (frozenset(children), frozenset(after_b[label]))
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    memo.update(dict.fromkeys(seen, True))
+    return True
+
+
+def _after_labels(nodes: frozenset, steps: Callable) -> tuple[bool, dict]:
+    """Whether one of nodes has no steps, and the children each label leads to."""
+    end, after = False, {}
+    for node in nodes:
+        found = steps(node)
+        end = end or not found
+        for label, child in found:
+            after.setdefault(label, []).append(child)
+    return end, after
 
 
 def star_product(w: Element, v: Element) -> Element:

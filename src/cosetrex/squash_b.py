@@ -8,7 +8,7 @@ from .cosets import DoubleCoset
 from .atomic import matsumoto_connected
 
 
-def matsumoto_connected_b(p: DoubleCoset) -> bool:
+def matsumoto_connected_b(p: DoubleCoset, memo: dict | None = None) -> bool:
     """Whether type-B braid moves reach every atomic reduced expression of p.
 
     The type-checked entry of ``atomic.matsumoto_connected``; the benchmark's
@@ -16,4 +16,4 @@ def matsumoto_connected_b(p: DoubleCoset) -> bool:
     """
     if p.system.cartan != "B":
         raise ValueError(f"signed squashing needs a type B system, got {p.system.cartan}")
-    return matsumoto_connected(p)
+    return matsumoto_connected(p, memo)

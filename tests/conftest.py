@@ -87,6 +87,22 @@ def star_product_oracle(w, v):
     return w
 
 
+def braid_closure_oracle(system, word):
+    """All words reachable from word by braid moves, by breadth-first search
+    over the words themselves, one move at a time."""
+    start = tuple(word)
+    table = cx._braid_table(system)
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        cur = queue.popleft()
+        for nxt in cx._braid_moves(table, cur, range(len(cur) - 1)):
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return seen
+
+
 def all_subsets(system):
     indices = list(system.simple_indices)
     return [

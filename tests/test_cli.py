@@ -15,6 +15,7 @@ from cosetrex import cosets as cs
 from cosetrex import coxeter as cx
 from cosetrex import squash_a
 from cosetrex.cli import _SUITES, build_parser, main
+from conftest import braid_closure_oracle
 
 S11_TEXT = "[{2,3,6,10} +8 -8 +9 -10 +7 -6 +8 -8 +5 -5 +6 -7 +4 -2]"
 
@@ -360,8 +361,7 @@ def _stop_one_atom_early(monkeypatch):
 
 def _swap_two_atom_indices(monkeypatch):
     # the first two indices of each squashed group trade places in the walk's
-    # labels; a fresh word memo keeps words walked by earlier tests out, and
-    # the fault's own words out of later tests
+    # labels
     right = atomic.atomic_index
 
     def swapped(a):
@@ -371,7 +371,22 @@ def _swap_two_atom_indices(monkeypatch):
         return {start: start + 1, start + 1: start}.get(i, i)
 
     monkeypatch.setattr(atomic, "atomic_index", swapped)
-    monkeypatch.setattr(atomic, "_ATOMIC_WORDS", {})
+
+
+def _drop_a_commutation(monkeypatch):
+    # each system's braid table, built afresh, loses its first commuting
+    # pair, so the braid side of matsumoto lacks moves the group has
+    right = cx._braid_table
+
+    @functools.lru_cache(maxsize=None)
+    def table(system):
+        rows = [list(row) for row in right(system)]
+        pairs = [(i, j) for i, row in enumerate(rows) for j, move in enumerate(row) if move and move[0] == 2]
+        for i, j in pairs[:1]:
+            rows[i][j] = rows[j][i] = None
+        return rows
+
+    monkeypatch.setattr(cx, "_braid_table", table)
 
 
 def _negate_reducedness(monkeypatch):
@@ -399,6 +414,7 @@ def _no_right_redundancy(monkeypatch):
         (_drop_last_atom, "matsumoto", "B", "2"),
         (_peel_to_the_identity, "core-atomic", "A", "3"),
         (_swap_two_atom_indices, "matsumoto", "B", "3"),
+        (_drop_a_commutation, "matsumoto", "A", "3"),
         (_swap_two_atom_indices, "atomic-rex-bijection", "A", "3"),
         (_negate_reducedness, "core-atomic", "A", "3"),
         (_compose_to_the_tail, "core-atomic", "A", "3"),
@@ -415,6 +431,32 @@ def test_verify_catches_a_wrong_answer_in_each_walk(capsys, monkeypatch, fault, 
     assert any(
         line.startswith(f"FAIL: {suite}") and "DoubleCoset(" in line for line in err.splitlines()
     )
+
+
+def _matsumoto_by_words(p):
+    """The braid check by listing words: the breadth-first closure of the
+    greedy index word against every atomic index word of p."""
+    small = atomic.squashed_system(p.system, p.right)
+    closure = braid_closure_oracle(small, atomic.word_of_rex(atomic.atomic_rex_of_core(p)))
+    return closure == set(cx.all_paths(p, atomic._atomic_steps, {}))
+
+
+@pytest.mark.parametrize(
+    "fault", [None, _drop_a_commutation, _swap_two_atom_indices, _drop_last_atom],
+    ids=lambda f: getattr(f, "__name__", "clean"),
+)
+def test_matsumoto_agrees_with_the_word_listing_check(monkeypatch, fault):
+    if fault is not None:
+        fault(monkeypatch)
+    verdicts = []
+    for system in [cx.type_a(r) for r in range(1, 5)] + [cx.type_b(r) for r in range(1, 4)]:
+        memo = {}
+        for _, found in cli._core_by_right(system):
+            for _, p in found:
+                verdicts.append(atomic.matsumoto_connected(p, memo))
+                assert verdicts[-1] == _matsumoto_by_words(p), p
+    assert len(verdicts) == 419
+    assert all(verdicts) == (fault is None)
 
 
 def _drop_a_table_row(monkeypatch):

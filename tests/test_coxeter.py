@@ -12,6 +12,7 @@ from cosetrex import atomic as at
 from cosetrex import cosets as cs
 from cosetrex import coxeter as cx
 from conftest import (
+    braid_closure_oracle,
     bruhat_leq_oracle,
     cayley_distances,
     inversion_count,
@@ -80,6 +81,76 @@ def test_braid_closure_matches_reduced_words(system):
     # Matsumoto's theorem, against the independent enumeration by descents
     for w in cx.all_elements(system):
         assert cx.braid_closure(system, cx.reduced_word(w)) == set(cx.reduced_words(w))
+
+
+@pytest.mark.parametrize(
+    "system, longest", [(cx.type_a(3), 7), (cx.type_b(3), 7), (cx.type_b(2), 9), (cx.dihedral(5), 9)], ids=str
+)
+def test_braid_class_words_match_the_word_bfs(system, longest):
+    # every word, reduced or not, with one class memo per system as verify keeps it
+    classes, paths = {}, {}
+    letters = sorted(system.index_set)
+    for n in range(longest + 1):
+        for word in itertools.product(letters, repeat=n):
+            expected = braid_closure_oracle(system, word)
+            assert set(cx.all_paths(cx.braid_class(system, word, classes), cx.braid_steps, paths)) == expected
+            assert cx.braid_closure(system, word) == expected
+
+
+def test_braid_class_recursion_is_one_frame_per_letter():
+    i2 = cx.dihedral(400)
+    word = (1, 2) * 200
+    with recursion_headroom(len(word) + 50):
+        assert cx.braid_closure(i2, word) == {word, (2, 1) * 200}
+    with pytest.raises(ValueError):
+        cx.braid_class(i2, (1, 3), {})
+
+
+@pytest.mark.parametrize("system", [cx.type_a(3), cx.type_b(2), cx.dihedral(5)], ids=str)
+def test_same_paths_is_set_equality_of_all_paths(system):
+    # roots: each element alone and, in I2(5), each pair of elements; one
+    # step function labels the first step of the longest element wrongly
+    els = list(cx.all_elements(system))
+    top = max(els, key=cx.length)
+    low, high = min(system.index_set), max(system.index_set)
+
+    def relabelled(u):
+        steps = cx._strip_left_descents(u)
+        if u == top:
+            (i, child), *rest = steps
+            steps = [(high if i == low else low, child)] + rest
+        return steps
+
+    roots = [{w} for w in els]
+    if system.cartan == "I2":
+        roots += [set(pair) for pair in itertools.combinations(els, 2)]
+    words = {}
+    for steps_b in (cx._strip_left_descents, relabelled):
+        memo = {}
+        for roots_b in roots:
+            words_b = set().union(*(cx.all_paths(w, steps_b, {}) for w in roots_b))
+            for roots_a in roots:
+                key = frozenset(roots_a)
+                if key not in words:
+                    words[key] = set().union(*(cx.all_paths(w, cx._strip_left_descents, {}) for w in roots_a))
+                same = cx.same_paths(roots_a, cx._strip_left_descents, roots_b, steps_b, memo)
+                assert same == (words[key] == words_b)
+    assert not cx.same_paths({top}, cx._strip_left_descents, {top}, relabelled, {})
+
+
+def test_same_paths_needs_no_deep_recursion():
+    # a chain of 5000 nodes, labelled by parity, against the same chain
+    # shifted by two
+    def steps(n):
+        return [(n % 2, n - 1)] if n > 0 else []
+
+    def shifted(n):
+        return [(n % 2, n - 1)] if n > 2 else []
+
+    with recursion_headroom(50):
+        assert cx.same_paths({5000}, steps, {5000}, steps, {})
+        assert cx.same_paths({5000}, steps, {5002}, shifted, {})
+        assert not cx.same_paths({5000}, steps, {5001}, shifted, {})
 
 
 def test_apply_braid_move_dihedral():
