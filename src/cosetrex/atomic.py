@@ -174,8 +174,14 @@ def _greedy_step(cur: DoubleCoset) -> tuple[AtomicCoset, DoubleCoset] | None:
     a = atomic_from(cur.system, cur.left | {min(extra)}, min(extra))
     nxt = _peel(cur, a, pmax)
     if length(max_elem(nxt)) >= length(pmax):
-        raise AssertionError("atomic peeling failed to shorten the coset")
+        raise AssertionError(f"atomic peeling failed to shorten the coset {cur}")
     return a, nxt
+
+
+# the caches keyed by a coset, and those keyed by an atom or its frames,
+# held as cosets.COSET_CACHES and cosets.SYSTEM_CACHES are
+COSET_CACHES = (_greedy_step,)
+SYSTEM_CACHES = (_atom, coset_of_atom)
 
 
 def _peel(p: DoubleCoset, a: AtomicCoset, pmax) -> DoubleCoset:

@@ -134,9 +134,24 @@ def _systems(cartan: str, max_rank: int, budget: int) -> list[CoxeterSystem]:
     return systems
 
 
+# verify empties the coset-keyed caches at the start of each cell of
+# _core_by_right, and all of these at the start of each system
+_CELL_CACHES = cosets.COSET_CACHES + atomic.COSET_CACHES
+_SYSTEM_CACHES = _CELL_CACHES + coxeter.SYSTEM_CACHES + cosets.SYSTEM_CACHES + atomic.SYSTEM_CACHES
+
+
+def _clear(caches) -> None:
+    for cache in caches:
+        cache.cache_clear()
+
+
 def _core_by_right(system: CoxeterSystem):
-    """Each right frame J with the core cosets (I, p) out of it."""
+    """Each right frame J with the core cosets (I, p) out of it.  Each cell
+    starts with the coset-keyed caches empty: a greedy or atomic step keeps
+    the right frame, so a walk from a cell reads no coset of another cell
+    but the atoms' cosets, whose maxima are cheap to compute again."""
     for J in cosets.all_frames(system):
+        _clear(_CELL_CACHES)
         yield J, cosets.enumerate_core_cosets(system, J, budget=None)
 
 
@@ -215,9 +230,9 @@ def _check_squash(system: CoxeterSystem, emit, fail) -> None:
 
 def _check_atomic_rex_bijection(system: CoxeterSystem, emit, fail) -> None:
     # the atomic walk from p and the reduced-word walk from squash(p) carry
-    # the same words; memo keeps the pairs found equal for this system's cells
-    memo: dict = {}
+    # the same words; memo keeps the pairs found equal, all in one cell
     for J, found in _core_by_right(system):
+        memo: dict = {}
         for _, p in found:
             sigma = squash_a.squash_coset(p)
             if not coxeter.same_paths({p}, atomic._atomic_steps, {sigma}, coxeter._strip_left_descents, memo):
@@ -406,7 +421,11 @@ def _cmd_verify(args) -> int:
 
     failures: list[str] = []
     for system in _systems(cartan, max_rank, args.budget):
-        check(system, emit, failures.append)
+        _clear(_SYSTEM_CACHES)
+        try:
+            check(system, emit, failures.append)
+        except AssertionError as exc:  # a library cross-check; its message names the coset
+            failures.append(f"{args.suite}: {exc}")
     if not cells:
         failures.append(f"no cells checked at max rank {max_rank}")
     if failures:

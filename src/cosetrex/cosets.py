@@ -162,6 +162,11 @@ def is_core(p: DoubleCoset) -> bool:
     return conj_ok
 
 
+# the caches keyed by a coset, held as objects: emptying them through this
+# tuple still works when a tracer or a test rebinds the public names
+COSET_CACHES = (max_elem, left_redundancy, right_redundancy, is_core)
+
+
 def core(p: DoubleCoset) -> DoubleCoset:
     """The coset with the same minimal element framed by the redundancies."""
     return coset_of(p.system, left_redundancy(p), p.min, right_redundancy(p))
@@ -245,6 +250,10 @@ def _descent_table(system: CoxeterSystem) -> tuple[tuple, ...]:
         conj = tuple(conj)
         rows.append((w, ld, rd, shared.setdefault(conj, conj)))
     return tuple(rows)
+
+
+# the caches keyed by a system, or by a system and a frame, held as COSET_CACHES is
+SYSTEM_CACHES = (longest_element, _descent_table)
 
 
 def enumerate_cosets(

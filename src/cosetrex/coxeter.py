@@ -475,6 +475,11 @@ def reduced_word(w: Element) -> tuple[int, ...]:
     return tuple(out)
 
 
+# the caches keyed by an element, held as objects: emptying them through
+# this tuple still works when a tracer or a test rebinds the public names
+SYSTEM_CACHES = (length, inverse, right_descents, reduced_word)
+
+
 # the reduced words of every element that reduced_words has walked through
 _REDUCED_WORDS: dict[Element, tuple[tuple[int, ...], ...]] = {}
 

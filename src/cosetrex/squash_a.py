@@ -127,5 +127,5 @@ def unsquash(system: CoxeterSystem, J: Iterable[int], sigma: Element) -> tuple[F
     if __debug__:
         q = coset_of(system, I, y, J)
         if q.min != y:
-            raise AssertionError("unsquashed block permutation is not minimal")
+            raise AssertionError(f"unsquashed block permutation is not minimal in {p}")
     return I, p

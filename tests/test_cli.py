@@ -1,5 +1,6 @@
 import argparse
 import functools
+import gc
 import io
 import json
 import re
@@ -389,14 +390,22 @@ def _drop_a_commutation(monkeypatch):
     monkeypatch.setattr(cx, "_braid_table", table)
 
 
-def _negate_reducedness(monkeypatch):
-    # atomic and nilcox import the function by name, so every module-level
-    # binding of it in the package is rebound, not only the one in cosets
-    right = cs.is_reduced_composition
-    for module in [m for name, m in sys.modules.items() if name.partition(".")[0] == "cosetrex"]:
+def _package_modules():
+    return [m for name, m in sys.modules.items() if name.partition(".")[0] == "cosetrex"]
+
+
+def _rebind_everywhere(monkeypatch, old, new):
+    # modules import library functions by name, so every module-level binding
+    # of old in the package is rebound, not only the one where it is defined
+    for module in _package_modules():
         for name, obj in list(vars(module).items()):
-            if obj is right:
-                monkeypatch.setattr(module, name, lambda p, q: not right(p, q))
+            if obj is old:
+                monkeypatch.setattr(module, name, new)
+
+
+def _negate_reducedness(monkeypatch):
+    right = cs.is_reduced_composition
+    _rebind_everywhere(monkeypatch, right, lambda p, q: not right(p, q))
 
 
 def _compose_to_the_tail(monkeypatch):
@@ -407,22 +416,40 @@ def _no_right_redundancy(monkeypatch):
     monkeypatch.setattr(cs, "right_redundancy", lambda p: frozenset())
 
 
-@pytest.mark.parametrize(
-    "fault, suite, cartan, max_rank",
-    [
-        (_stop_one_atom_early, "core-atomic", "A", "3"),
-        (_drop_last_atom, "matsumoto", "B", "2"),
-        (_peel_to_the_identity, "core-atomic", "A", "3"),
-        (_swap_two_atom_indices, "matsumoto", "B", "3"),
-        (_drop_a_commutation, "matsumoto", "A", "3"),
-        (_swap_two_atom_indices, "atomic-rex-bijection", "A", "3"),
-        (_negate_reducedness, "core-atomic", "A", "3"),
-        (_compose_to_the_tail, "core-atomic", "A", "3"),
-        (_negate_reducedness, "mimimi", "A", "3"),
-        (_no_right_redundancy, "redundancy-a", "A", "3"),
-    ],
-    ids=lambda value: getattr(value, "__name__", value),
-)
+def _peel_to_itself(monkeypatch):
+    # no step shortens its coset, which _greedy_step's cross-check raises on
+    monkeypatch.setattr(atomic, "_peel", lambda p, a, pmax: p)
+
+
+def _unsquash_off_the_minimum(monkeypatch):
+    # the cross-check in unsquash sees each lifted coset with the identity as
+    # its minimum
+    monkeypatch.setattr(squash_a, "coset_of", lambda system, I, y, J: cs.identity_coset(system, J))
+
+
+# faults, each with a run that must catch it; the last two always raise
+# inside a library cross-check, which verify reports as a FAIL line
+_WALK_FAULTS = [
+    (_stop_one_atom_early, "core-atomic", "A", "3"),
+    (_drop_last_atom, "matsumoto", "B", "2"),
+    (_peel_to_the_identity, "core-atomic", "A", "3"),
+    (_swap_two_atom_indices, "matsumoto", "B", "3"),
+    (_drop_a_commutation, "matsumoto", "A", "3"),
+    (_swap_two_atom_indices, "atomic-rex-bijection", "A", "3"),
+    (_negate_reducedness, "core-atomic", "A", "3"),
+    (_compose_to_the_tail, "core-atomic", "A", "3"),
+    (_negate_reducedness, "mimimi", "A", "3"),
+    (_no_right_redundancy, "redundancy-a", "A", "3"),
+    (_peel_to_itself, "core-atomic", "A", "3"),
+    (_unsquash_off_the_minimum, "squash-bijection", "A", "3"),
+]
+
+
+def _fault_id(value):
+    return getattr(value, "__name__", value)
+
+
+@pytest.mark.parametrize("fault, suite, cartan, max_rank", _WALK_FAULTS, ids=_fault_id)
 def test_verify_catches_a_wrong_answer_in_each_walk(capsys, monkeypatch, fault, suite, cartan, max_rank):
     fault(monkeypatch)
     code, out, err = run(capsys, "verify", suite, "--type", cartan, "--max-rank", max_rank)
@@ -431,6 +458,114 @@ def test_verify_catches_a_wrong_answer_in_each_walk(capsys, monkeypatch, fault, 
     assert any(
         line.startswith(f"FAIL: {suite}") and "DoubleCoset(" in line for line in err.splitlines()
     )
+
+
+def _clear_every_cache():
+    for module in _package_modules():
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "after-a-clean-run"])
+@pytest.mark.parametrize("fault, suite, cartan, max_rank", _WALK_FAULTS, ids=_fault_id)
+def test_a_wrong_answer_is_caught_whatever_the_caches_hold(capsys, monkeypatch, warm, fault, suite, cartan, max_rank):
+    argv = ("verify", suite, "--type", cartan, "--max-rank", max_rank)
+    _clear_every_cache()
+    if warm:
+        assert run(capsys, *argv)[0] == 0
+    fault(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert "all checks passed" not in out
+    assert any(
+        line.startswith(f"FAIL: {suite}") and "DoubleCoset(" in line for line in err.splitlines()
+    )
+
+
+def test_a_failed_cross_check_ends_its_system_only(capsys, monkeypatch):
+    # the first step of each system raises, and the run goes on with the
+    # next system, so each of A1, A2 and A3 has its FAIL line
+    _peel_to_itself(monkeypatch)
+    code, out, err = run(capsys, "verify", "core-atomic", "--type", "A", "--max-rank", "3")
+    fails = [line for line in err.splitlines() if line.startswith("FAIL: core-atomic: ")]
+    assert code == 1
+    assert len(fails) == 3
+    assert all(f"rank={r}," in line for r, line in zip((1, 2, 3), fails))
+    assert all("atomic peeling failed to shorten the coset DoubleCoset(" in line for line in fails)
+    assert "Traceback" not in err
+
+
+def _cache_keys(cache):
+    """The argument tuples an lru_cache holds.  CPython keeps them as the keys
+    of the one dict the cache object refers to besides its __dict__."""
+    (table,) = [d for d in gc.get_referents(cache) if isinstance(d, dict) and d is not cache.__dict__]
+    return list(table)
+
+
+def _system_of(key):
+    first = key[0]
+    return first if isinstance(first, cx.CoxeterSystem) else first.system
+
+
+def test_verify_scopes_its_caches_to_the_cell_and_the_system(capsys, monkeypatch):
+    coset_keyed = [cs.max_elem, cs.left_redundancy, cs.right_redundancy, cs.is_core, atomic._greedy_step]
+    system_keyed = coset_keyed + [
+        cx.length, cx.inverse, cx.right_descents, cx.reduced_word, cs.longest_element,
+        cs._descent_table, atomic._atom, atomic.coset_of_atom,
+    ]
+    systems = [cx.type_a(r) for r in range(1, 5)]
+    # each step reads the maximum of its atom's coset, whose right frame is
+    # the remainder's left frame; only max_elem holds those
+    atom_cosets = {
+        atomic.coset_of_atom(atomic.atomic_from(system, M, s))
+        for system in systems for M in cs.all_frames(system) for s in M
+    }
+    check, supported = _SUITES["core-atomic"]
+    seen = []
+
+    def inspecting(system, emit, fail):
+        def inspect(line):
+            J = cs.parse_subset(line.rpartition("J=")[2].partition(":")[0])
+            for cache in coset_keyed:
+                for (p,) in _cache_keys(cache):
+                    assert p.right == J or (cache is cs.max_elem and p in atom_cosets), (cache, p, line)
+            keys = [key for cache in system_keyed for key in _cache_keys(cache)]
+            assert all(_system_of(key) is system for key in keys), line
+            seen.append(len(keys))
+            emit(line)
+
+        check(system, inspect, fail)
+
+    monkeypatch.setitem(cli._SUITES, "core-atomic", (inspecting, supported))
+    code, out, err = run(capsys, "verify", "core-atomic", "--type", "A", "--max-rank", "4")
+    assert code == 0, err
+    assert len(seen) == sum(2 ** system.rank for system in systems)
+    assert min(seen) > 0
+
+
+def _rebind_cached_functions(monkeypatch):
+    # as the benchmark's tracer does: each public lru_cache'd function becomes
+    # a plain pass-through wrapper, which has no cache_clear
+    cached = {id(obj): obj for module in _package_modules() for name, obj in vars(module).items()
+              if not name.startswith("_") and hasattr(obj, "cache_clear")}
+    for fn in cached.values():
+        def wrapper(*args, _fn=fn, **kwargs):
+            return _fn(*args, **kwargs)
+
+        wrapper.__wrapped__ = fn
+        _rebind_everywhere(monkeypatch, fn, wrapper)
+
+
+@pytest.mark.parametrize("cartan", ["A", "B"])
+@pytest.mark.parametrize("suite", ["core-atomic", "matsumoto", "atomic-rex-bijection"])
+def test_verify_clears_its_caches_when_the_public_names_are_rebound(capsys, monkeypatch, suite, cartan):
+    argv = ("verify", suite, "--type", cartan, "--max-rank", "3")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    _rebind_cached_functions(monkeypatch)
+    assert not hasattr(cs.max_elem, "cache_clear") and not hasattr(atomic.max_elem, "cache_clear")
+    assert run(capsys, *argv)[:2] == (0, out)
 
 
 def _matsumoto_by_words(p):
