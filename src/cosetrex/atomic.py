@@ -178,20 +178,10 @@ def _greedy_step(cur: DoubleCoset) -> tuple[AtomicCoset, DoubleCoset] | None:
     return a, nxt
 
 
-# the caches keyed by a coset, and those keyed by an atom or its frames,
-# held as cosets.COSET_CACHES and cosets.SYSTEM_CACHES are
-COSET_CACHES = (_greedy_step,)
-SYSTEM_CACHES = (_atom, coset_of_atom)
-
-
 def _peel(p: DoubleCoset, a: AtomicCoset, pmax) -> DoubleCoset:
     # remainder coset q with p = a . q, via max(q) = w_{right(a)} w_{mid(a)} max(p)
     w = multiply(longest_element(p.system, a.right), longest_element(p.system, a.mid))
     return coset_of(p.system, a.right, multiply(w, pmax), p.right)
-
-
-# the index words of every core coset that atomic_words has walked through
-_ATOMIC_WORDS: dict[DoubleCoset, tuple[tuple[int, ...], ...]] = {}
 
 
 def atomic_words(p: DoubleCoset) -> tuple[tuple[int, ...], ...]:
@@ -200,7 +190,7 @@ def atomic_words(p: DoubleCoset) -> tuple[tuple[int, ...], ...]:
     time, each labelled by its atom's index."""
     if not is_core(p):
         raise ValueError("atomic expressions are only defined for core cosets")
-    return all_paths(p, _atomic_steps, _ATOMIC_WORDS)
+    return all_paths(p, _atomic_steps, {})
 
 
 def all_atomic_rexes(p: DoubleCoset) -> tuple[tuple[AtomicCoset, ...], ...]:
@@ -220,16 +210,15 @@ def _atomic_steps(p: DoubleCoset) -> list[tuple[int, DoubleCoset]]:
     return out
 
 
-def matsumoto_connected(p: DoubleCoset, memo: dict | None = None) -> bool:
+def matsumoto_connected(p: DoubleCoset, classes: dict | None = None, pairs: dict | None = None) -> bool:
     """Whether braid moves of the squashed group reach every atomic reduced
     expression of the core coset p from its greedy one, and nothing else:
     same_paths compares the braid class of the greedy index word with the
-    atomic walk from p.  memo keeps the braid classes and the compared
-    pairs; a caller that checks many cosets of one system passes one dict."""
-    memo = {} if memo is None else memo
+    atomic walk from p.  classes keeps the braid classes, which a system's
+    cells share, and pairs the compared pairs, which hold cosets of p's cell."""
     small = squashed_system(p.system, p.right)
-    start = braid_class(small, word_of_rex(atomic_rex_of_core(p)), memo)
-    return same_paths({start}, braid_steps, {p}, _atomic_steps, memo)
+    start = braid_class(small, word_of_rex(atomic_rex_of_core(p)), {} if classes is None else classes)
+    return same_paths({start}, braid_steps, {p}, _atomic_steps, {} if pairs is None else pairs)
 
 
 def one_step_of_atoms(

@@ -12,7 +12,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from . import atomic, cosets, coxeter, expressions, nilcox, squash_a, squash_b
-from .coxeter import CoxeterSystem, dihedral
+from .coxeter import CoxeterSystem
 
 
 def _system_from_args(args, budget: int | None = None) -> CoxeterSystem:
@@ -128,16 +128,20 @@ def _systems(cartan: str, max_rank: int, budget: int) -> list[CoxeterSystem]:
     rank over the budget ends the run, and no system over it is built."""
     systems = []
     for r in range(3 if cartan == "I2" else 1, max_rank + 1):
-        key = coxeter.system_key("I2", 2, r) if cartan == "I2" else coxeter.system_key(cartan, r)
-        cosets.check_budget(key, budget)
-        systems.append(dihedral(r) if cartan == "I2" else CoxeterSystem(cartan, r))
+        args = ("I2", 2, r) if cartan == "I2" else (cartan, r)
+        cosets.check_budget(coxeter.system_key(*args), budget)
+        systems.append(CoxeterSystem(*args))
     return systems
 
 
-# verify empties the coset-keyed caches at the start of each cell of
-# _core_by_right, and all of these at the start of each system
-_CELL_CACHES = cosets.COSET_CACHES + atomic.COSET_CACHES
-_SYSTEM_CACHES = _CELL_CACHES + coxeter.SYSTEM_CACHES + cosets.SYSTEM_CACHES + atomic.SYSTEM_CACHES
+# the caches verify empties at the start of each cell of _core_by_right, and
+# all of these at the start of each system; held as objects, since a tracer
+# or a test may rebind the public names
+_CELL_CACHES = (cosets.max_elem, cosets._redundancy, cosets.is_core, atomic._greedy_step)
+_SYSTEM_CACHES = _CELL_CACHES + (
+    coxeter.length, coxeter.inverse, coxeter.right_descents, coxeter.reduced_word,
+    cosets.longest_element, cosets._descent_table, atomic._atom, atomic.coset_of_atom,
+)
 
 
 def _clear(caches) -> None:
@@ -242,10 +246,11 @@ def _check_atomic_rex_bijection(system: CoxeterSystem, emit, fail) -> None:
 
 def _check_matsumoto(system: CoxeterSystem, emit, fail) -> None:
     connected = squash_b.matsumoto_connected_b if system.cartan == "B" else atomic.matsumoto_connected
-    memo: dict = {}  # braid classes and compared pairs, for this system's cells
+    classes: dict = {}  # braid classes, which this system's cells share
     for J, found in _core_by_right(system):
+        pairs: dict = {}  # the compared pairs, all in this cell
         for _, p in found:
-            if not connected(p, memo):
+            if not connected(p, classes, pairs):
                 fail(f"matsumoto: braid closure misses expressions of {p}")
         emit(f"matsumoto {system.cartan} rank={system.rank} J={cosets.format_subset(J)}: ok")
 

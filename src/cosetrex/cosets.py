@@ -120,26 +120,23 @@ def max_elem(p: DoubleCoset) -> Element:
 
 
 @lru_cache(maxsize=None)
+def _redundancy(p: DoubleCoset) -> tuple[Frame, Frame]:
+    """The left and right redundancy, from the j in J and i in I with
+    min s_j min^{-1} = s_i; a frame equal to p's own is p's own object."""
+    pairs = [(i, j) for j in p.right if (i := as_simple(conjugate(p.min, j))) in p.left]
+    left = frozenset(i for i, _ in pairs)
+    right = frozenset(j for _, j in pairs)
+    return (p.left if left == p.left else left), (p.right if right == p.right else right)
+
+
 def left_redundancy(p: DoubleCoset) -> Frame:
     """I intersected with min J min^{-1}, as a set of simple indices."""
-    out = set()
-    for j in p.right:
-        i = as_simple(conjugate(p.min, j))
-        if i is not None and i in p.left:
-            out.add(i)
-    return p.left if out == p.left else frozenset(out)
+    return _redundancy(p)[0]
 
 
-@lru_cache(maxsize=None)
 def right_redundancy(p: DoubleCoset) -> Frame:
     """min^{-1} I min intersected with J."""
-    inv = inverse(p.min)
-    out = set()
-    for i in p.left:
-        j = as_simple(conjugate(inv, i))
-        if j is not None and j in p.right:
-            out.add(j)
-    return p.right if out == p.right else frozenset(out)
+    return _redundancy(p)[1]
 
 
 @lru_cache(maxsize=None)
@@ -149,7 +146,7 @@ def is_core(p: DoubleCoset) -> bool:
     Cross-checked (unless running with -O) against the equivalent criterion
     that max = w_I . min = min . w_J with lengths adding.
     """
-    conj_ok = left_redundancy(p) == p.left and right_redundancy(p) == p.right
+    conj_ok = _redundancy(p) == (p.left, p.right)
     if __debug__:
         lmin = length(p.min)
         lmax = length(max_elem(p))
@@ -162,14 +159,10 @@ def is_core(p: DoubleCoset) -> bool:
     return conj_ok
 
 
-# the caches keyed by a coset, held as objects: emptying them through this
-# tuple still works when a tracer or a test rebinds the public names
-COSET_CACHES = (max_elem, left_redundancy, right_redundancy, is_core)
-
-
 def core(p: DoubleCoset) -> DoubleCoset:
     """The coset with the same minimal element framed by the redundancies."""
-    return coset_of(p.system, left_redundancy(p), p.min, right_redundancy(p))
+    left, right = _redundancy(p)
+    return coset_of(p.system, left, p.min, right)
 
 
 def invert(p: DoubleCoset) -> DoubleCoset:
@@ -250,10 +243,6 @@ def _descent_table(system: CoxeterSystem) -> tuple[tuple, ...]:
         conj = tuple(conj)
         rows.append((w, ld, rd, shared.setdefault(conj, conj)))
     return tuple(rows)
-
-
-# the caches keyed by a system, or by a system and a frame, held as COSET_CACHES is
-SYSTEM_CACHES = (longest_element, _descent_table)
 
 
 def enumerate_cosets(

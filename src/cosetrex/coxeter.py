@@ -475,18 +475,9 @@ def reduced_word(w: Element) -> tuple[int, ...]:
     return tuple(out)
 
 
-# the caches keyed by an element, held as objects: emptying them through
-# this tuple still works when a tracer or a test rebinds the public names
-SYSTEM_CACHES = (length, inverse, right_descents, reduced_word)
-
-
-# the reduced words of every element that reduced_words has walked through
-_REDUCED_WORDS: dict[Element, tuple[tuple[int, ...], ...]] = {}
-
-
 def reduced_words(w: Element) -> tuple[tuple[int, ...], ...]:
     """All reduced words for w, in lexicographic order."""
-    return all_paths(w, _strip_left_descents, _REDUCED_WORDS)
+    return all_paths(w, _strip_left_descents, {})
 
 
 def _strip_left_descents(u: Element) -> list[tuple[int, Element]]:

@@ -146,6 +146,24 @@ def enumerate_core_cosets_oracle(system, right):
     return out
 
 
+def redundancy_oracle(p):
+    """The left and right redundancy of p by two separate loops: I ∩ min J
+    min^{-1} conjugates each s_j, j in J, by min; min^{-1} I min ∩ J
+    conjugates each s_i, i in I, by min^{-1}."""
+    left = set()
+    for j in p.right:
+        i = cx.as_simple(cx.conjugate(p.min, j))
+        if i is not None and i in p.left:
+            left.add(i)
+    inv = cx.inverse(p.min)
+    right = set()
+    for i in p.left:
+        j = cx.as_simple(cx.conjugate(inv, i))
+        if j is not None and j in p.right:
+            right.add(j)
+    return frozenset(left), frozenset(right)
+
+
 def atomic_rex_of_core_oracle(p):
     """The greedy atomic expression of a core coset, built afresh at every
     step: no cached step, no interned atom."""

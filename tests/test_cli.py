@@ -4,8 +4,10 @@ import gc
 import io
 import json
 import re
+import runpy
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -227,7 +229,7 @@ def test_verify_over_budget_prints_no_cell(capsys):
 @pytest.mark.parametrize(
     "cartan, constructor, ranks, order",
     [("A", "CoxeterSystem", range(1, 7), 40320), ("B", "CoxeterSystem", range(1, 6), 46080),
-     ("I2", "dihedral", range(3, 5001), 10002)],
+     ("I2", "CoxeterSystem", range(3, 5001), 10002)],
     ids=["A", "B", "I2"],
 )
 def test_verify_builds_no_system_past_the_first_over_budget_rank(capsys, monkeypatch, cartan, constructor, ranks, order):
@@ -509,7 +511,7 @@ def _system_of(key):
 
 
 def test_verify_scopes_its_caches_to_the_cell_and_the_system(capsys, monkeypatch):
-    coset_keyed = [cs.max_elem, cs.left_redundancy, cs.right_redundancy, cs.is_core, atomic._greedy_step]
+    coset_keyed = [cs.max_elem, cs._redundancy, cs.is_core, atomic._greedy_step]
     system_keyed = coset_keyed + [
         cx.length, cx.inverse, cx.right_descents, cx.reduced_word, cs.longest_element,
         cs._descent_table, atomic._atom, atomic.coset_of_atom,
@@ -542,6 +544,39 @@ def test_verify_scopes_its_caches_to_the_cell_and_the_system(capsys, monkeypatch
     assert code == 0, err
     assert len(seen) == sum(2 ** system.rank for system in systems)
     assert min(seen) > 0
+
+
+def test_verify_gives_every_library_cache_a_lifetime():
+    # every cache of the package lasts one system of a verify run, or is one
+    # of the few that stay for the process: the simple reflections and braid
+    # tables of the interned systems, and the shared argument parser
+    process_wide = {cx.simple, cx._braid_table, cli.build_parser}
+    caches = {obj for module in _package_modules() for obj in vars(module).values() if hasattr(obj, "cache_clear")}
+    assert caches - process_wide <= set(cli._SYSTEM_CACHES)
+    assert set(cli._CELL_CACHES) <= set(cli._SYSTEM_CACHES)
+
+
+_WORKLOADS = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))
+
+
+@pytest.mark.parametrize(
+    "workload, argv",
+    [("verify-core-a6", ("core-atomic", "A")), ("verify-braid-b4", ("matsumoto", "B"))],
+    ids=["core-atomic", "matsumoto"],
+)
+def test_verify_output_passes_the_benchmark_gates(capsys, workload, argv):
+    # the lines the benchmark's verify workloads parse, at a small rank
+    suite, cartan = argv
+    code, out, _ = run(capsys, "verify", suite, "--type", cartan, "--max-rank", "3")
+    *cells, last = out.splitlines()
+    assert code == 0 and last == f"{suite}: all checks passed"
+    assert len(cells) == sum(2 ** rank for rank in range(1, 4))
+    for line in cells:
+        m = _WORKLOADS["CELL"][workload].match(line)
+        assert m, line
+        if suite == "core-atomic":
+            size = len(m[2].split(",")) if m[2] else 0
+            assert int(m[3]) == _WORKLOADS["core_count"](cartan, int(m[1]), size), line
 
 
 def _rebind_cached_functions(monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 
 from cosetrex import coxeter as cx
 from cosetrex import cosets as cs
-from conftest import all_subsets, enumerate_core_cosets_oracle, enumerate_cosets_oracle
+from conftest import all_subsets, enumerate_core_cosets_oracle, enumerate_cosets_oracle, redundancy_oracle
 
 
 def exs4_p(a3):
@@ -79,6 +79,26 @@ def test_redundancy_conjugation_bijection(system):
                     cx.as_simple(cx.conjugate(p.min, j)) for j in cs.right_redundancy(p)
                 )
                 assert image == cs.left_redundancy(p)
+
+
+@pytest.mark.parametrize(
+    "system",
+    [cx.type_a(r) for r in range(5)] + [cx.type_b(r) for r in range(4)] + [cx.dihedral(m) for m in range(3, 8)],
+    ids=str,
+)
+def test_redundancy_core_and_is_core_agree_with_the_two_loop_oracle(system):
+    # a cached answer holds the frames of the first equal coset asked about
+    cs._redundancy.cache_clear()
+    for I in all_subsets(system):
+        for J in all_subsets(system):
+            for p in cs.enumerate_cosets(system, I, J, budget=None):
+                left, right = redundancy_oracle(p)
+                assert (cs.left_redundancy(p), cs.right_redundancy(p)) == (left, right), p
+                assert cs.core(p) == cs.coset_of(system, left, p.min, right)
+                assert cs.is_core(p) == (left == I and right == J)
+                # a frame equal to the coset's own is the coset's own object
+                assert (cs.left_redundancy(p) is p.left) == (left == I)
+                assert (cs.right_redundancy(p) is p.right) == (right == J)
 
 
 def test_is_core_examples(a2, a3):
