@@ -92,8 +92,16 @@ def _cmd_enumerate_core(args) -> int:
     system = _system_from_args(args, args.budget)
     J = cosets.parse_subset(args.right)
     found = cosets.enumerate_core_cosets(system, J, budget=args.budget)
-    for _, p in found:
-        _print_coset(p, args.format)
+    if args.format == "json":
+        for _, p in found:
+            _print_coset(p, "json")
+    else:  # _print_coset's lines, with each frame formatted once per call
+        right = cosets.format_subset(J)
+        heads: dict[frozenset, str] = {}
+        for I, p in found:
+            if I not in heads:
+                heads[I] = f"coset: left={cosets.format_subset(I)} right={right} min="
+            print(heads[I] + coxeter.format_element(p.min))
     print(f"count: {len(found)}")
     return 0
 
@@ -134,9 +142,9 @@ def _systems(cartan: str, max_rank: int, budget: int) -> list[CoxeterSystem]:
     return systems
 
 
-# the caches verify empties at the start of each cell of _core_by_right, and
-# all of these at the start of each system; held as objects, since a tracer
-# or a test may rebind the public names
+# the caches verify empties at the start of each cell of _core_by_right and
+# each left frame of _cosets_by_left, and all of these at the start of each
+# system; held as objects, since a tracer or a test may rebind the public names
 _CELL_CACHES = (cosets.max_elem, cosets._redundancy, cosets.is_core, atomic._greedy_step)
 _SYSTEM_CACHES = _CELL_CACHES + (
     coxeter.length, coxeter.inverse, coxeter.right_descents, coxeter.reduced_word,
@@ -160,9 +168,12 @@ def _core_by_right(system: CoxeterSystem):
 
 
 def _cosets_by_left(system: CoxeterSystem):
-    """Each left frame I with every (I, J)-coset, over all right frames J."""
+    """Each left frame I with every (I, J)-coset, over all right frames J.
+    Each frame starts with the coset-keyed caches empty, so a walk over
+    every coset keeps those of one left frame at a time, not the system's."""
     frames = cosets.all_frames(system)
     for I in frames:
+        _clear(_CELL_CACHES)
         yield I, (p for J in frames for p in cosets.enumerate_cosets(system, I, J, budget=None))
 
 

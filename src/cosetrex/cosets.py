@@ -219,30 +219,70 @@ def _mask(indices: Iterable[int]) -> int:
 
 @lru_cache(maxsize=None)
 def _descent_table(system: CoxeterSystem) -> tuple[tuple, ...]:
-    """One row (w, left-descent mask, right-descent mask, conj) per element w.
+    """One row (w, left-descent mask, right-descent mask, conj) per element w,
+    in the order of all_elements.
 
     Bit i of a mask stands for s_i.  conj[k] is the simple index of
     w s_j w^{-1} for the k-th simple index j, or None when j is a right
     descent of w or w s_j w^{-1} is not simple.  Rows share equal conj
-    tuples: A6 has 468 distinct ones over 5040 elements.
+    tuples: A6 has 468 distinct ones over 5040 elements.  Each row is read
+    off w's image tuple (A, B) or normal-form word (I2), with no product;
+    tests/conftest.py keeps the product-based build as the oracle.
     """
+    rows = _word_rows(system) if system.cartan == "I2" else _image_rows(system)
     shared: dict[tuple, tuple] = {}
-    rows = []
+    return tuple((w, ld, rd, shared.setdefault(conj, conj)) for w, ld, rd, conj in rows)
+
+
+def _image_rows(system: CoxeterSystem):
+    """Rows of type A or B (Bjorner-Brenti, GTM 231, 1.5 and 8.1).  With
+    a = w(j) < b = w(j+1), w s_j w^{-1} swaps the values a and b (and -a,
+    -b): it is s_a when 0 < a = b-1, s_|b| when a = b-1 < 0, and not simple
+    when a < 0 < b.  w s_0 w^{-1} negates w(1): it is s_0 when w(1) = 1.
+    The left descents are the right descents of the position list w^{-1}."""
+    n = system.points
+    signed = 0 in system.index_set
     for w in all_elements(system):
-        inv = inverse(w)
+        d = w.data
+        pos = [0] * n
+        for i, x in enumerate(d, 1):
+            pos[abs(x) - 1] = i if x > 0 else -i
         ld = rd = 0
         conj = []
-        for j in system.simple_indices:
-            if is_right_descent(inv, j):
+        if signed:
+            if pos[0] < 0:
+                ld = 1
+            if d[0] < 0:
+                rd = 1
+            conj.append(0 if d[0] == 1 else None)
+        for j in range(1, n):
+            if pos[j - 1] > pos[j]:
                 ld |= 1 << j
-            if is_right_descent(w, j):
+            a, b = d[j - 1], d[j]
+            if a > b:
                 rd |= 1 << j
                 conj.append(None)
+            elif a > 0:
+                conj.append(a if b == a + 1 else None)
             else:
-                conj.append(as_simple(conjugate(w, j)))
-        conj = tuple(conj)
-        rows.append((w, ld, rd, shared.setdefault(conj, conj)))
-    return tuple(rows)
+                conj.append(-b if a == b - 1 else None)
+        yield w, ld, rd, tuple(conj)
+
+
+def _word_rows(system: CoxeterSystem):
+    """Rows of I2(m): the descents are the first and the last letter, or
+    both at length m; w s_j w^{-1} is simple only at the identity (s_j) and
+    at length m-1, where w s_j is the longest element (s_{3 - first letter})."""
+    m = system.bond
+    for w in all_elements(system):
+        word = w.data
+        if not word:
+            yield w, 0, 0, (1, 2)
+        elif len(word) == m:
+            yield w, 0b110, 0b110, (None, None)
+        else:
+            i = 3 - word[0] if len(word) == m - 1 else None
+            yield w, 1 << word[0], 1 << word[-1], tuple(None if j == word[-1] else i for j in (1, 2))
 
 
 def enumerate_cosets(

@@ -559,6 +559,12 @@ def star_product(w: Element, v: Element) -> Element:
     system = w.system
     if system is not v.system:
         raise ValueError("cannot star-multiply elements of different systems")
+    # the identity is the unit: return the other argument itself, not a
+    # copy, so a coset with empty frames keeps one object as min and max
+    if v is system._identity:
+        return w
+    if w is system._identity:
+        return v
     if system.cartan == "I2":
         acc = w
         for i in reduced_word(v):

@@ -146,6 +146,27 @@ def enumerate_core_cosets_oracle(system, right):
     return out
 
 
+def descent_table_oracle(system):
+    """The rows of cs._descent_table by products: the left descents are the
+    right descents of the inverse, and conj[k] is as_simple of the conjugate
+    w s_j w^{-1}, for each simple index j that is not a right descent."""
+    rows = []
+    for w in cx.all_elements(system):
+        inv = cx.inverse(w)
+        ld = rd = 0
+        conj = []
+        for j in system.simple_indices:
+            if cx.is_right_descent(inv, j):
+                ld |= 1 << j
+            if cx.is_right_descent(w, j):
+                rd |= 1 << j
+                conj.append(None)
+            else:
+                conj.append(cx.as_simple(cx.conjugate(w, j)))
+        rows.append((w, ld, rd, tuple(conj)))
+    return rows
+
+
 def redundancy_oracle(p):
     """The left and right redundancy of p by two separate loops: I ∩ min J
     min^{-1} conjugates each s_j, j in J, by min; min^{-1} I min ∩ J

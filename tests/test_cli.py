@@ -82,6 +82,24 @@ def test_enumerate_core(capsys):
     assert out.strip().splitlines()[-1] == "count: 2"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "system",
+    [cx.type_a(r) for r in range(5)] + [cx.type_b(r) for r in range(4)] + [cx.dihedral(5)],
+    ids=str,
+)
+def test_enumerate_core_prints_each_coset_as_print_coset_does(capsys, system, fmt):
+    flags = ["--type", system.cartan, "--rank", str(system.rank), "--format", fmt]
+    if system.bond is not None:
+        flags += ["--bond", str(system.bond)]
+    for J in cs.all_frames(system):
+        found = cs.enumerate_core_cosets(system, J)
+        for _, p in found:
+            cli._print_coset(p, fmt)
+        expected = capsys.readouterr().out + f"count: {len(found)}\n"
+        assert run(capsys, "enumerate-core", *flags, "--right", cs.format_subset(J)) == (0, expected, "")
+
+
 def test_atomic_rex_from_json(capsys):
     doc = json.dumps(
         {"cartan": "A", "rank": 3, "left": [1], "right": [3], "min": [3, 4, 1, 2]}
@@ -517,33 +535,41 @@ def test_verify_scopes_its_caches_to_the_cell_and_the_system(capsys, monkeypatch
         cs._descent_table, atomic._atom, atomic.coset_of_atom,
     ]
     systems = [cx.type_a(r) for r in range(1, 5)]
+
+    def scoped(suite, in_cell):
+        # at each cell line, in_cell(cache, p, frame) holds for every coset p
+        # of the coset-keyed caches, and every key belongs to the system
+        check, supported = _SUITES[suite]
+        seen = []
+
+        def inspecting(system, emit, fail):
+            def inspect(line):
+                frame = cs.parse_subset(line.rpartition("=")[2].partition(":")[0])
+                cosets = [(cache, p) for cache in coset_keyed for (p,) in _cache_keys(cache)]
+                outside = [(cache, p) for cache, p in cosets if not in_cell(cache, p, frame)]
+                assert not outside, (outside[:3], line)
+                keys = [key for cache in system_keyed for key in _cache_keys(cache)]
+                assert all(_system_of(key) is system for key in keys), line
+                seen.append((len(keys), len(cosets)))
+                emit(line)
+
+            check(system, inspect, fail)
+
+        monkeypatch.setitem(cli._SUITES, suite, (inspecting, supported))
+        code, out, err = run(capsys, "verify", suite, "--type", "A", "--max-rank", "4")
+        assert code == 0, err
+        assert len(seen) == sum(2 ** system.rank for system in systems)
+        assert min(n for n, _ in seen) > 0 and max(n for _, n in seen) > 0
+
     # each step reads the maximum of its atom's coset, whose right frame is
     # the remainder's left frame; only max_elem holds those
     atom_cosets = {
         atomic.coset_of_atom(atomic.atomic_from(system, M, s))
         for system in systems for M in cs.all_frames(system) for s in M
     }
-    check, supported = _SUITES["core-atomic"]
-    seen = []
-
-    def inspecting(system, emit, fail):
-        def inspect(line):
-            J = cs.parse_subset(line.rpartition("J=")[2].partition(":")[0])
-            for cache in coset_keyed:
-                for (p,) in _cache_keys(cache):
-                    assert p.right == J or (cache is cs.max_elem and p in atom_cosets), (cache, p, line)
-            keys = [key for cache in system_keyed for key in _cache_keys(cache)]
-            assert all(_system_of(key) is system for key in keys), line
-            seen.append(len(keys))
-            emit(line)
-
-        check(system, inspect, fail)
-
-    monkeypatch.setitem(cli._SUITES, "core-atomic", (inspecting, supported))
-    code, out, err = run(capsys, "verify", "core-atomic", "--type", "A", "--max-rank", "4")
-    assert code == 0, err
-    assert len(seen) == sum(2 ** system.rank for system in systems)
-    assert min(seen) > 0
+    scoped("core-atomic", lambda cache, p, J: p.right == J or (cache is cs.max_elem and p in atom_cosets))
+    # a walk over every coset, by left frame
+    scoped("redundancy-a", lambda cache, p, I: p.left == I)
 
 
 def test_verify_gives_every_library_cache_a_lifetime():

@@ -4,7 +4,13 @@ import pytest
 
 from cosetrex import coxeter as cx
 from cosetrex import cosets as cs
-from conftest import all_subsets, enumerate_core_cosets_oracle, enumerate_cosets_oracle, redundancy_oracle
+from conftest import (
+    all_subsets,
+    descent_table_oracle,
+    enumerate_core_cosets_oracle,
+    enumerate_cosets_oracle,
+    redundancy_oracle,
+)
 
 
 def exs4_p(a3):
@@ -227,6 +233,23 @@ def test_enumerators_match_their_oracles(system):
         assert cs.enumerate_core_cosets(system, J) == enumerate_core_cosets_oracle(system, J)
         for I in frames:
             assert cs.enumerate_cosets(system, I, J) == enumerate_cosets_oracle(system, I, J)
+
+
+@pytest.mark.parametrize(
+    "system",
+    [cx.type_a(r) for r in range(6)] + [cx.type_b(r) for r in range(5)] + [cx.dihedral(m) for m in range(3, 8)],
+    ids=str,
+)
+def test_descent_table_agrees_with_the_product_oracle(system):
+    # rank 0 included: B0's image tuple is empty
+    cx.inverse.cache_clear()
+    cs._descent_table.cache_clear()
+    table = cs._descent_table(system)
+    assert cx.inverse.cache_info().currsize == 0  # no product, so no inverse
+    assert list(table) == descent_table_oracle(system)
+    # equal conj tuples are one object
+    shared = {}
+    assert all(shared.setdefault(conj, conj) is conj for _, _, _, conj in table)
 
 
 def test_enumerators_keep_the_budget(a3):

@@ -293,9 +293,12 @@ def test_reduced_word_is_the_per_letter_word(system):
 )
 def test_star_product_is_the_per_letter_product(system):
     els = list(cx.all_elements(system))
+    e = cx.identity(system)
     for w in els:
         for v in els:
             assert cx.star_product(w, v) == star_product_oracle(w, v)
+        # the identity object is the unit, and the other argument comes back itself
+        assert cx.star_product(w, e) is w and cx.star_product(e, w) is w
 
 
 def test_star_examples(a2):
