@@ -179,9 +179,9 @@ def _greedy_step(cur: DoubleCoset) -> tuple[AtomicCoset, DoubleCoset] | None:
 
 
 def _peel(p: DoubleCoset, a: AtomicCoset, pmax) -> DoubleCoset:
-    # remainder coset q with p = a . q, via max(q) = w_{right(a)} w_{mid(a)} max(p)
-    w = multiply(longest_element(p.system, a.right), longest_element(p.system, a.mid))
-    return coset_of(p.system, a.right, multiply(w, pmax), p.right)
+    # remainder coset q with p = a . q: w_{mid(a)} max(p) = w_{right(a)} max(q)
+    # lies in q, and is min(q) when q is core, so the walk down stops at once
+    return coset_of(p.system, a.right, multiply(longest_element(p.system, a.mid), pmax), p.right)
 
 
 def atomic_words(p: DoubleCoset) -> tuple[tuple[int, ...], ...]:

@@ -211,8 +211,7 @@ def _greedy_step_holds(J: frozenset, cell: set, p) -> bool:
     if step is None:
         return p == cosets.identity_coset(p.system, J)
     head, q = atomic.coset_of_atom(step[0]), step[1]
-    return (q in cell and q.left == head.right and cosets.is_reduced_composition(head, q)
-            and cosets.star_compose(head, q) == p)
+    return q in cell and q.left == head.right and cosets.composes_reducedly_to(head, q, p)
 
 
 def _check_squash_bijection(system: CoxeterSystem, J: frozenset, found, fail) -> None:

@@ -178,13 +178,32 @@ def star_compose(p: DoubleCoset, q: DoubleCoset) -> DoubleCoset:
     return coset_of(p.system, p.left, x, q.right)
 
 
-def is_reduced_composition(p: DoubleCoset, q: DoubleCoset) -> bool:
-    """True iff l(max(p) w_J^{-1}) + l(max(q)) is attained by the product."""
+def _head(p: DoubleCoset, q: DoubleCoset) -> Element:
+    """max(p) w_J for composable p and q, J = p.right; w_J is an involution."""
     if p.system != q.system or p.right != q.left:
         raise ValueError("frame mismatch in coset composition")
-    a = multiply(max_elem(p), inverse(longest_element(p.system, p.right)))
-    b = max_elem(q)
+    return multiply(max_elem(p), longest_element(p.system, p.right))
+
+
+def is_reduced_composition(p: DoubleCoset, q: DoubleCoset) -> bool:
+    """True iff l(max(p) w_J^{-1}) + l(max(q)) is attained by the product."""
+    a, b = _head(p, q), max_elem(q)
     return length(multiply(a, b)) == length(a) + length(b)
+
+
+def composes_reducedly_to(p: DoubleCoset, q: DoubleCoset, r: DoubleCoset) -> bool:
+    """True iff p . q is reduced and equals r.
+
+    With a = max(p) w_J and b = max(q), w_J is a right factor of max(p) and
+    a left factor of max(q), so when the lengths add the star product
+    max(p) * max(q) is a b, the maximum of p . q: one product, compared
+    with max(r) before any length is counted.
+    """
+    a, b = _head(p, q), max_elem(q)
+    if (r.left, r.right) != (p.left, q.right):
+        return False
+    rmax = max_elem(r)
+    return multiply(a, b) == rmax and length(rmax) == length(a) + length(b)
 
 
 def _coset_sort_key(p: DoubleCoset):

@@ -201,11 +201,22 @@ def atomic_rex_of_core_oracle(p):
         t = cx.as_simple(cx.conjugate(w_mid, s))
         a = at.AtomicCoset(p.system, mid - {s}, mid, mid - {t}, s, t)
         atoms.append(a)
-        # the remainder q with cur = a . q has maximum w_{right(a)} w_mid max(cur)
-        w = cx.multiply(cs.longest_element(p.system, a.right), w_mid)
-        cur = cs.coset_of(p.system, a.right, cx.multiply(w, pmax), p.right)
+        cur = peel_oracle(cur, a, pmax)
     assert cur.left == cur.right and cur.min == cx.identity(p.system)
     return tuple(atoms)
+
+
+def peel_oracle(p, a, pmax):
+    """The remainder q with p = a . q, walked down from its maximum
+    w_{right(a)} w_{mid(a)} max(p)."""
+    w = cx.multiply(cs.longest_element(p.system, a.right), cs.longest_element(p.system, a.mid))
+    return cs.coset_of(p.system, a.right, cx.multiply(w, pmax), p.right)
+
+
+def reduced_composite_oracle(p, q):
+    """p . q when the composition is reduced, else None: reducedness by
+    lengths, then the star composition folded from a reduced word of max(q)."""
+    return cs.star_compose(p, q) if cs.is_reduced_composition(p, q) else None
 
 
 def compose_atomics_oracle(system, atoms, empty_frame=None):

@@ -11,7 +11,9 @@ from conftest import (
     all_subsets,
     atomic_rex_of_core_oracle,
     compose_atomics_oracle,
+    peel_oracle,
     recursion_headroom,
+    reduced_composite_oracle,
 )
 
 
@@ -83,6 +85,23 @@ def test_greedy_rex_matches_the_uncached_oracle(system, order):
     at._greedy_step.cache_clear()
     for p in found:
         assert at.atomic_rex_of_core(p) == atomic_rex_of_core_oracle(p)
+
+
+@pytest.mark.parametrize("system", SMALL_SYSTEMS, ids=str)
+def test_each_step_peels_to_the_oracles_remainder(system):
+    # every possible first atom of every core coset, the greedy one among
+    # them; the remainder composes reducedly with the atom to p
+    for J in all_subsets(system):
+        for _, p in cs.enumerate_core_cosets(system, J):
+            pmax = cs.max_elem(p)
+            atoms = [at.atomic_from(system, p.left | {s}, s) for s in sorted(cx.left_descents(pmax) - p.left)]
+            steps = at._atomic_steps(p)
+            assert [i for i, _ in steps] == [at.atomic_index(a) for a in atoms]
+            for a, (_, q) in zip(atoms, steps):
+                assert q == peel_oracle(p, a, pmax)
+                head = at.coset_of_atom(a)
+                assert cs.composes_reducedly_to(head, q, p)
+                assert reduced_composite_oracle(head, q) == p
 
 
 def test_is_atomic_examples(a2, a3):

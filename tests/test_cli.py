@@ -424,12 +424,19 @@ def _rebind_everywhere(monkeypatch, old, new):
 
 
 def _negate_reducedness(monkeypatch):
+    # both reducedness checks: the two-call one and the one-product one
     right = cs.is_reduced_composition
     _rebind_everywhere(monkeypatch, right, lambda p, q: not right(p, q))
+    composes = cs.composes_reducedly_to
+    _rebind_everywhere(monkeypatch, composes, lambda p, q, r: not composes(p, q, r))
 
 
 def _compose_to_the_tail(monkeypatch):
+    # both composites: star_compose's, and the one composes_reducedly_to
+    # compares against
     monkeypatch.setattr(cs, "star_compose", lambda p, q: q)
+    right = cs.composes_reducedly_to
+    monkeypatch.setattr(cs, "composes_reducedly_to", lambda p, q, r: right(p, q, q))
 
 
 def _no_right_redundancy(monkeypatch):
@@ -459,6 +466,7 @@ _WALK_FAULTS = [
     (_negate_reducedness, "core-atomic", "A", "3"),
     (_compose_to_the_tail, "core-atomic", "A", "3"),
     (_negate_reducedness, "mimimi", "A", "3"),
+    (_compose_to_the_tail, "mimimi", "A", "3"),
     (_no_right_redundancy, "redundancy-a", "A", "3"),
     (_peel_to_itself, "core-atomic", "A", "3"),
     (_unsquash_off_the_minimum, "squash-bijection", "A", "3"),
@@ -514,6 +522,27 @@ def test_a_failed_cross_check_ends_its_system_only(capsys, monkeypatch):
     assert all(f"rank={r}," in line for r, line in zip((1, 2, 3), fails))
     assert all("atomic peeling failed to shorten the coset DoubleCoset(" in line for line in fails)
     assert "Traceback" not in err
+
+
+def test_core_atomic_walks_each_remainder_once(capsys, monkeypatch):
+    # one coset_of per greedy step, from the remainder's minimum, and one per
+    # atom's coset; no star composition
+    calls = {"coset_of": 0, "star_compose": 0}
+    for name in calls:
+        right = getattr(cs, name)
+
+        def counted(*args, name=name, right=right):
+            calls[name] += 1
+            return right(*args)
+
+        _rebind_everywhere(monkeypatch, right, counted)
+    code, out, err = run(capsys, "verify", "core-atomic", "--type", "A", "--max-rank", "4")
+    assert code == 0, err
+    systems = [cx.type_a(r) for r in range(1, 5)]
+    cores = sum(len(cs.enumerate_core_cosets(s, J)) for s in systems for J in cs.all_frames(s))
+    atoms = sum(len(M) for s in systems for M in cs.all_frames(s))
+    assert calls["star_compose"] == 0
+    assert 0 < calls["coset_of"] <= cores + atoms
 
 
 def _cache_keys(cache):

@@ -9,6 +9,7 @@ from conftest import (
     descent_table_oracle,
     enumerate_core_cosets_oracle,
     enumerate_cosets_oracle,
+    reduced_composite_oracle,
     redundancy_oracle,
 )
 
@@ -157,6 +158,29 @@ def test_is_reduced_composition_examples(a2, a3):
     assert cs.is_reduced_composition(p, cs.identity_coset(a3, p.right))
     with pytest.raises(ValueError):
         cs.is_reduced_composition(p, p)
+
+
+@pytest.mark.parametrize(
+    "system",
+    [cx.type_a(r) for r in (1, 2, 3)] + [cx.type_b(r) for r in (1, 2)] + [cx.dihedral(m) for m in (3, 5)],
+    ids=str,
+)
+def test_composes_reducedly_to_agrees_with_the_two_call_check(system):
+    # every composable triple (p, q, r): p an (I, J)-, q a (J, K)- and r an (I, K)-coset
+    frames = cs.all_frames(system)
+    found = {(I, J): cs.enumerate_cosets(system, I, J) for I in frames for J in frames}
+    for (I, J), ps in found.items():
+        for K in frames:
+            for p in ps:
+                for q in found[J, K]:
+                    composite = reduced_composite_oracle(p, q)
+                    for r in found[I, K]:
+                        assert cs.composes_reducedly_to(p, q, r) == (r == composite), (p, q, r)
+                    if I != J:  # q's frames are not the composite's
+                        assert not cs.composes_reducedly_to(p, q, q)
+    p = found[frozenset(), system.index_set][0]
+    with pytest.raises(ValueError, match="frame mismatch"):
+        cs.composes_reducedly_to(p, p, p)
 
 
 @pytest.mark.parametrize("system", [cx.type_a(3), cx.type_b(2)], ids=str)
