@@ -27,16 +27,14 @@ from .coxeter import (
 from .cosets import (
     DoubleCoset,
     Frame,
-    all_frames,
     check_subset,
     coset_of,
+    core,
     identity_coset,
     is_core,
     is_reduced_composition,
-    left_redundancy,
     longest_element,
     max_elem,
-    right_redundancy,
     star_compose,
 )
 from .expressions import (
@@ -240,50 +238,14 @@ def one_step_of_atoms(
 
 def factor_through_core(p: DoubleCoset) -> MultistepExpression:
     """A reduced expression of p through its core, using the greedy atomic part."""
-    K = left_redundancy(p)
-    L = right_redundancy(p)
-    inner = coset_of(p.system, K, p.min, L)
+    inner = core(p)
+    K, L = inner.left, inner.right
     expr = to_multistep(one_step_of_atoms(p.system, atomic_rex_of_core(inner), K))
     if K != p.left:
         expr = concatenate(MultistepExpression(p.system, (p.left, p.left, K)), expr)
     if L != p.right:
         expr = concatenate(expr, MultistepExpression(p.system, (L, p.right, p.right)))
     return expr
-
-
-def atomic_composition_closure(
-    system: CoxeterSystem, max_factors: int | None = None
-) -> set[DoubleCoset]:
-    """Cosets expressible as star compositions of atomic cosets.
-
-    Breadth-first search seeded by the atomic cosets themselves, extending
-    by one more atomic factor on the left each round; non-reduced
-    compositions are kept.  ``max_factors`` bounds the factor count, else
-    the search runs to saturation.  This is an exhaustive search utility,
-    not a membership decision procedure for larger groups.
-    """
-    atoms = [
-        atomic_from(system, M, s)
-        for M in all_frames(system)
-        for s in sorted(M)
-    ]
-    by_right: dict[Frame, list[DoubleCoset]] = {}
-    for a in atoms:
-        by_right.setdefault(a.right, []).append(coset_of_atom(a))
-    frontier = {coset_of_atom(a) for a in atoms}
-    seen = set(frontier)
-    factors = 1
-    while frontier and (max_factors is None or factors < max_factors):
-        nxt = set()
-        for p in frontier:
-            for a in by_right.get(p.left, ()):
-                q = star_compose(a, p)
-                if q not in seen:
-                    seen.add(q)
-                    nxt.add(q)
-        frontier = nxt
-        factors += 1
-    return seen
 
 
 def compose_atomics(

@@ -49,6 +49,10 @@ def _cmd_eval_expr(args) -> int:
 
 def _coset_from_args(args):
     if args.coset:
+        extra = [f"--{flag}" for flag in ("left", "right", "min", "rank", "bond")
+                 if getattr(args, flag) is not None]
+        if extra:
+            raise ValueError(f"--coset gives the whole coset; drop {', '.join(extra)}")
         try:
             doc = json.loads(args.coset)
         except RecursionError:

@@ -581,53 +581,6 @@ def star_product(w: Element, v: Element) -> Element:
     return Element(system, tuple(d))
 
 
-def bruhat_leq(w: Element, v: Element) -> bool:
-    """Bruhat order via subword search along a fixed reduced word of v.
-
-    sub(u, k) asks whether u is a subword product of word[k:]; it is
-    (s_i u is one of word[k+1:], when i = word[k] is a left descent of u)
-    or (u is one of word[k+1:]).  The search runs on an explicit stack
-    over the (u, k) memo, so no recursion limit caps the length of v.
-    """
-    if w.system is not v.system:
-        raise ValueError("cannot compare elements of different systems")
-    word = reduced_word(v)
-    system = w.system
-    memo: dict[tuple[Element, int], bool] = {}
-
-    def settled(u: Element, k: int) -> bool | None:
-        """sub(u, k) if it is known without a search, else None."""
-        lu = length(u)
-        if lu == 0:
-            return True
-        if lu > len(word) - k:
-            return False
-        return memo.get((u, k))
-
-    stack = [(w, 0)]
-    while stack:
-        u, k = stack[-1]
-        if settled(u, k) is not None:
-            stack.pop()
-            continue
-        i = word[k]
-        if is_left_descent(u, i):
-            down = multiply(simple(system, i), u)
-            found = settled(down, k + 1)
-            if found is None:
-                stack.append((down, k + 1))
-                continue
-            if found:
-                memo[u, k] = True
-                continue
-        found = settled(u, k + 1)
-        if found is None:
-            stack.append((u, k + 1))
-            continue
-        memo[u, k] = found
-    return settled(w, 0)
-
-
 def conjugate(w: Element, i: int) -> Element:
     """w s_i w^{-1}."""
     return multiply(multiply(w, simple(w.system, i)), inverse(w))

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .coxeter import CoxeterSystem, identity, inverse, length, multiply, star_product
+from .coxeter import CoxeterSystem, identity, length, multiply, star_product
 from .cosets import (
     DoubleCoset,
     Frame,
@@ -139,15 +139,6 @@ def to_multistep(expr: OneStepExpression) -> MultistepExpression:
     return _zigzag(expr.system, chain)
 
 
-def to_one_step(expr: MultistepExpression) -> OneStepExpression:
-    steps: list[tuple[int, int]] = []
-    frames = expr.frames
-    for t in range(1, len(frames), 2):
-        steps.extend((1, s) for s in sorted(frames[t] - frames[t - 1]))
-        steps.extend((-1, s) for s in sorted(frames[t] - frames[t + 1]))
-    return OneStepExpression(expr.system, frames[0], tuple(steps))
-
-
 def _as_multistep(expr: Expression) -> MultistepExpression:
     if isinstance(expr, OneStepExpression):
         return to_multistep(expr)
@@ -167,7 +158,8 @@ def evaluate(expr: Expression) -> DoubleCoset:
 
 
 def is_reduced(expr: Expression) -> bool:
-    """Whether the alternating length sum is attained by the ordinary product."""
+    """Whether the alternating length sum is attained by the ordinary product
+    w_K1 w_I1^{-1} w_K2 ...; each w_I is an involution, so w_I^{-1} = w_I."""
     M = _as_multistep(expr)
     frames = M.frames if len(M.frames) >= 3 else (M.frames[0],) * 3
     tops = frames[1::2]
@@ -178,7 +170,7 @@ def is_reduced(expr: Expression) -> bool:
         prod = multiply(prod, longest_element(M.system, K))
         target += parabolic_length(M.system, K)
         if t < len(interior):
-            prod = multiply(prod, inverse(longest_element(M.system, interior[t])))
+            prod = multiply(prod, longest_element(M.system, interior[t]))
             target -= parabolic_length(M.system, interior[t])
     return length(prod) == target
 
@@ -189,20 +181,6 @@ def concatenate(left: MultistepExpression, right: MultistepExpression) -> Multis
     if left.frames[-1] != right.frames[0]:
         raise ValueError("frame mismatch: concatenation needs matching end frames")
     return MultistepExpression(left.system, left.frames + right.frames[1:])
-
-
-def reverse(expr: MultistepExpression) -> MultistepExpression:
-    return MultistepExpression(expr.system, expr.frames[::-1])
-
-
-def expressions_equivalent(a: Expression, b: Expression) -> bool:
-    """Same outer frames, both reduced, same coset."""
-    ma, mb = _as_multistep(a), _as_multistep(b)
-    if ma.system != mb.system:
-        raise ValueError("cannot compare expressions of different systems")
-    if ma.frames[0] != mb.frames[0] or ma.frames[-1] != mb.frames[-1]:
-        raise ValueError("frame mismatch: expressions have different outer frames")
-    return is_reduced(ma) and is_reduced(mb) and evaluate(ma) == evaluate(mb)
 
 
 _TOKEN = re.compile(r"\[\[|\]\]|\[|\]|\{|\}|,|<|>|\+|-|\d+")

@@ -24,7 +24,6 @@ from .cosets import (
     star_compose,
 )
 from .atomic import atomic_generator, coset_of_atom, squashed_system
-from .squash_a import glued_runs
 
 
 @dataclass(eq=True)
@@ -54,15 +53,6 @@ def identity_morphism(system: CoxeterSystem, frame: Iterable[int]) -> ADMorphism
     return basis_morphism(identity_coset(system, frame))
 
 
-def d_compose(p: DoubleCoset, q: DoubleCoset) -> ADMorphism:
-    """d_p . d_q: the composite symbol when reduced, zero otherwise."""
-    if p.system != q.system or p.right != q.left:
-        raise ValueError("frame mismatch in symbol composition")
-    if is_reduced_composition(p, q):
-        return basis_morphism(star_compose(p, q))
-    return zero_morphism(p.system, q.right, p.left)
-
-
 def add(f: ADMorphism, g: ADMorphism) -> ADMorphism:
     if (f.system, f.source, f.target) != (g.system, g.source, g.target):
         raise ValueError("cannot add morphisms with different frames")
@@ -81,7 +71,8 @@ def scale(f: ADMorphism, n: int) -> ADMorphism:
 
 
 def ad_compose(f: ADMorphism, g: ADMorphism) -> ADMorphism:
-    """Bilinear extension of d_compose; apply g first, then f."""
+    """f . g, applying g first: bilinear in f and g, with d_p . d_q = d_{p*q}
+    when the star composition p * q is reduced and 0 otherwise."""
     if f.system != g.system or f.source != g.target:
         raise ValueError("frame mismatch in morphism composition")
     coeffs: dict[DoubleCoset, int] = {}
@@ -162,25 +153,3 @@ def verify_relations(system: CoxeterSystem) -> RelationReport:
             lhs, rhs = braid_relation(small, i, j)
             record(f"braid {lhs} = {rhs}", J, psi(system, J, lhs) == psi(system, J, rhs))
     return report
-
-
-def composition_of(system: CoxeterSystem, J: Iterable[int]) -> tuple[int, ...]:
-    """The block-size composition identifying the object J: the lengths of
-    the runs of the window glued along J (in type B the first part counts 0
-    and the positive points of the central block)."""
-    return tuple(len(run) for run in glued_runs(system, J))
-
-
-def frame_from_composition(system: CoxeterSystem, parts: Sequence[int]) -> Frame:
-    """Inverse of composition_of."""
-    if any(part < 1 for part in parts):
-        raise ValueError("composition parts must be positive")
-    start = system.simple_indices.start
-    total = system.points - start + 1
-    if sum(parts) != total:
-        raise ValueError(f"composition must sum to {total}")
-    out, x = set(), start
-    for part in parts:
-        out.update(range(x, x + part - 1))
-        x += part
-    return frozenset(out)

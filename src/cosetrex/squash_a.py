@@ -45,16 +45,6 @@ def _split(system: CoxeterSystem, J: Iterable[int]) -> tuple[int, tuple[tuple[in
     return 0, runs
 
 
-def block_classes(system: CoxeterSystem, J: Iterable[int]) -> tuple[tuple[int, ...], ...]:
-    """The ordered blocks of the window glued along J: in type B the
-    symmetric central block C_0 first, then the positive blocks, with
-    C_{-c} = -C_c implied."""
-    runs = glued_runs(system, J)
-    if runs[0][0] == 0:
-        return (tuple(range(-runs[0][-1], runs[0][-1] + 1)),) + runs[1:]
-    return runs
-
-
 def _block_images(y: Element, I: Frame, J: Frame) -> tuple[int, ...] | None:
     """The signed index of the I-block each non-central J-block is carried
     onto (blocks numbered from 1), or None if y breaks a block or moves the
@@ -75,15 +65,6 @@ def _block_images(y: Element, I: Frame, J: Frame) -> tuple[int, ...] | None:
             return None
         out.append(d if vals[0] > 0 else -d)
     return tuple(out)
-
-
-def is_block_permutation(y: Element, I: Iterable[int], J: Iterable[int]) -> bool:
-    """Whether y carries each J-block order-preservingly onto an I-block."""
-    I = check_subset(y.system, I)
-    J = check_subset(y.system, J)
-    if len(I) != len(J):
-        raise ValueError("block permutations need frames of equal size")
-    return _block_images(y, I, J) is not None
 
 
 def squash_coset(p: DoubleCoset) -> Element:

@@ -368,27 +368,6 @@ def test_every_core_coset_has_reduced_greedy_rex(system):
             assert ex.evaluate(one) == p
 
 
-def test_atomic_composition_closure(a2, a3):
-    # the complement of the identity ({1},{1})-coset of S3 is reachable only
-    # through a non-reduced composition, and is reached
-    closure = at.atomic_composition_closure(a2)
-    p = cs.coset_of(a2, {1}, cx.simple(a2, 2), {1})
-    assert p in closure
-    assert not cs.is_core(p)
-    # the stranded S4 coset is not a composition of atomic cosets at all
-    q = cs.coset_of(a3, {1, 3}, cx.simple(a3, 2), {1, 3})
-    assert q not in at.atomic_composition_closure(a3)
-    # every core coset appears, except identity cosets (no empty product)
-    for J in all_subsets(a3):
-        for _, r in cs.enumerate_core_cosets(a3, J):
-            if r.min != cx.identity(a3) or at.is_atomic(r):
-                assert r in at.atomic_composition_closure(a3)
-    # the factor bound truncates the search
-    assert at.atomic_composition_closure(a3, max_factors=1) == {
-        at.coset_of_atom(a) for a in all_atoms(a3)
-    }
-
-
 def test_triple_power_collapses(a3, b2):
     # chaining the same generator index three times lands back on the atom
     for system in (a3, b2):

@@ -192,6 +192,7 @@ def test_verify_unknown_suite_usage_error(capsys):
     capsys.readouterr()
 
 
+A3_CORE = json.dumps({"cartan": "A", "rank": 3, "left": [1], "right": [3], "min": [3, 4, 1, 2]})
 I2_COSET = json.dumps({"cartan": "I2", "rank": 2, "bond": 5, "left": [], "right": [], "min": [1]})
 # nested deeper than the JSON decoder's recursion limit
 DEEP_JSON = "[" * 100000
@@ -214,6 +215,9 @@ DEEP_JSON = "[" * 100000
         ("unsquash", "--type", "A", "--rank", "3", "--right", "{3}", "--sigma", "[2,3,1]", "--bond", "4"),
         ("atomic-rex", "--left", "{1}", "--right", "{3}", "--min", "[3,4,1,2]"),
         ("squash", "--left", "{1}", "--right", "{3}", "--min", "[3,4,1,2]"),
+        # --coset gives the whole coset, so any other coset flag is refused
+        ("atomic-rex", "--coset", A3_CORE, "--left", "{2}", "--rank", "7"),
+        ("squash", "--coset", A3_CORE, "--min", "[1,2,3,4]"),
         ("verify", "core-atomic", "--type", "A", "--max-rank", "4", "--budget", "100"),
         ("enumerate-core", "--type", "A", "--rank", "7", "--right", "{}"),
         ("enumerate-core", "--type", "A", "--rank", "100000", "--right", "{}"),

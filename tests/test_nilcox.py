@@ -15,20 +15,21 @@ def exs4_p(a3):
 
 
 def test_d_compose_examples(a2, a3):
+    d = nc.basis_morphism
     p = exs4_p(a3)
-    assert nc.d_compose(p, cs.identity_coset(a3, p.right)) == nc.basis_morphism(p)
+    assert nc.ad_compose(d(p), d(cs.identity_coset(a3, p.right))) == d(p)
     # the opposed rank-2 atoms compose to zero
     a = at.coset_of_atom(at.atomic_from(a2, {1, 2}, 2))
     b = at.coset_of_atom(at.atomic_from(a2, {1, 2}, 1))
-    z = nc.d_compose(a, b)
+    z = nc.ad_compose(d(a), d(b))
     assert z.coeffs == {}
     assert z.source == frozenset({1}) and z.target == frozenset({1})
     # the two chained worked-example atoms compose to the worked-example symbol
     first = at.coset_of_atom(at.atomic_from(a3, {1, 2}, 2))
     second = at.coset_of_atom(at.atomic_from(a3, {2, 3}, 3))
-    assert nc.d_compose(first, second) == nc.basis_morphism(p)
+    assert nc.ad_compose(d(first), d(second)) == d(p)
     with pytest.raises(ValueError):
-        nc.d_compose(first, first)
+        nc.ad_compose(d(first), d(first))
 
 
 def test_ad_compose_bilinear(a3):
@@ -164,31 +165,13 @@ def test_s4_noncore_coset_unreachable(a3):
         assert q not in nc.reachable_cosets(a3, J)
 
 
-def test_compositions(a3, b3):
-    assert nc.composition_of(a3, frozenset({1})) == (2, 1, 1)
-    assert nc.composition_of(a3, frozenset({1, 3})) == (2, 2)
-    assert nc.frame_from_composition(a3, (2, 2)) == frozenset({1, 3})
-    assert nc.frame_from_composition(a3, (1, 1, 1, 1)) == frozenset()
-    assert nc.composition_of(b3, frozenset({0, 2})) == (2, 2)
-    assert nc.composition_of(b3, frozenset()) == (1, 1, 1, 1)
-    assert nc.frame_from_composition(b3, (2, 2)) == frozenset({0, 2})
-    assert nc.frame_from_composition(b3, (1, 1, 1, 1)) == frozenset()
-    for J in all_subsets(a3):
-        assert nc.frame_from_composition(a3, nc.composition_of(a3, J)) == J
-    for J in all_subsets(b3):
-        assert nc.frame_from_composition(b3, nc.composition_of(b3, J)) == J
-    with pytest.raises(ValueError):
-        nc.frame_from_composition(a3, (2, 1))
-    with pytest.raises(ValueError):
-        nc.frame_from_composition(b3, (0, 4))
-
-
 def test_running_example_strand_labels():
     system = cx.type_a(10)
     left = frozenset({2, 3, 6, 10})
     right = frozenset({3, 4, 6, 9})
-    assert nc.composition_of(system, right) == (1, 1, 3, 2, 1, 2, 1)
-    assert nc.composition_of(system, left) == (1, 3, 1, 2, 1, 1, 2)
+    # the strand labels are the run lengths of the window glued along a frame
+    assert tuple(map(len, sqa.glued_runs(system, right))) == (1, 1, 3, 2, 1, 2, 1)
+    assert tuple(map(len, sqa.glued_runs(system, left))) == (1, 3, 1, 2, 1, 1, 2)
     f = nc.psi(system, right, (5, 6, 4, 5, 3, 4, 2))
     (p,) = f.coeffs
     assert p.left == left and p.right == right

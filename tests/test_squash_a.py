@@ -14,22 +14,23 @@ def exs4_p(a3):
     return cs.coset_of(a3, {1}, cx.element_from_word(a3, (2, 1, 3, 2)), {3})
 
 
-def test_block_classes_examples():
+def test_glued_runs_examples(a3):
     a6 = cx.type_a(6)
-    assert sq.block_classes(a6, {2, 3, 6}) == ((1,), (2, 3, 4), (5,), (6, 7))
-    assert sq.block_classes(a6, frozenset()) == tuple((x,) for x in range(1, 8))
-    assert sq.block_classes(a6, set(range(1, 7))) == (tuple(range(1, 8)),)
+    assert sq.glued_runs(a6, {2, 3, 6}) == ((1,), (2, 3, 4), (5,), (6, 7))
+    assert sq.glued_runs(a6, frozenset()) == tuple((x,) for x in range(1, 8))
+    assert sq.glued_runs(a6, set(range(1, 7))) == (tuple(range(1, 8)),)
+    assert sq.glued_runs(a3, {1}) == ((1, 2), (3,), (4,))
+    assert sq.glued_runs(a3, {1, 3}) == ((1, 2), (3, 4))
     with pytest.raises(ValueError):
-        sq.block_classes(cx.dihedral(5), {1})
+        sq.glued_runs(cx.dihedral(5), {1})
 
 
-def test_is_block_permutation(a3):
-    assert sq.is_block_permutation(cx.identity(a3), {1, 3}, {1, 3})
+def test_block_images(a3):
+    assert sq._block_images(cx.identity(a3), frozenset({1, 3}), frozenset({1, 3})) is not None
     y = cx.element_from_images(a3, (3, 4, 1, 2))
-    assert sq.is_block_permutation(y, {1}, {3})
-    assert not sq.is_block_permutation(cx.element_from_images(a3, (2, 1, 3, 4)), {1}, {3})
-    with pytest.raises(ValueError):
-        sq.is_block_permutation(y, {1}, {1, 2})
+    assert sq._block_images(y, frozenset({1}), frozenset({3})) is not None
+    swap = cx.element_from_images(a3, (2, 1, 3, 4))
+    assert sq._block_images(swap, frozenset({1}), frozenset({3})) is None
 
 
 def test_squash_examples(a3):

@@ -10,21 +10,24 @@ from cosetrex import squash_b as sq
 from conftest import all_subsets
 
 
-def test_block_classes_b_examples(b2):
-    assert sqa.block_classes(b2, frozenset()) == ((0,), (1,), (2,))
-    assert sqa.block_classes(b2, {0}) == ((-1, 0, 1), (2,))
-    assert sqa.block_classes(b2, {1}) == ((0,), (1, 2))
-    assert sqa.block_classes(b2, {0, 1}) == ((-2, -1, 0, 1, 2),)
+def test_glued_runs_b_examples(b2, b3):
+    # the window starts at 0; the run through 0 spreads to the central block
+    assert sqa.glued_runs(b2, frozenset()) == ((0,), (1,), (2,))
+    assert sqa.glued_runs(b2, {0}) == ((0, 1), (2,))
+    assert sqa.glued_runs(b2, {1}) == ((0,), (1, 2))
+    assert sqa.glued_runs(b2, {0, 1}) == ((0, 1, 2),)
+    assert sqa.glued_runs(b3, {0, 2}) == ((0, 1), (2, 3))
+    assert sqa.glued_runs(b3, frozenset()) == ((0,), (1,), (2,), (3,))
     with pytest.raises(ValueError):
-        sqa.block_classes(cx.dihedral(4), {1})
+        sqa.glued_runs(cx.dihedral(4), {1})
 
 
-def test_is_block_permutation_b(b2):
-    assert sqa.is_block_permutation(cx.identity(b2), {0}, {0})
+def test_block_images_b(b2):
+    assert sqa._block_images(cx.identity(b2), frozenset({0}), frozenset({0})) is not None
     w0 = cs.longest_element(b2, frozenset({0, 1}))
-    assert sqa.is_block_permutation(w0, frozenset(), frozenset())
-    # s1 breaks the J = {1} block {1,2}
-    assert not sqa.is_block_permutation(cx.simple(b2, 0), {1}, {1})
+    assert sqa._block_images(w0, frozenset(), frozenset()) is not None
+    # s0 negates 1, which breaks the J = {1} block {1,2}
+    assert sqa._block_images(cx.simple(b2, 0), frozenset({1}), frozenset({1})) is None
 
 
 def test_squash_examples(b2):
