@@ -236,6 +236,20 @@ def test_unsupported_input_is_a_one_line_usage_error(capsys, argv):
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--left", "{1}"), ("--right", "{3}"), ("--min", "[3,4,1,2]"), ("--rank", "3"), ("--bond", "4")],
+)
+def test_coset_with_another_coset_flag_names_the_flag(capsys, flag, value):
+    # each value agrees with A3_CORE, and the flag is refused all the same
+    for command in ("atomic-rex", "squash"):
+        code, out, err = run(capsys, command, "--coset", A3_CORE, flag, value)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.rstrip().endswith(f"drop {flag}")
+        code, out, _ = run(capsys, command, "--coset", A3_CORE)
+        assert code == 0 and out
+
+
 @pytest.mark.parametrize("command", ["atomic-rex", "squash"])
 def test_coset_flags_without_a_rank_name_the_missing_rank(capsys, command):
     code, _, err = run(capsys, command, "--left", "{1}", "--right", "{3}", "--min", "[3,4,1,2]")

@@ -7,7 +7,7 @@ from cosetrex import cosets as cs
 from cosetrex import coxeter as cx
 from cosetrex import nilcox as nc
 from cosetrex import squash_a as sqa
-from conftest import all_subsets
+from conftest import all_subsets, reduced_composite_oracle
 
 
 def exs4_p(a3):
@@ -30,6 +30,21 @@ def test_d_compose_examples(a2, a3):
     assert nc.ad_compose(d(first), d(second)) == d(p)
     with pytest.raises(ValueError):
         nc.ad_compose(d(first), d(first))
+
+
+@pytest.mark.parametrize("system", [cx.type_a(2), cx.type_b(2), cx.dihedral(5)], ids=str)
+def test_ad_compose_follows_the_basis_rule(system):
+    # d_p . d_q = d_{p*q} when p * q is reduced and 0 otherwise, on every composable pair
+    frames = all_subsets(system)
+    for I in frames:
+        for J in frames:
+            for K in frames:
+                for p in cs.enumerate_cosets(system, I, J):
+                    for q in cs.enumerate_cosets(system, J, K):
+                        f = nc.ad_compose(nc.basis_morphism(p), nc.basis_morphism(q))
+                        assert (f.source, f.target) == (K, I)
+                        r = reduced_composite_oracle(p, q)
+                        assert f.coeffs == ({} if r is None else {r: 1})
 
 
 def test_ad_compose_bilinear(a3):

@@ -25,6 +25,20 @@ def test_glued_runs_examples(a3):
         sq.glued_runs(cx.dihedral(5), {1})
 
 
+@pytest.mark.parametrize("system", [cx.type_a(1), cx.type_a(4), cx.type_b(3)], ids=str)
+def test_glued_runs_partition_the_window(system):
+    start = system.simple_indices.start
+    window = tuple(range(start, system.points + 1))
+    for J in all_subsets(system):
+        runs = sq.glued_runs(system, J)
+        assert sum(runs, ()) == window
+        assert len(runs) == len(window) - len(J)
+        # x - 1 and x share a run exactly when x - 1 is in J
+        for run in runs:
+            assert all(x - 1 in J for x in run[1:])
+        assert all(run[0] - 1 not in J for run in runs[1:])
+
+
 def test_block_images(a3):
     assert sq._block_images(cx.identity(a3), frozenset({1, 3}), frozenset({1, 3})) is not None
     y = cx.element_from_images(a3, (3, 4, 1, 2))
