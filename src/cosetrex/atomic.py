@@ -30,12 +30,9 @@ from .cosets import (
     check_subset,
     coset_of,
     core,
-    identity_coset,
     is_core,
-    is_reduced_composition,
     longest_element,
     max_elem,
-    star_compose,
 )
 from .expressions import (
     MultistepExpression,
@@ -219,21 +216,16 @@ def matsumoto_connected(p: DoubleCoset, classes: dict | None = None, pairs: dict
     return same_paths({start}, braid_steps, {p}, _atomic_steps, {} if pairs is None else pairs)
 
 
-def one_step_of_atoms(
-    system: CoxeterSystem, atoms: Sequence[AtomicCoset], start: Iterable[int] | None = None
-) -> OneStepExpression:
-    """Serialize a chained atom sequence as [I +s -t +s' -t' ...]."""
-    if not atoms:
-        if start is None:
-            raise ValueError("an empty atom sequence needs an explicit frame")
-        return OneStepExpression(system, check_subset(system, start), ())
+def one_step_of_atoms(system: CoxeterSystem, atoms: Sequence[AtomicCoset], start: Iterable[int]) -> OneStepExpression:
+    """Serialize a chain of atoms from the frame start as [start +s -t +s' -t' ...]."""
+    start = cur = check_subset(system, start)
     steps: list[tuple[int, int]] = []
-    for k, a in enumerate(atoms):
-        if k and atoms[k - 1].right != a.left:
+    for a in atoms:
+        if a.left != cur:
             raise ValueError("frame mismatch in atom sequence")
-        steps.append((1, a.added))
-        steps.append((-1, a.removed))
-    return OneStepExpression(system, atoms[0].left, tuple(steps))
+        steps += ((1, a.added), (-1, a.removed))
+        cur = a.right
+    return OneStepExpression(system, start, tuple(steps))
 
 
 def factor_through_core(p: DoubleCoset) -> MultistepExpression:
@@ -247,28 +239,3 @@ def factor_through_core(p: DoubleCoset) -> MultistepExpression:
         expr = concatenate(expr, MultistepExpression(p.system, (L, p.right, p.right)))
     return expr
 
-
-def compose_atomics(
-    system: CoxeterSystem,
-    atoms: Sequence[AtomicCoset],
-    empty_frame: Iterable[int] | None = None,
-) -> tuple[DoubleCoset, bool]:
-    """Star-compose a chained atom sequence; the flag reports reducedness.
-
-    The fold runs from the right, one atom onto the composed tail at a
-    time.  Star composition is associative, and a chain's length deficit
-    is the sum of its non-negative step deficits in any bracketing, so
-    coset and flag are those of the left fold.
-    """
-    if not atoms:
-        if empty_frame is None:
-            raise ValueError("an empty atom sequence needs an explicit frame")
-        return identity_coset(system, empty_frame), True
-    acc, reduced = coset_of_atom(atoms[-1]), True
-    for a in reversed(atoms[:-1]):
-        nxt = coset_of_atom(a)
-        if nxt.right != acc.left:
-            raise ValueError("frame mismatch in atom sequence")
-        reduced = reduced and is_reduced_composition(nxt, acc)
-        acc = star_compose(nxt, acc)
-    return acc, reduced

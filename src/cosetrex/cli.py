@@ -49,7 +49,7 @@ def _cmd_eval_expr(args) -> int:
 
 def _coset_from_args(args):
     if args.coset:
-        extra = [f"--{flag}" for flag in ("left", "right", "min", "rank", "bond")
+        extra = [f"--{flag}" for flag in ("left", "right", "min", "type", "rank", "bond")
                  if getattr(args, flag) is not None]
         if extra:
             raise ValueError(f"--coset gives the whole coset; drop {', '.join(extra)}")
@@ -62,7 +62,7 @@ def _coset_from_args(args):
         raise ValueError("give the coset as --coset JSON, or as --left, --right and --min")
     if args.rank is None:
         raise ValueError("--left, --right and --min need --rank")
-    system = _system_from_args(args)
+    system = CoxeterSystem(args.type or "A", args.rank, args.bond)
     w = coxeter.parse_element(system, args.min)
     return cosets.coset_of(
         system, cosets.parse_subset(args.left), w, cosets.parse_subset(args.right)
@@ -93,9 +93,9 @@ def _cmd_unsquash(args) -> int:
 
 
 def _cmd_enumerate_core(args) -> int:
-    system = _system_from_args(args, args.budget)
+    system = _system_from_args(args, args.budget)  # checks the budget before building
     J = cosets.parse_subset(args.right)
-    found = cosets.enumerate_core_cosets(system, J, budget=args.budget)
+    found = cosets.enumerate_core_cosets(system, J, budget=None)
     if args.format == "json":
         for _, p in found:
             _print_coset(p, "json")
@@ -470,6 +470,7 @@ def _add_budget_flag(parser) -> None:
 def _add_coset_flags(parser) -> None:
     """A coset, as --coset JSON or as --left, --right and --min with the system flags."""
     _add_system_flags(parser, need_rank=False)
+    parser.set_defaults(type=None)  # A, unless --coset is given, which refuses any --type
     parser.add_argument("--coset", help="coset as JSON")
     parser.add_argument("--left")
     parser.add_argument("--right")

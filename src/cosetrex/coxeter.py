@@ -142,26 +142,16 @@ def _alternating(first: int, second: int, length: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _braid_table(system: CoxeterSystem) -> list[list[tuple | None]]:
-    """table[i][j] = (m_ij, word starting with i, word starting with j) for
-    simple indices i != j, None elsewhere; lists index faster than a dict
-    keyed by pairs in the closure's inner loop."""
+    """table[i][j] = (word starting with i, word starting with j), the two
+    sides of the braid relation, for simple indices i != j, None elsewhere;
+    lists index faster than a dict keyed by pairs in the class builder."""
     indices = system.simple_indices
     table: list[list[tuple | None]] = [[None] * indices.stop for _ in range(indices.stop)]
     for i in indices:
         for j in indices:
             if i != j:
-                table[i][j] = (coxeter_m(system, i, j),) + braid_relation(system, i, j)
+                table[i][j] = braid_relation(system, i, j)
     return table
-
-
-def _braid_moves(table: list, word: tuple[int, ...], positions: Iterable[int]) -> Iterator[tuple[int, ...]]:
-    """The words made by each braid move that starts at one of the positions."""
-    for pos in positions:
-        move = table[word[pos]][word[pos + 1]]
-        if move is not None:
-            m, here, there = move
-            if m == 2 or word[pos : pos + m] == here:
-                yield word[:pos] + there + word[pos + m :]
 
 
 def _check_word(system: CoxeterSystem, word: Sequence[int]) -> tuple[int, ...]:
@@ -170,22 +160,6 @@ def _check_word(system: CoxeterSystem, word: Sequence[int]) -> tuple[int, ...]:
     if bad:
         raise ValueError(f"letters {sorted(bad)} out of range for {system}")
     return word
-
-
-def apply_braid_move(system: CoxeterSystem, word: Sequence[int], pos: int) -> tuple[int, ...]:
-    """Rewrite a word by the braid move of length m_ij that starts at pos."""
-    word = _check_word(system, word)
-    if 0 <= pos < len(word) - 1:
-        for moved in _braid_moves(_braid_table(system), word, (pos,)):
-            return moved
-    raise ValueError(f"pattern mismatch: no braid move starts at position {pos} of {word}")
-
-
-def braid_closure(system: CoxeterSystem, word: Sequence[int]) -> set[tuple[int, ...]]:
-    """All words reachable from word by braid moves (Matsumoto's theorem:
-    every reduced word of the same element, when word is reduced): the
-    words of its braid class, listed by all_paths."""
-    return set(all_paths(braid_class(system, word, {}), braid_steps, {}))
 
 
 class BraidClass:
@@ -236,7 +210,7 @@ def _braid_class(table: list, system: CoxeterSystem, word: tuple[int, ...], memo
         if found is None:
             blocks = [first]
             for head, tails in blocks:  # the list grows as moves find new blocks
-                for _, here, there in filter(None, table[head]):
+                for here, there in filter(None, table[head]):
                     for d in _descend(tails, here[1:]):
                         block = (there[0], _braid_class(table, system, there[1:] + d.word, memo))
                         if block not in blocks:
@@ -289,9 +263,6 @@ class Element:
 
     def __reduce__(self):
         return Element, (self.system, self.data)
-
-    def __mul__(self, other: "Element") -> "Element":
-        return multiply(self, other)
 
 
 # the slots' own setters, which __setattr__ refuses to other callers

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .coxeter import CoxeterSystem, identity, length, multiply, star_product
 from .cosets import (
@@ -79,8 +79,9 @@ class OneStepExpression:
 Expression = Union[MultistepExpression, OneStepExpression]
 
 
-def _zigzag(system: CoxeterSystem, chain: Sequence[Frame]) -> MultistepExpression:
-    """Normalize a chain of pairwise comparable frames to a zig-zag.
+def multistep(system: CoxeterSystem, chain: Sequence[Iterable[int]]) -> MultistepExpression:
+    """Build a multistep expression from a chain of pairwise comparable
+    frames, normalized to a zig-zag.
 
     Monotone runs collapse onto their extreme frame, so stalls introduced
     by walking one index at a time disappear again.
@@ -116,17 +117,6 @@ def _zigzag(system: CoxeterSystem, chain: Sequence[Frame]) -> MultistepExpressio
     return MultistepExpression(system, tuple(out))
 
 
-def multistep(system: CoxeterSystem, chain: Sequence[Sequence[int]]) -> MultistepExpression:
-    """Build a multistep expression from any comparable chain of frames."""
-    return _zigzag(system, [frozenset(f) for f in chain])
-
-
-def one_step(
-    system: CoxeterSystem, start: Sequence[int], steps: Sequence[tuple[int, int]]
-) -> OneStepExpression:
-    return OneStepExpression(system, frozenset(start), tuple(steps))
-
-
 def to_multistep(expr: OneStepExpression) -> MultistepExpression:
     chain = [expr.start]
     cur = set(expr.start)
@@ -136,7 +126,7 @@ def to_multistep(expr: OneStepExpression) -> MultistepExpression:
         else:
             cur.remove(i)
         chain.append(frozenset(cur))
-    return _zigzag(expr.system, chain)
+    return multistep(expr.system, chain)
 
 
 def _as_multistep(expr: Expression) -> MultistepExpression:
@@ -176,6 +166,13 @@ def is_reduced(expr: Expression) -> bool:
 
 
 def concatenate(left: MultistepExpression, right: MultistepExpression) -> MultistepExpression:
+    """The expression of left followed by right, through their shared end frame.
+
+    It evaluates to the star composition of the two cosets, which is
+    associative.  A chain's length deficit is the sum of its non-negative
+    step deficits in any bracketing, so the whole is reduced exactly when
+    both parts are and their composition is reduced.
+    """
     if left.system != right.system:
         raise ValueError("cannot concatenate expressions of different systems")
     if left.frames[-1] != right.frames[0]:
@@ -260,7 +257,7 @@ class _Parser:
             chain.append(nxt)
         self.take("]]")
         self.expect_end()
-        return _zigzag(self.system, chain)
+        return multistep(self.system, chain)
 
     def one_step(self) -> OneStepExpression:
         self.take("[")

@@ -89,18 +89,29 @@ def star_product_oracle(w, v):
 
 def braid_closure_oracle(system, word):
     """All words reachable from word by braid moves, by breadth-first search
-    over the words themselves, one move at a time."""
+    over the words themselves, one move at a time.  It reads the library's
+    move table on purpose, so a fault in the table hits both sides of a
+    comparison alike, but has its own search, independent of braid_class."""
     start = tuple(word)
     table = cx._braid_table(system)
     seen = {start}
     queue = deque([start])
     while queue:
         cur = queue.popleft()
-        for nxt in cx._braid_moves(table, cur, range(len(cur) - 1)):
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
+        for pos in range(len(cur) - 1):
+            move = table[cur[pos]][cur[pos + 1]]
+            if move is not None and cur[pos : pos + len(move[0])] == move[0]:
+                here, there = move
+                nxt = cur[:pos] + there + cur[pos + len(here) :]
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
     return seen
+
+
+def braid_words(system, word):
+    """The words of word's braid class, listed by all_paths."""
+    return set(cx.all_paths(cx.braid_class(system, word, {}), cx.braid_steps, {}))
 
 
 def all_subsets(system):

@@ -147,7 +147,7 @@ def test_greedy_rex_worked_example(a3):
         ([1], [1, 2], [2]),
         ([2], [2, 3], [3]),
     ]
-    composed, reduced = at.compose_atomics(a3, rex)
+    composed, reduced = compose_atomics_oracle(a3, rex)
     assert reduced and composed == p
 
 
@@ -231,7 +231,7 @@ def test_all_rexes_compose_reducedly(system):
             assert at.atomic_rex_of_core(p) in rexes
             assert len(set(rexes)) == len(rexes)
             for rex in rexes:
-                composed, reduced = at.compose_atomics(system, rex, p.left)
+                composed, reduced = compose_atomics_oracle(system, rex, p.left)
                 assert reduced and composed == p
 
 
@@ -263,40 +263,46 @@ def test_factor_through_core_shapes(a2, a3):
 def test_one_step_of_atoms(a3):
     p = cs.coset_of(a3, {1}, cx.element_from_word(a3, (2, 1, 3, 2)), {3})
     rex = at.atomic_rex_of_core(p)
-    one = at.one_step_of_atoms(a3, rex)
+    one = at.one_step_of_atoms(a3, rex, p.left)
     assert ex.format_expression(one) == "[{1} +2 -1 +3 -2]"
     empty = at.one_step_of_atoms(a3, (), {2})
     assert ex.evaluate(empty) == cs.identity_coset(a3, frozenset({2}))
-    with pytest.raises(ValueError):
+    # the start frame is required, and the chain must leave from it
+    with pytest.raises(TypeError):
         at.one_step_of_atoms(a3, ())
     with pytest.raises(ValueError):
-        at.one_step_of_atoms(a3, (rex[1], rex[0]))
-
-
-def test_compose_atomics_examples(a2):
-    got, reduced = at.compose_atomics(a2, (), frozenset({1}))
-    assert reduced and got == cs.identity_coset(a2, frozenset({1}))
+        at.one_step_of_atoms(a3, rex, {3})
+    with pytest.raises(ValueError):  # [{1,3} +2 -1] is a valid walk, but not from rex[0]'s frame
+        at.one_step_of_atoms(a3, rex[:1], {1, 3})
     with pytest.raises(ValueError):
-        at.compose_atomics(a2, ())
+        at.one_step_of_atoms(a3, (rex[1], rex[0]), rex[1].left)
+
+
+def test_atom_chain_examples(a2):
+    # the chain through one_step_of_atoms, evaluate and is_reduced
+    empty = at.one_step_of_atoms(a2, (), frozenset({1}))
+    assert ex.is_reduced(empty) and ex.evaluate(empty) == cs.identity_coset(a2, frozenset({1}))
     # the opposed pair of rank-2 atoms is not reduced and lands on [J, Js, J]
     a = at.atomic_from(a2, {1, 2}, 2)  # frames ({1},{1,2},{2})
     b = at.atomic_from(a2, {1, 2}, 1)  # frames ({2},{1,2},{1})
     assert (a.left, a.right) == (frozenset({1}), frozenset({2}))
-    got, reduced = at.compose_atomics(a2, (a, b))
-    assert not reduced
-    assert got == cs.coset_of(a2, {1}, cs.longest_element(a2, frozenset({1, 2})), {1})
+    one = at.one_step_of_atoms(a2, (a, b), a.left)
+    assert not ex.is_reduced(one)
+    assert ex.evaluate(one) == cs.coset_of(a2, {1}, cs.longest_element(a2, frozenset({1, 2})), {1})
 
 
-def _assert_composes_as_oracle(system, atoms, empty_frame):
-    want = compose_atomics_oracle(system, atoms, empty_frame)
-    assert at.compose_atomics(system, atoms, empty_frame) == want
+def _assert_composes_as_oracle(system, atoms, start):
+    # the production path, which serializes the chain and evaluates it as
+    # one expression, against the left fold of the atoms' cosets
+    want = compose_atomics_oracle(system, atoms, start)
+    one = at.one_step_of_atoms(system, atoms, start)
+    assert (ex.evaluate(one), ex.is_reduced(one)) == want
     return want
 
 
 @pytest.mark.parametrize("system", SMALL_SYSTEMS, ids=str)
-def test_compose_atomics_matches_left_fold_on_atomic_rexes(system):
-    # the right fold against the left fold, on the greedy expression and
-    # every atomic expression of each core coset
+def test_atom_chains_match_the_left_fold_on_atomic_rexes(system):
+    # on the greedy expression and every atomic expression of each core coset
     for J in all_subsets(system):
         for _, p in cs.enumerate_core_cosets(system, J):
             for rex in (at.atomic_rex_of_core(p), *at.all_atomic_rexes(p)):
@@ -304,7 +310,7 @@ def test_compose_atomics_matches_left_fold_on_atomic_rexes(system):
 
 
 @pytest.mark.parametrize("system", [cx.type_a(3), cx.type_b(2)], ids=str)
-def test_compose_atomics_matches_left_fold_on_lifted_chains(system):
+def test_atom_chains_match_the_left_fold_on_lifted_chains(system):
     # every lifted word of length at most 3, reduced or not
     flags = []
     for J in all_subsets(system):
@@ -313,12 +319,13 @@ def test_compose_atomics_matches_left_fold_on_lifted_chains(system):
         for n in range(4):
             for word in product(letters, repeat=n):
                 atoms = at.lift_word(system, J, word)
-                flags.append(_assert_composes_as_oracle(system, atoms, J)[1])
+                start = atoms[0].left if atoms else J
+                flags.append(_assert_composes_as_oracle(system, atoms, start)[1])
     assert True in flags and False in flags
 
 
 @pytest.mark.parametrize("system", [cx.type_a(3), cx.type_b(2)], ids=str)
-def test_compose_atomics_refuses_a_frame_mismatch(system):
+def test_atom_chains_refuse_a_frame_mismatch(system):
     atoms = all_atoms(system)
     for a, b in product(atoms, repeat=2):
         if a.right == b.left:
@@ -329,7 +336,7 @@ def test_compose_atomics_refuses_a_frame_mismatch(system):
             with pytest.raises(ValueError):
                 compose_atomics_oracle(system, chain)
             with pytest.raises(ValueError):
-                at.compose_atomics(system, chain)
+                at.one_step_of_atoms(system, chain, a.left)
 
 
 @pytest.mark.parametrize("system", [cx.type_a(3), cx.type_b(2), cx.dihedral(5)], ids=str)
@@ -361,7 +368,7 @@ def test_every_core_coset_has_reduced_greedy_rex(system):
     for J in all_subsets(system):
         for _, p in cs.enumerate_core_cosets(system, J):
             rex = at.atomic_rex_of_core(p)
-            composed, reduced = at.compose_atomics(system, rex, p.left)
+            composed, reduced = compose_atomics_oracle(system, rex, p.left)
             assert reduced and composed == p
             one = at.one_step_of_atoms(system, rex, p.left)
             assert ex.is_reduced(one)
@@ -377,7 +384,7 @@ def test_triple_power_collapses(a3, b2):
             for k in range(gaps):
                 i = base + k
                 triple = at.lift_word(system, J, (i, i, i))
-                got, reduced = at.compose_atomics(system, triple)
+                got, reduced = compose_atomics_oracle(system, triple)
                 assert not reduced
                 assert got == at.coset_of_atom(at.atomic_generator(system, J, i))
 

@@ -218,6 +218,7 @@ DEEP_JSON = "[" * 100000
         # --coset gives the whole coset, so any other coset flag is refused
         ("atomic-rex", "--coset", A3_CORE, "--left", "{2}", "--rank", "7"),
         ("squash", "--coset", A3_CORE, "--min", "[1,2,3,4]"),
+        ("squash", "--coset", A3_CORE, "--type", "B"),
         ("verify", "core-atomic", "--type", "A", "--max-rank", "4", "--budget", "100"),
         ("enumerate-core", "--type", "A", "--rank", "7", "--right", "{}"),
         ("enumerate-core", "--type", "A", "--rank", "100000", "--right", "{}"),
@@ -238,7 +239,8 @@ def test_unsupported_input_is_a_one_line_usage_error(capsys, argv):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--left", "{1}"), ("--right", "{3}"), ("--min", "[3,4,1,2]"), ("--rank", "3"), ("--bond", "4")],
+    [("--left", "{1}"), ("--right", "{3}"), ("--min", "[3,4,1,2]"), ("--type", "A"), ("--rank", "3"),
+     ("--bond", "4")],
 )
 def test_coset_with_another_coset_flag_names_the_flag(capsys, flag, value):
     # each value agrees with A3_CORE, and the flag is refused all the same
@@ -420,7 +422,7 @@ def _drop_a_commutation(monkeypatch):
     @functools.lru_cache(maxsize=None)
     def table(system):
         rows = [list(row) for row in right(system)]
-        pairs = [(i, j) for i, row in enumerate(rows) for j, move in enumerate(row) if move and move[0] == 2]
+        pairs = [(i, j) for i, row in enumerate(rows) for j, move in enumerate(row) if move and len(move[0]) == 2]
         for i, j in pairs[:1]:
             rows[i][j] = rows[j][i] = None
         return rows

@@ -12,6 +12,7 @@ from cosetrex import cosets as cs
 from cosetrex import coxeter as cx
 from conftest import (
     braid_closure_oracle,
+    braid_words,
     bruhat_leq_oracle,
     cayley_distances,
     inversion_count,
@@ -79,7 +80,7 @@ def test_coxeter_matrix():
 def test_braid_closure_matches_reduced_words(system):
     # Matsumoto's theorem, against the independent enumeration by descents
     for w in cx.all_elements(system):
-        assert cx.braid_closure(system, cx.reduced_word(w)) == set(cx.reduced_words(w))
+        assert braid_words(system, cx.reduced_word(w)) == set(cx.reduced_words(w))
 
 
 @pytest.mark.parametrize(
@@ -93,14 +94,14 @@ def test_braid_class_words_match_the_word_bfs(system, longest):
         for word in itertools.product(letters, repeat=n):
             expected = braid_closure_oracle(system, word)
             assert set(cx.all_paths(cx.braid_class(system, word, classes), cx.braid_steps, paths)) == expected
-            assert cx.braid_closure(system, word) == expected
+            assert braid_words(system, word) == expected
 
 
 def test_braid_class_recursion_is_one_frame_per_letter():
     i2 = cx.dihedral(400)
     word = (1, 2) * 200
     with recursion_headroom(len(word) + 50):
-        assert cx.braid_closure(i2, word) == {word, (2, 1) * 200}
+        assert braid_words(i2, word) == {word, (2, 1) * 200}
     with pytest.raises(ValueError):
         cx.braid_class(i2, (1, 3), {})
 
@@ -152,16 +153,16 @@ def test_same_paths_needs_no_deep_recursion():
         assert not cx.same_paths({5000}, steps, {5001}, shifted, {})
 
 
-def test_apply_braid_move_dihedral():
+def test_braid_class_dihedral():
     i5 = cx.dihedral(5)
-    assert cx.apply_braid_move(i5, (2, 1, 2, 1, 2, 1), 1) == (2, 2, 1, 2, 1, 2)
-    assert cx.braid_closure(i5, (1, 2, 1)) == {(1, 2, 1)}
+    # the moves at positions 0 and 1, each undone by the move back
+    assert braid_words(i5, (2, 1, 2, 1, 2, 1)) == {(2, 1, 2, 1, 2, 1), (1, 2, 1, 2, 1, 1), (2, 2, 1, 2, 1, 2)}
+    assert braid_words(i5, (1, 2, 1, 2, 1)) == {(1, 2, 1, 2, 1), (2, 1, 2, 1, 2)}
+    # shorter than m = 5, so no move applies
+    assert braid_words(i5, (1, 2, 1)) == {(1, 2, 1)}
+    assert braid_words(i5, (1, 2, 1, 2)) == {(1, 2, 1, 2)}
     with pytest.raises(ValueError):
-        cx.apply_braid_move(i5, (1, 2, 1, 2), 0)
-    with pytest.raises(ValueError):
-        cx.apply_braid_move(i5, (1, 3), 0)
-    with pytest.raises(ValueError):
-        cx.apply_braid_move(i5, (1, 2, 1, 2, 1), 4)
+        cx.braid_class(i5, (1, 3), {})
 
 
 def test_multiply_involution(a3, b2):

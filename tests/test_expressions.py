@@ -28,11 +28,11 @@ def test_multistep_validation(a3):
 
 def test_one_step_validation(a3):
     with pytest.raises(ValueError):
-        ex.one_step(a3, {1}, [(1, 1)])
+        ex.OneStepExpression(a3, frozenset({1}), ((1, 1),))
     with pytest.raises(ValueError):
-        ex.one_step(a3, {1}, [(-1, 2)])
+        ex.OneStepExpression(a3, frozenset({1}), ((-1, 2),))
     with pytest.raises(ValueError):
-        ex.one_step(a3, {1}, [(2, 2)])
+        ex.OneStepExpression(a3, frozenset({1}), ((2, 2),))
 
 
 def test_evaluate_examples(a3):
@@ -277,6 +277,6 @@ def _steps_strategy():
 @given(_steps_strategy())
 def test_one_step_text_roundtrip(steps):
     system = cx.type_a(3)
-    expr = ex.one_step(system, frozenset(), steps)
+    expr = ex.OneStepExpression(system, frozenset(), tuple(steps))
     text = ex.format_expression(expr)
     assert ex.parse_expression(system, text) == expr

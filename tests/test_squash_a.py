@@ -7,7 +7,7 @@ from cosetrex import cosets as cs
 from cosetrex import coxeter as cx
 from cosetrex import expressions as ex
 from cosetrex import squash_a as sq
-from conftest import all_subsets
+from conftest import all_subsets, braid_words, compose_atomics_oracle
 
 
 def exs4_p(a3):
@@ -146,30 +146,26 @@ def test_squash_is_reduced_homomorphism(rank):
                 assert cx.length(cx.multiply(sp, sq_)) == cx.length(sp) + cx.length(sq_)
 
 
-def test_apply_braid_move():
+def test_braid_class_examples():
     a4 = cx.type_a(4)
-    assert cx.apply_braid_move(a4, (1, 2, 1), 0) == (2, 1, 2)
-    assert cx.apply_braid_move(a4, (2, 1, 2), 0) == (1, 2, 1)
-    assert cx.apply_braid_move(a4, (1, 3), 0) == (3, 1)
-    assert cx.apply_braid_move(a4, (4, 1, 2, 1), 1) == (4, 2, 1, 2)
-    with pytest.raises(ValueError):
-        cx.apply_braid_move(a4, (1, 2), 0)
-    with pytest.raises(ValueError):
-        cx.apply_braid_move(a4, (1, 2, 2), 0)
-    with pytest.raises(ValueError):
-        cx.apply_braid_move(a4, (1, 2), 0)
+    assert braid_words(a4, (1, 2, 1)) == {(1, 2, 1), (2, 1, 2)}
+    assert braid_words(a4, (2, 1, 2)) == {(1, 2, 1), (2, 1, 2)}
+    assert braid_words(a4, (1, 3)) == {(1, 3), (3, 1)}
+    assert (4, 2, 1, 2) in braid_words(a4, (4, 1, 2, 1))
+    # no move applies: m = 3 needs three letters, and equal letters have none
+    assert braid_words(a4, (1, 2)) == {(1, 2)}
+    assert braid_words(a4, (1, 2, 2)) == {(1, 2, 2)}
 
 
 def test_braid_moves_preserve_coset(a3):
     J = frozenset()
     word = (1, 2, 1, 3)
-    base, _ = at.compose_atomics(a3, at.lift_word(a3, J, word), J)
+    base, _ = compose_atomics_oracle(a3, at.lift_word(a3, J, word), J)
     small = at.squashed_system(a3, J)
-    for moved in (
-        cx.apply_braid_move(small, word, 0),
-        cx.apply_braid_move(small, word, 2),
-    ):
-        got, reduced = at.compose_atomics(a3, at.lift_word(a3, J, moved), J)
+    moved = braid_words(small, word)
+    assert {(2, 1, 2, 3), (1, 2, 3, 1)} <= moved  # the moves at positions 0 and 2
+    for w in moved:
+        got, reduced = compose_atomics_oracle(a3, at.lift_word(a3, J, w), J)
         assert reduced and got == base
 
 
@@ -177,7 +173,7 @@ def test_matsumoto_examples(a2):
     assert at.matsumoto_connected(cs.identity_coset(a2, frozenset({1})))
     w0 = cs.longest_element(a2, frozenset({1, 2}))
     p = cs.coset_of(a2, frozenset(), w0, frozenset())
-    assert cx.braid_closure(a2, (1, 2, 1)) == {(1, 2, 1), (2, 1, 2)}
+    assert braid_words(a2, (1, 2, 1)) == {(1, 2, 1), (2, 1, 2)}
     assert at.matsumoto_connected(p)
 
 
@@ -199,8 +195,8 @@ def test_braid3_chain_middle_expression(rank):
         for i in range(1, k - 1):
             lhs = at.lift_word(system, J0, (i, i + 1, i))
             rhs = at.lift_word(system, J0, (i + 1, i, i + 1))
-            pl, rl = at.compose_atomics(system, lhs)
-            pr, rr = at.compose_atomics(system, rhs)
+            pl, rl = compose_atomics_oracle(system, lhs)
+            pr, rr = compose_atomics_oracle(system, rhs)
             assert rl and rr and pl == pr
             a, c = lhs[0].added, lhs[1].added
             middle = ex.MultistepExpression(

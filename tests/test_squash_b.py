@@ -7,7 +7,7 @@ from cosetrex import cosets as cs
 from cosetrex import coxeter as cx
 from cosetrex import squash_a as sqa
 from cosetrex import squash_b as sq
-from conftest import all_subsets
+from conftest import all_subsets, braid_words
 
 
 def test_glued_runs_b_examples(b2, b3):
@@ -109,19 +109,14 @@ def test_lift_word_roundtrip_b(rank):
                 assert cx.element_from_word(small, word) == sqa.squash_coset(p)
 
 
-def test_apply_braid_move_b(b3):
-    assert cx.apply_braid_move(b3, (1, 0, 1, 0), 0) == (0, 1, 0, 1)
-    assert cx.apply_braid_move(b3, (0, 1, 0, 1), 0) == (1, 0, 1, 0)
-    assert cx.apply_braid_move(b3, (0, 2), 0) == (2, 0)
-    assert cx.apply_braid_move(b3, (1, 2, 1), 0) == (2, 1, 2)
-    with pytest.raises(ValueError):
-        cx.apply_braid_move(b3, (1, 0, 1), 0)
-    with pytest.raises(ValueError):
-        cx.apply_braid_move(b3, (0, 1, 0), 0)
-    with pytest.raises(ValueError):
-        cx.apply_braid_move(b3, (1, 0, 1, 1), 0)
-    with pytest.raises(ValueError):
-        cx.apply_braid_move(b3, (0, 1), 0)
+def test_braid_class_examples_b(b3):
+    assert braid_words(b3, (1, 0, 1, 0)) == {(1, 0, 1, 0), (0, 1, 0, 1)}
+    assert braid_words(b3, (0, 1, 0, 1)) == {(1, 0, 1, 0), (0, 1, 0, 1)}
+    assert braid_words(b3, (0, 2)) == {(0, 2), (2, 0)}
+    assert braid_words(b3, (1, 2, 1)) == {(1, 2, 1), (2, 1, 2)}
+    # m_01 = 4, so no move applies to these
+    for word in ((1, 0, 1), (0, 1, 0), (1, 0, 1, 1), (0, 1)):
+        assert braid_words(b3, word) == {word}
 
 
 def test_matsumoto_b_examples(b2):
@@ -130,7 +125,7 @@ def test_matsumoto_b_examples(b2):
     p = cs.coset_of(b2, frozenset(), w0, frozenset())
     words = {at.word_of_rex(r) for r in at.all_atomic_rexes(p)}
     assert words == {(0, 1, 0, 1), (1, 0, 1, 0)}
-    assert cx.braid_closure(b2, (1, 0, 1, 0)) == words
+    assert braid_words(b2, (1, 0, 1, 0)) == words
     assert sq.matsumoto_connected_b(p)
 
 
