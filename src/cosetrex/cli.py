@@ -334,34 +334,33 @@ def _check_nilcox_relations(system: CoxeterSystem, emit, fail) -> None:
     emit(f"nilcox-relations {system.cartan} rank={system.rank}: {report.checked} relation instances")
 
 
-def _add_remove_works(p, I: frozenset, M: frozenset, pmax) -> bool:
-    """Whether the one-step expression [I, I|M, M] followed by the core
-    factorization of the (M, J)-coset of pmax is reduced and evaluates to p."""
-    tail = atomic.factor_through_core(cosets.coset_of(p.system, M, pmax, p.right))
-    expr = expressions.concatenate(expressions.MultistepExpression(p.system, (I, I | M, M)), tail)
-    return expressions.is_reduced(expr) and expressions.evaluate(expr) == p
-
-
 def _check_add_remove(system: CoxeterSystem, emit, fail) -> None:
+    """The head [I, I|M, M], M = I ^ {s}, then the core factorization of the
+    remainder q is reduced and evaluates to p iff s is a left descent of
+    max(p) (adding s) or is not left-redundant (removing it).  Deficits add
+    along a chain (expressions.concatenate) and every q is a walked coset,
+    so this checks each coset's factorization once, and per (p, s) whether
+    the head's coset (I, e, M) composes reducedly with q to p."""
+    e = coxeter.identity(system)
     for I, found in _cosets_by_left(system):
         wI = cosets.longest_element(system, I)
         for p in found:
+            expr = atomic.factor_through_core(p)
+            if not (expressions.is_reduced(expr) and expressions.evaluate(expr) == p):
+                fail(f"add-remove: core factorization of {p}")
             pmax = cosets.max_elem(p)
             ldes = coxeter.left_descents(pmax)
             lred = cosets.left_redundancy(p)
             for s in system.simple_indices:
-                if s not in I:
-                    if _add_remove_works(p, I, I | {s}, pmax) != (s in ldes):
-                        fail(f"add-remove: +{s} at {p}")
+                M = I ^ {s}
+                if s in I:  # a reduced removal leaves the maximum w_{I-s} w_I max(p)
+                    qmax = coxeter.multiply(coxeter.multiply(cosets.longest_element(system, M), wI), pmax)
+                    stated, sign = s not in lred, "-"
                 else:
-                    smaller = I - {s}
-                    # the remainder coset of a reduced removal has
-                    # maximum w_{I-s} w_I max(p)
-                    nmax = coxeter.multiply(
-                        coxeter.multiply(cosets.longest_element(system, smaller), wI), pmax
-                    )
-                    if _add_remove_works(p, I, smaller, nmax) != (s not in lred):
-                        fail(f"add-remove: -{s} at {p}")
+                    qmax, stated, sign = pmax, s in ldes, "+"
+                q = cosets.coset_of(system, M, qmax, p.right)
+                if cosets.composes_reducedly_to(cosets.DoubleCoset(system, I, M, e), q, p) != stated:
+                    fail(f"add-remove: {sign}{s} at {p}")
         emit(f"add-remove {system.cartan} rank={system.rank} I={cosets.format_subset(I)}: ok")
 
 

@@ -45,29 +45,8 @@ def basis_morphism(p: DoubleCoset) -> ADMorphism:
     return ADMorphism(p.system, p.right, p.left, {p: 1})
 
 
-def zero_morphism(system: CoxeterSystem, source: Frame, target: Frame) -> ADMorphism:
-    return ADMorphism(system, frozenset(source), frozenset(target), {})
-
-
 def identity_morphism(system: CoxeterSystem, frame: Iterable[int]) -> ADMorphism:
     return basis_morphism(identity_coset(system, frame))
-
-
-def add(f: ADMorphism, g: ADMorphism) -> ADMorphism:
-    if (f.system, f.source, f.target) != (g.system, g.source, g.target):
-        raise ValueError("cannot add morphisms with different frames")
-    coeffs = dict(f.coeffs)
-    for p, c in g.coeffs.items():
-        coeffs[p] = coeffs.get(p, 0) + c
-        if coeffs[p] == 0:
-            del coeffs[p]
-    return ADMorphism(f.system, f.source, f.target, coeffs)
-
-
-def scale(f: ADMorphism, n: int) -> ADMorphism:
-    if n == 0:
-        return zero_morphism(f.system, f.source, f.target)
-    return ADMorphism(f.system, f.source, f.target, {p: n * c for p, c in f.coeffs.items()})
 
 
 def ad_compose(f: ADMorphism, g: ADMorphism) -> ADMorphism:

@@ -11,6 +11,7 @@ import pytest
 from cosetrex import atomic as at
 from cosetrex import cosets as cs
 from cosetrex import coxeter as cx
+from cosetrex import expressions as ex
 
 
 def perm_mult(w, v):
@@ -247,6 +248,15 @@ def compose_atomics_oracle(system, atoms, empty_frame=None):
             reduced = False
         acc = cs.star_compose(acc, nxt)
     return acc, reduced
+
+
+def add_remove_oracle(p, I, M, pmax):
+    """Whether the one-step expression [I, I|M, M] followed by the core
+    factorization of the (M, J)-coset of pmax is reduced and evaluates to p,
+    built and checked as one whole expression."""
+    tail = at.factor_through_core(cs.coset_of(p.system, M, pmax, p.right))
+    expr = ex.concatenate(ex.MultistepExpression(p.system, (I, I | M, M)), tail)
+    return ex.is_reduced(expr) and ex.evaluate(expr) == p
 
 
 @contextmanager

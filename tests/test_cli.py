@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 from cosetrex import atomic, cli
 from cosetrex import cosets as cs
 from cosetrex import coxeter as cx
+from cosetrex import expressions as ex
 from cosetrex import squash_a
 from cosetrex.cli import _SUITES, build_parser, main
-from conftest import braid_closure_oracle
+from conftest import add_remove_oracle, braid_closure_oracle
 
 S11_TEXT = "[{2,3,6,10} +8 -8 +9 -10 +7 -6 +8 -8 +5 -5 +6 -7 +4 -2]"
 
@@ -468,6 +469,12 @@ def _peel_to_itself(monkeypatch):
     monkeypatch.setattr(atomic, "_peel", lambda p, a, pmax: p)
 
 
+def _factor_the_core(monkeypatch):
+    # each coset's factorization is its core's, which evaluates to the core
+    right = atomic.factor_through_core
+    monkeypatch.setattr(atomic, "factor_through_core", lambda p: right(cs.core(p)))
+
+
 def _unsquash_off_the_minimum(monkeypatch):
     # the cross-check in unsquash sees each lifted coset with the identity as
     # its minimum
@@ -488,6 +495,8 @@ _WALK_FAULTS = [
     (_negate_reducedness, "mimimi", "A", "3"),
     (_compose_to_the_tail, "mimimi", "A", "3"),
     (_no_right_redundancy, "redundancy-a", "A", "3"),
+    (_negate_reducedness, "add-remove", "A", "3"),
+    (_factor_the_core, "add-remove", "B", "3"),
     (_peel_to_itself, "core-atomic", "A", "3"),
     (_unsquash_off_the_minimum, "squash-bijection", "A", "3"),
 ]
@@ -563,6 +572,55 @@ def test_core_atomic_walks_each_remainder_once(capsys, monkeypatch):
     atoms = sum(len(M) for s in systems for M in cs.all_frames(s))
     assert calls["star_compose"] == 0
     assert 0 < calls["coset_of"] <= cores + atoms
+
+
+def _walked_cosets(system):
+    frames = cs.all_frames(system)
+    return [p for I in frames for J in frames for p in cs.enumerate_cosets(system, I, J)]
+
+
+def test_add_remove_factors_each_coset_once(capsys, monkeypatch):
+    calls = []
+    right = atomic.factor_through_core
+    _rebind_everywhere(monkeypatch, right, lambda p: calls.append(p) or right(p))
+    code, out, err = run(capsys, "verify", "add-remove", "--type", "B", "--max-rank", "3")
+    assert code == 0, err
+    walked = [p for r in range(1, 4) for p in _walked_cosets(cx.type_b(r))]
+    assert len(calls) == len(set(calls)) == len(walked)
+    assert set(calls) == set(walked)
+
+
+def test_add_remove_agrees_with_the_whole_expression_oracle(monkeypatch):
+    # each (p, s) verdict of the suite, recorded at its one composition, is
+    # the oracle's verdict on the whole expression; and each coset's own
+    # factorization is reduced and evaluates to it
+    systems = [cx.type_a(r) for r in range(1, 5)] + [cx.type_b(r) for r in range(1, 4)]
+    systems += [cx.dihedral(m) for m in range(3, 8)]
+    right = cs.composes_reducedly_to
+    verdicts = {}
+
+    def recording(h, q, p):
+        verdicts[p, h.right] = found = right(h, q, p)
+        return found
+
+    monkeypatch.setattr(cs, "composes_reducedly_to", recording)
+    cases = 0
+    for system in systems:
+        failures = []
+        cli._check_add_remove(system, lambda line: None, failures.append)
+        assert not failures
+        for p in _walked_cosets(system):
+            expr = atomic.factor_through_core(p)
+            assert ex.is_reduced(expr) and ex.evaluate(expr) == p, p
+            pmax = cs.max_elem(p)
+            wI = cs.longest_element(system, p.left)
+            for s in system.simple_indices:
+                M = p.left ^ {s}
+                qmax = cx.multiply(cx.multiply(cs.longest_element(system, M), wI), pmax) if s in p.left else pmax
+                assert verdicts.pop((p, M)) == add_remove_oracle(p, p.left, M, qmax), (p, s)
+                cases += 1
+        assert not verdicts
+    assert cases == 14862
 
 
 def _cache_keys(cache):
