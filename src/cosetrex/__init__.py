@@ -18,12 +18,10 @@ from .expressions import (
     parse_expression,
 )
 from .atomic import AtomicCoset, atomic_from, atomic_rex_of_core, is_atomic
-from .nilcox import ADMorphism
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ADMorphism",
     "AtomicCoset",
     "CoxeterSystem",
     "DoubleCoset",

@@ -122,8 +122,9 @@ def _cmd_compose(args) -> int:
     reduced = expressions.is_reduced(parsed[0])
     for expr in parsed[1:]:
         q = expressions.evaluate(expr)
-        reduced = reduced and expressions.is_reduced(expr) and cosets.is_reduced_composition(acc, q)
-        acc = cosets.star_compose(acc, q)
+        r = cosets.reduced_composite(acc, q)
+        reduced = reduced and r is not None and expressions.is_reduced(expr)
+        acc = cosets.star_compose(acc, q) if r is None else r
     _print_result(acc, reduced, args.format)
     return 0
 
@@ -274,15 +275,13 @@ def _check_mimimi(system: CoxeterSystem, emit, fail) -> None:
     for J, composable in _composable_core_pairs(_core_by_right(system)):
         for p, q in composable:
             pairs += 1
-            lhs = cosets.is_reduced_composition(p, q)
+            r = cosets.reduced_composite(p, q)
             prod = coxeter.multiply(p.min, q.min)
             rhs = coxeter.length(prod) == coxeter.length(p.min) + coxeter.length(q.min)
-            if lhs != rhs:
+            if (r is not None) != rhs:
                 fail(f"mimimi reducedness mismatch: {p} * {q}")
-            elif lhs:
-                r = cosets.star_compose(p, q)
-                if r.min != prod or not cosets.is_core(r):
-                    fail(f"mimimi composite mismatch: {p} * {q}")
+            elif r is not None and (r.min != prod or not cosets.is_core(r)):
+                fail(f"mimimi composite mismatch: {p} * {q}")
         emit(f"mimimi {system.cartan} rank={system.rank} through J={cosets.format_subset(J)}: ok")
     emit(f"mimimi {system.cartan} rank={system.rank}: {pairs} pairs")
 
@@ -299,7 +298,7 @@ def _check_atomatom(system: CoxeterSystem, emit, fail) -> None:
             pa, pb = atomic.coset_of_atom(a), atomic.coset_of_atom(b)
             if pa.right != pb.left:
                 continue
-            if cosets.is_reduced_composition(pa, pb):
+            if cosets.reduced_composite(pa, pb) is not None:
                 continue
             prod = cosets.star_compose(pa, pb)
             if cosets.is_core(prod) != (pa == pb):
@@ -312,7 +311,7 @@ def _check_atomatom(system: CoxeterSystem, emit, fail) -> None:
             aJ = atomic.atomic_generator(system, J, i)
             aI = atomic.atomic_generator(system, aJ.left, i)
             pI, pJ = atomic.coset_of_atom(aI), atomic.coset_of_atom(aJ)
-            if cosets.is_reduced_composition(pI, pJ):
+            if cosets.reduced_composite(pI, pJ) is not None:
                 fail(f"aa=a: reduced composition at J={sorted(J)} i={i}")
             expected = cosets.coset_of(system, J, cosets.longest_element(system, aJ.mid), J)
             if cosets.star_compose(pI, pJ) != expected:
@@ -396,9 +395,9 @@ def _check_type_b(system: CoxeterSystem, emit, fail) -> None:
     # squashing is a homomorphism on reduced core compositions
     for _, composable in _composable_core_pairs(core):
         for p, q in composable:
-            if not cosets.is_reduced_composition(p, q):
+            r = cosets.reduced_composite(p, q)
+            if r is None:
                 continue
-            r = cosets.star_compose(p, q)
             sp, sq = squash_a.squash_coset(p), squash_a.squash_coset(q)
             if squash_a.squash_coset(r) != coxeter.multiply(sp, sq):
                 fail(f"type-b: squash not multiplicative at {p} * {q}")

@@ -30,6 +30,7 @@ from .coxeter import (
     order_factors,
     simple,
     star_product,
+    system_key,
 )
 
 Frame = frozenset[int]
@@ -178,32 +179,28 @@ def star_compose(p: DoubleCoset, q: DoubleCoset) -> DoubleCoset:
     return coset_of(p.system, p.left, x, q.right)
 
 
-def _head(p: DoubleCoset, q: DoubleCoset) -> Element:
-    """max(p) w_J for composable p and q, J = p.right; w_J is an involution."""
+def _reduced_product(p: DoubleCoset, q: DoubleCoset) -> Element | None:
+    """a b for composable p and q, a = max(p) w_J (J = p.right) and b =
+    max(q), when l(a b) = l(a) + l(b); else None.  w_J is a right factor of
+    max(p) and a left factor of max(q), so a b is then max(p) * max(q), the
+    maximum of p . q."""
     if p.system != q.system or p.right != q.left:
         raise ValueError("frame mismatch in coset composition")
-    return multiply(max_elem(p), longest_element(p.system, p.right))
+    a, b = multiply(max_elem(p), longest_element(p.system, p.right)), max_elem(q)
+    ab = multiply(a, b)
+    return ab if length(ab) == length(a) + length(b) else None
 
 
-def is_reduced_composition(p: DoubleCoset, q: DoubleCoset) -> bool:
-    """True iff l(max(p) w_J^{-1}) + l(max(q)) is attained by the product."""
-    a, b = _head(p, q), max_elem(q)
-    return length(multiply(a, b)) == length(a) + length(b)
+def reduced_composite(p: DoubleCoset, q: DoubleCoset) -> DoubleCoset | None:
+    """p . q when the composition is reduced, else None (the 0 of d_p d_q)."""
+    ab = _reduced_product(p, q)
+    return None if ab is None else coset_of(p.system, p.left, ab, q.right)
 
 
 def composes_reducedly_to(p: DoubleCoset, q: DoubleCoset, r: DoubleCoset) -> bool:
-    """True iff p . q is reduced and equals r.
-
-    With a = max(p) w_J and b = max(q), w_J is a right factor of max(p) and
-    a left factor of max(q), so when the lengths add the star product
-    max(p) * max(q) is a b, the maximum of p . q: one product, compared
-    with max(r) before any length is counted.
-    """
-    a, b = _head(p, q), max_elem(q)
-    if (r.left, r.right) != (p.left, q.right):
-        return False
-    rmax = max_elem(r)
-    return multiply(a, b) == rmax and length(rmax) == length(a) + length(b)
+    """True iff p . q is reduced and equals r: its maximum is max(r)."""
+    ab = _reduced_product(p, q)
+    return ab is not None and (r.left, r.right) == (p.left, q.right) and ab == max_elem(r)
 
 
 def _coset_sort_key(p: DoubleCoset):
@@ -384,5 +381,10 @@ def coset_from_json(doc: dict) -> DoubleCoset:
         )
     ):
         raise ValueError("coset JSON needs an integer rank and bond, and integer lists left, right and min")
-    system = CoxeterSystem(doc["cartan"], doc["rank"], doc.get("bond"))
+    # sized from the checked key: building the system costs time and memory linear in its rank
+    key = system_key(doc["cartan"], doc["rank"], doc.get("bond"))
+    points = key.rank + (key.cartan == "A")
+    if key.cartan != "I2" and len(doc["min"]) != points:
+        raise ValueError(f"min lists {len(doc['min'])} images, but {key.cartan}{key.rank} acts on {points} points")
+    system = CoxeterSystem(*key)
     return coset_of(system, doc["left"], element_from_data(system, doc["min"]), doc["right"])

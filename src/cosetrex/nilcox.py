@@ -1,10 +1,11 @@
 """The nilCoxeter algebroid on double cosets and its atomic subcategory.
 
-Morphisms from J to I are integer combinations of symbols d_p indexed by
-(I,J)-cosets, composed by d_p . d_q = d_{p*q} when the star composition is
-reduced and 0 otherwise.  The subcategory generated by the atomic symbols
-has the core cosets as a basis; over a fixed right frame it is a copy of
-the ordinary nilCoxeter algebra of the squashed group.
+The symbols d_p are indexed by (I,J)-cosets and compose by d_p . d_q =
+d_{p*q} when the star composition is reduced and 0 otherwise, so every
+product of symbols is one symbol or 0: here a symbol is its coset p, and 0
+is None.  The subcategory generated by the atomic symbols has the core
+cosets as a basis; over a fixed right frame it is a copy of the ordinary
+nilCoxeter algebra of the squashed group.
 """
 from __future__ import annotations
 
@@ -20,68 +21,37 @@ from .cosets import (
     all_frames,
     check_subset,
     identity_coset,
-    is_reduced_composition,
-    star_compose,
+    reduced_composite,
 )
 from .atomic import atomic_generator, coset_of_atom, squashed_system
 
 
-@dataclass(eq=True)
-class ADMorphism:
-    """A finitely supported integer combination of coset symbols d_p.
-
-    All keyed cosets are (target, source)-cosets; zero coefficients are
-    pruned.  Treat instances as immutable.
-    """
-
-    system: CoxeterSystem
-    source: Frame
-    target: Frame
-    coeffs: dict[DoubleCoset, int] = field(default_factory=dict)
-
-
-def basis_morphism(p: DoubleCoset) -> ADMorphism:
-    """The symbol d_p."""
-    return ADMorphism(p.system, p.right, p.left, {p: 1})
-
-
-def identity_morphism(system: CoxeterSystem, frame: Iterable[int]) -> ADMorphism:
-    return basis_morphism(identity_coset(system, frame))
-
-
-def ad_compose(f: ADMorphism, g: ADMorphism) -> ADMorphism:
-    """f . g, applying g first: bilinear in f and g, with d_p . d_q = d_{p*q}
-    when the star composition p * q is reduced and 0 otherwise."""
-    if f.system != g.system or f.source != g.target:
-        raise ValueError("frame mismatch in morphism composition")
-    coeffs: dict[DoubleCoset, int] = {}
-    for p, cp in f.coeffs.items():
-        for q, cq in g.coeffs.items():
-            if is_reduced_composition(p, q):
-                key = star_compose(p, q)
-                coeffs[key] = coeffs.get(key, 0) + cp * cq
-                if coeffs[key] == 0:
-                    del coeffs[key]
-    return ADMorphism(f.system, g.source, f.target, coeffs)
-
-
-def generator(system: CoxeterSystem, J: Iterable[int], i: int) -> ADMorphism:
+def generator(system: CoxeterSystem, J: Iterable[int], i: int) -> DoubleCoset:
     """The atomic generator symbol d_i at the object J."""
     if system.cartan == "I2":
         raise ValueError("nil-Coxeter generators need a type A or B system, got I2")
-    return basis_morphism(coset_of_atom(atomic_generator(system, J, i)))
+    return coset_of_atom(atomic_generator(system, J, i))
 
 
-def psi(system: CoxeterSystem, J: Iterable[int], word: Sequence[int]) -> ADMorphism:
+def psi(system: CoxeterSystem, J: Iterable[int], word: Sequence[int]) -> DoubleCoset | None:
     """Fold the generator word onto the object J, rightmost letter first.
 
     The result is nonzero exactly when the word is reduced in the squashed
-    group, and is then the basis symbol of the lifted core coset.
+    group, and is then the lifted core coset.  Every letter is checked
+    first, as the fold stops at 0; the squashed rank is the same at every
+    frame of the fold.
     """
     J = check_subset(system, J)
-    acc = identity_morphism(system, J)
+    acc = identity_coset(system, J)
+    if word:
+        indices = squashed_system(system, J).simple_indices
+        bad = [i for i in word if i not in indices]
+        if bad:
+            raise ValueError(f"generator index {bad[-1]} out of range {indices.start}..{indices.stop - 1}")
     for i in reversed(word):
-        acc = ad_compose(generator(system, acc.target, i), acc)
+        acc = reduced_composite(generator(system, acc.left, i), acc)
+        if acc is None:
+            return None
     return acc
 
 
@@ -94,13 +64,10 @@ def reachable_cosets(system: CoxeterSystem, J: Iterable[int]) -> set[DoubleCoset
     while queue:
         p = queue.popleft()
         for i in indices:
-            g = generator(system, p.left, i)
-            (a,) = g.coeffs
-            if is_reduced_composition(a, p):
-                nxt = star_compose(a, p)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
+            nxt = reduced_composite(generator(system, p.left, i), p)
+            if nxt is not None and nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
     return seen
 
 
@@ -127,7 +94,7 @@ def verify_relations(system: CoxeterSystem) -> RelationReport:
     for J in all_frames(system):
         small = squashed_system(system, J)
         for i in small.simple_indices:
-            record(f"d{i} d{i} = 0", J, not psi(system, J, (i, i)).coeffs)
+            record(f"d{i} d{i} = 0", J, psi(system, J, (i, i)) is None)
         for i, j in combinations(small.simple_indices, 2):
             lhs, rhs = braid_relation(small, i, j)
             record(f"braid {lhs} = {rhs}", J, psi(system, J, lhs) == psi(system, J, rhs))

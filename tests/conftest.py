@@ -226,9 +226,11 @@ def peel_oracle(p, a, pmax):
 
 
 def reduced_composite_oracle(p, q):
-    """p . q when the composition is reduced, else None: reducedness by
-    lengths, then the star composition folded from a reduced word of max(q)."""
-    return cs.star_compose(p, q) if cs.is_reduced_composition(p, q) else None
+    """p . q when the composition is reduced, else None, by the definition:
+    the star composite r is reduced when l(max r) = l(max p) + l(max q) - l(w_J)."""
+    r = cs.star_compose(p, q)
+    lp, lq, lr = (cx.length(cs.max_elem(x)) for x in (p, q, r))
+    return r if lr == lp + lq - cs.parabolic_length(p.system, p.right) else None
 
 
 def compose_atomics_oracle(system, atoms, empty_frame=None):
@@ -244,8 +246,7 @@ def compose_atomics_oracle(system, atoms, empty_frame=None):
         nxt = at.coset_of_atom(a)
         if acc.right != nxt.left:
             raise ValueError("frame mismatch in atom sequence")
-        if not cs.is_reduced_composition(acc, nxt):
-            reduced = False
+        reduced = reduced and reduced_composite_oracle(acc, nxt) is not None
         acc = cs.star_compose(acc, nxt)
     return acc, reduced
 

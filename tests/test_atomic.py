@@ -352,7 +352,7 @@ def test_nonreduced_atomic_pairs_core_iff_equal(system):
     for a in atoms:
         for b in atoms:
             pa, pb = at.coset_of_atom(a), at.coset_of_atom(b)
-            if pa.right != pb.left or cs.is_reduced_composition(pa, pb):
+            if pa.right != pb.left or cs.reduced_composite(pa, pb) is not None:
                 continue
             prod = cs.star_compose(pa, pb)
             assert cs.is_core(prod) == (pa == pb)

@@ -253,6 +253,16 @@ def test_coset_with_another_coset_flag_names_the_flag(capsys, flag, value):
         assert code == 0 and out
 
 
+def test_a_short_coset_document_builds_no_system_of_its_rank(capsys, monkeypatch):
+    # the window is checked against min before the system of rank 10**6 is built
+    monkeypatch.setattr(cx, "_SYSTEMS", {key: s for key, s in cx._SYSTEMS.items() if key.rank != 10**6})
+    doc = json.dumps({"cartan": "A", "rank": 10**6, "left": [], "right": [], "min": [1, 2]})
+    code, out, err = run(capsys, "squash", "--coset", doc)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert ("A", 10**6, None) not in cx._SYSTEMS
+
+
 @pytest.mark.parametrize("command", ["atomic-rex", "squash"])
 def test_coset_flags_without_a_rank_name_the_missing_rank(capsys, command):
     code, _, err = run(capsys, command, "--left", "{1}", "--right", "{3}", "--min", "[3,4,1,2]")
@@ -445,19 +455,24 @@ def _rebind_everywhere(monkeypatch, old, new):
 
 
 def _negate_reducedness(monkeypatch):
-    # both reducedness checks: the two-call one and the one-product one
-    right = cs.is_reduced_composition
-    _rebind_everywhere(monkeypatch, right, lambda p, q: not right(p, q))
+    # both reducedness checks: reduced_composite, which gives the star
+    # composite where the composition is not reduced and 0 where it is, and
+    # the one-product check
+    right = cs.reduced_composite
+    star = cs.star_compose
+    _rebind_everywhere(monkeypatch, right, lambda p, q: star(p, q) if right(p, q) is None else None)
     composes = cs.composes_reducedly_to
     _rebind_everywhere(monkeypatch, composes, lambda p, q, r: not composes(p, q, r))
 
 
 def _compose_to_the_tail(monkeypatch):
-    # both composites: star_compose's, and the one composes_reducedly_to
-    # compares against
+    # every composite: star_compose's, reduced_composite's, and the one
+    # composes_reducedly_to compares against
     monkeypatch.setattr(cs, "star_compose", lambda p, q: q)
-    right = cs.composes_reducedly_to
-    monkeypatch.setattr(cs, "composes_reducedly_to", lambda p, q, r: right(p, q, q))
+    right = cs.reduced_composite
+    _rebind_everywhere(monkeypatch, right, lambda p, q: None if right(p, q) is None else q)
+    composes = cs.composes_reducedly_to
+    monkeypatch.setattr(cs, "composes_reducedly_to", lambda p, q, r: composes(p, q, q))
 
 
 def _no_right_redundancy(monkeypatch):
@@ -538,6 +553,21 @@ def test_a_wrong_answer_is_caught_whatever_the_caches_hold(capsys, monkeypatch, 
     assert any(
         line.startswith(f"FAIL: {suite}") and "DoubleCoset(" in line for line in err.splitlines()
     )
+
+
+@pytest.mark.parametrize(
+    "suite, line",
+    [("atomatom", "FAIL: aa=a: reduced composition at J=[] i=1"),
+     ("nilcox-relations", "FAIL: reachable generator products differ from the core basis at ")],
+)
+def test_verify_catches_a_negated_reducedness_in_the_generator_suites(capsys, monkeypatch, suite, line):
+    # these suites' FAIL lines do not start with the suite name, so they are
+    # not rows of _WALK_FAULTS
+    _negate_reducedness(monkeypatch)
+    code, out, err = run(capsys, "verify", suite, "--type", "A", "--max-rank", "3")
+    assert code == 1
+    assert "all checks passed" not in out
+    assert any(text.startswith(line) for text in err.splitlines())
 
 
 def test_a_failed_cross_check_ends_its_system_only(capsys, monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cosetrex
 from cosetrex import atomic as at
 from cosetrex import cosets as cs
 from cosetrex import coxeter as cx
@@ -44,6 +45,14 @@ def test_system_validation():
         cx.CoxeterSystem("A", 3.0)
     with pytest.raises(TypeError):
         cx.dihedral(5.0)
+
+
+def test_every_exported_name_is_an_attribute_of_the_package():
+    # so that from cosetrex import * works
+    assert [name for name in cosetrex.__all__ if not hasattr(cosetrex, name)] == []
+    namespace = {}
+    exec("from cosetrex import *", namespace)
+    assert set(cosetrex.__all__) <= set(namespace)
 
 
 def test_systems_are_interned_on_every_path():
