@@ -62,8 +62,11 @@ def _coset_from_args(args):
         raise ValueError("give the coset as --coset JSON, or as --left, --right and --min")
     if args.rank is None:
         raise ValueError("--left, --right and --min need --rank")
-    system = CoxeterSystem(args.type or "A", args.rank, args.bond)
-    w = coxeter.parse_element(system, args.min)
+    key = coxeter.system_key(args.type or "A", args.rank, args.bond)
+    data = coxeter.parse_data(key.cartan, args.min)
+    cosets.check_window(key, data)  # before a huge system is built
+    system = CoxeterSystem(*key)
+    w = coxeter.element_from_data(system, data)
     return cosets.coset_of(
         system, cosets.parse_subset(args.left), w, cosets.parse_subset(args.right)
     )

@@ -11,12 +11,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations
 from operator import mul
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .coxeter import (
     CoxeterSystem,
     Element,
     SystemKey,
+    _i2_longest,
     all_elements,
     as_simple,
     conjugate,
@@ -65,14 +66,30 @@ def parse_subset(text: str) -> Frame:
 
 @lru_cache(maxsize=None)
 def longest_element(system: CoxeterSystem, indices: Frame) -> Element:
-    """The longest element of the parabolic subgroup W_I."""
+    """The longest element w_I of the parabolic subgroup W_I, in closed
+    form (Bjorner-Brenti, GTM 231, ch. 2, and 8.1 for type B), in one pass
+    over the maximal runs of I: in types A and B a run s_i..s_j with i >= 1
+    reverses the places i..j+1, and the type-B run s_0..s_{k-1} negates
+    the places 1..k.  In I2(m), w_I is the longest word for I = {1,2} and
+    s_i for I = {i}.  The empty frame gives the system's one identity
+    object, which star_product skips by identity."""
     indices = check_subset(system, indices)
-    acc = identity(system)
-    while True:
-        free = [i for i in sorted(indices) if not is_right_descent(acc, i)]
-        if not free:
-            return acc
-        acc = multiply(acc, simple(system, free[0]))
+    if not indices:
+        return identity(system)
+    if system.cartan == "I2":
+        return Element(system, _i2_longest(system)) if len(indices) == 2 else simple(system, *indices)
+    d = list(identity(system).data)
+    run = sorted(indices)
+    lo = run[0]
+    for i, nxt in zip(run, run[1:] + [None]):
+        if nxt == i + 1:
+            continue
+        if lo:  # the run s_lo..s_i reverses the places lo..i+1
+            d[lo - 1 : i + 1] = range(i + 1, lo - 1, -1)
+        else:  # the run s_0..s_i negates the places 1..i+1
+            d[: i + 1] = range(-1, -i - 2, -1)
+        lo = nxt
+    return Element(system, tuple(d))
 
 
 def parabolic_length(system: CoxeterSystem, indices: Frame) -> int:
@@ -365,6 +382,15 @@ def coset_to_json(p: DoubleCoset) -> dict:
     return doc
 
 
+def check_window(key: SystemKey, min_data: Sequence[int]) -> None:
+    """Refuse a minimal element whose image list (types A and B) does not
+    fill the window of key's system.  Sized from the key, it refuses before
+    the system is built: that costs time and memory linear in the rank."""
+    points = key.rank + (key.cartan == "A")
+    if key.cartan != "I2" and len(min_data) != points:
+        raise ValueError(f"min lists {len(min_data)} images, but {key.cartan}{key.rank} acts on {points} points")
+
+
 def coset_from_json(doc: dict) -> DoubleCoset:
     if not isinstance(doc, dict):
         raise ValueError("a coset must be a JSON object")
@@ -381,10 +407,7 @@ def coset_from_json(doc: dict) -> DoubleCoset:
         )
     ):
         raise ValueError("coset JSON needs an integer rank and bond, and integer lists left, right and min")
-    # sized from the checked key: building the system costs time and memory linear in its rank
     key = system_key(doc["cartan"], doc["rank"], doc.get("bond"))
-    points = key.rank + (key.cartan == "A")
-    if key.cartan != "I2" and len(doc["min"]) != points:
-        raise ValueError(f"min lists {len(doc['min'])} images, but {key.cartan}{key.rank} acts on {points} points")
+    check_window(key, doc["min"])
     system = CoxeterSystem(*key)
     return coset_of(system, doc["left"], element_from_data(system, doc["min"]), doc["right"])

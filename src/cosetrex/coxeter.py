@@ -607,11 +607,17 @@ def element_from_data(system: CoxeterSystem, data: Sequence[int]) -> Element:
 
 def parse_element(system: CoxeterSystem, text: str) -> Element:
     """The text form of format_element: "2 1" for I2, "[3,4,1,2]" for A and B."""
+    return element_from_data(system, parse_data(system.cartan, text))
+
+
+def parse_data(cartan: str, text: str) -> list[int]:
+    """The integers of text, in the form format_element writes for type
+    cartan; it needs no system, so a caller can size them before building one."""
     text = text.strip()
-    if system.cartan == "I2":
+    if cartan == "I2":
         tokens = text.split()
     elif text.startswith("[") and text.endswith("]"):
         tokens = text[1:-1].split(",") if text[1:-1].strip() else []
     else:
         raise ValueError(f"expected an image list like [3,4,1,2], got {text!r}")
-    return element_from_data(system, [int(tok) for tok in tokens])
+    return [int(tok) for tok in tokens]

@@ -197,6 +197,18 @@ def redundancy_oracle(p):
     return frozenset(left), frozenset(right)
 
 
+def longest_element_oracle(system, indices):
+    """w_I by right-multiplying the smallest simple of I that is not yet a
+    right descent, rescanning I after each step, until every simple of I
+    is a descent."""
+    acc = cx.identity(system)
+    while True:
+        free = [i for i in sorted(indices) if not cx.is_right_descent(acc, i)]
+        if not free:
+            return acc
+        acc = cx.multiply(acc, cx.simple(system, free[0]))
+
+
 def atomic_rex_of_core_oracle(p):
     """The greedy atomic expression of a core coset, built afresh at every
     step: no cached step, no interned atom."""
@@ -209,7 +221,7 @@ def atomic_rex_of_core_oracle(p):
             break
         s = min(extra)
         mid = cur.left | {s}
-        w_mid = cs.longest_element(p.system, mid)
+        w_mid = longest_element_oracle(p.system, mid)
         t = cx.as_simple(cx.conjugate(w_mid, s))
         a = at.AtomicCoset(p.system, mid - {s}, mid, mid - {t}, s, t)
         atoms.append(a)
@@ -221,7 +233,7 @@ def atomic_rex_of_core_oracle(p):
 def peel_oracle(p, a, pmax):
     """The remainder q with p = a . q, walked down from its maximum
     w_{right(a)} w_{mid(a)} max(p)."""
-    w = cx.multiply(cs.longest_element(p.system, a.right), cs.longest_element(p.system, a.mid))
+    w = cx.multiply(longest_element_oracle(p.system, a.right), longest_element_oracle(p.system, a.mid))
     return cs.coset_of(p.system, a.right, cx.multiply(w, pmax), p.right)
 
 

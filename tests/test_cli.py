@@ -264,6 +264,17 @@ def test_a_short_coset_document_builds_no_system_of_its_rank(capsys, monkeypatch
 
 
 @pytest.mark.parametrize("command", ["atomic-rex", "squash"])
+def test_a_short_min_flag_builds_no_system_of_its_rank(capsys, monkeypatch, command):
+    # the flag twin: --min is checked against the window before the system is built
+    monkeypatch.setattr(cx, "_SYSTEMS", {key: s for key, s in cx._SYSTEMS.items() if key.rank != 10**6})
+    code, out, err = run(capsys, command, "--type", "A", "--rank", str(10**6),
+                         "--left", "{1}", "--right", "{3}", "--min", "[3,4,1,2]")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert ("A", 10**6, None) not in cx._SYSTEMS
+
+
+@pytest.mark.parametrize("command", ["atomic-rex", "squash"])
 def test_coset_flags_without_a_rank_name_the_missing_rank(capsys, command):
     code, _, err = run(capsys, command, "--left", "{1}", "--right", "{3}", "--min", "[3,4,1,2]")
     assert code == 2

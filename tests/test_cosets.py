@@ -9,6 +9,7 @@ from conftest import (
     descent_table_oracle,
     enumerate_core_cosets_oracle,
     enumerate_cosets_oracle,
+    longest_element_oracle,
     reduced_composite_oracle,
     redundancy_oracle,
 )
@@ -40,6 +41,24 @@ def test_longest_element_is_maximal(system):
         members = [v for v in cx.all_elements(system) if set(cx.reduced_word(v)) <= I]
         assert max(cx.length(v) for v in members) == cx.length(w)
         assert w in members
+
+
+@pytest.mark.parametrize(
+    "systems",
+    [[cx.type_a(r) for r in range(8)], [cx.type_b(r) for r in range(7)], [cx.dihedral(m) for m in range(3, 9)]],
+    ids=["A0-A7", "B0-B6", "I2(3..8)"],
+)
+def test_longest_element_agrees_with_the_descent_loop(systems):
+    for system in systems:
+        for I in all_subsets(system):
+            assert cs.longest_element(system, I) == longest_element_oracle(system, I), (system, I)
+
+
+@pytest.mark.parametrize("system", [cx.type_a(3), cx.type_b(3), cx.dihedral(5)], ids=str)
+def test_the_empty_frame_gives_the_identity_object(system):
+    # star_product skips its fold only for the identity object itself
+    assert cs.longest_element(system, frozenset()) is cx.identity(system)
+    assert cs.max_elem(cs.identity_coset(system, frozenset())) is cx.identity(system)
 
 
 def test_coset_of_examples(a2, a3):
