@@ -14,15 +14,14 @@ from typing import Iterable, Sequence
 from .coxeter import (
     CoxeterSystem,
     all_paths,
-    as_simple,
     braid_class,
     braid_steps,
-    conjugate,
     identity,
     left_descents,
     length,
     multiply,
     same_paths,
+    simple_conjugate,
 )
 from .cosets import (
     DoubleCoset,
@@ -66,7 +65,7 @@ def atomic_from(system: CoxeterSystem, mid: Iterable[int], s: int) -> AtomicCose
 def _atom(system: CoxeterSystem, mid: Frame, s: int) -> AtomicCoset:
     # one object per atom: the cached greedy steps hold many references to few atoms
     w = longest_element(system, mid)
-    t = as_simple(conjugate(w, s))
+    t = simple_conjugate(w, s)
     if t is None:  # conjugation by w_M permutes the simples of M
         raise AssertionError(f"w_M {s} w_M is not simple for M = {sorted(mid)}")
     return AtomicCoset(system, mid - {s}, mid, mid - {t}, s, t)
@@ -91,7 +90,7 @@ def atomic_generator(system: CoxeterSystem, J: Iterable[int], i: int) -> AtomicC
         raise ValueError(f"generator index {i} out of range {start}..{start + len(gaps) - 1}")
     s = gaps[i - start]
     mid = J | {s}
-    return atomic_from(system, mid, as_simple(conjugate(longest_element(system, mid), s)))
+    return atomic_from(system, mid, simple_conjugate(longest_element(system, mid), s))
 
 
 def atomic_index(a: AtomicCoset) -> int:
@@ -133,7 +132,7 @@ def is_atomic(p: DoubleCoset) -> bool:
     if pmax != longest_element(p.system, frozenset(mid)):
         return False
     (s,) = extra
-    t = as_simple(conjugate(pmax, s))
+    t = simple_conjugate(pmax, s)
     return t is not None and p.right == frozenset(mid) - {t} and is_core(p)
 
 

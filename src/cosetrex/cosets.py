@@ -18,9 +18,8 @@ from .coxeter import (
     Element,
     SystemKey,
     _i2_longest,
+    _inverse_list,
     all_elements,
-    as_simple,
-    conjugate,
     element_from_data,
     identity,
     inverse,
@@ -30,6 +29,7 @@ from .coxeter import (
     multiply,
     order_factors,
     simple,
+    simple_conjugate,
     star_product,
     system_key,
 )
@@ -67,29 +67,38 @@ def parse_subset(text: str) -> Frame:
 @lru_cache(maxsize=None)
 def longest_element(system: CoxeterSystem, indices: Frame) -> Element:
     """The longest element w_I of the parabolic subgroup W_I, in closed
-    form (Bjorner-Brenti, GTM 231, ch. 2, and 8.1 for type B), in one pass
-    over the maximal runs of I: in types A and B a run s_i..s_j with i >= 1
-    reverses the places i..j+1, and the type-B run s_0..s_{k-1} negates
-    the places 1..k.  In I2(m), w_I is the longest word for I = {1,2} and
-    s_i for I = {i}.  The empty frame gives the system's one identity
-    object, which star_product skips by identity."""
+    form: the identity with the places of each run of I sorted (see
+    _sort_runs).  In I2(m), w_I is the longest word for I = {1,2} and s_i
+    for I = {i}.  The empty frame gives the system's one identity object,
+    which star_product skips by identity."""
     indices = check_subset(system, indices)
     if not indices:
         return identity(system)
     if system.cartan == "I2":
         return Element(system, _i2_longest(system)) if len(indices) == 2 else simple(system, *indices)
-    d = list(identity(system).data)
+    return Element(system, tuple(_sort_runs(list(identity(system).data), indices)))
+
+
+def _sort_runs(d: list[int], indices: Frame) -> list[int]:
+    """The image list of x * w_K (star product) from the image list d of x
+    (types A and B), in place, in one pass over the maximal runs of K
+    (Bjorner-Brenti, GTM 231, 2.4 and 8.1): a run s_lo..s_hi with lo >= 1
+    sorts the places lo..hi+1 descending, and the type-B run s_0..s_{k-1}
+    writes -|x| for the values x of the places 1..k, sorted descending.
+    On the identity this reverses (or negates) each run's places: w_K."""
     run = sorted(indices)
+    if not run:
+        return d
     lo = run[0]
     for i, nxt in zip(run, run[1:] + [None]):
         if nxt == i + 1:
             continue
-        if lo:  # the run s_lo..s_i reverses the places lo..i+1
-            d[lo - 1 : i + 1] = range(i + 1, lo - 1, -1)
-        else:  # the run s_0..s_i negates the places 1..i+1
-            d[: i + 1] = range(-1, -i - 2, -1)
+        if lo:
+            d[lo - 1 : i + 1] = sorted(d[lo - 1 : i + 1], reverse=True)
+        else:
+            d[: i + 1] = sorted((-abs(x) for x in d[: i + 1]), reverse=True)
         lo = nxt
-    return Element(system, tuple(d))
+    return d
 
 
 def parabolic_length(system: CoxeterSystem, indices: Frame) -> int:
@@ -132,16 +141,29 @@ def identity_coset(system: CoxeterSystem, frame: Iterable[int]) -> DoubleCoset:
 
 @lru_cache(maxsize=None)
 def max_elem(p: DoubleCoset) -> Element:
-    """The Bruhat-maximal element w_I * min * w_J (star product)."""
-    out = star_product(longest_element(p.system, p.left), p.min)
-    return star_product(out, longest_element(p.system, p.right))
+    """The Bruhat-maximal element w_I * min * w_J (star product).
+
+    Types A and B sort runs (_sort_runs): the runs of J sort places of
+    min's image list, and the runs of I sort places of its position list,
+    as w_I * x is the inverse of x^{-1} * w_I; the position list is local,
+    so no inverse is cached.  I2 folds the longest words by star_product.
+    Empty frames give min itself."""
+    system, left, right = p.system, p.left, p.right
+    if not (left or right):
+        return p.min
+    if system.cartan == "I2":
+        return star_product(star_product(longest_element(system, left), p.min), longest_element(system, right))
+    d = list(p.min.data)
+    if left:
+        d = _inverse_list(_sort_runs(_inverse_list(d), left))
+    return Element(system, tuple(_sort_runs(d, right)))
 
 
 @lru_cache(maxsize=None)
 def _redundancy(p: DoubleCoset) -> tuple[Frame, Frame]:
     """The left and right redundancy, from the j in J and i in I with
     min s_j min^{-1} = s_i; a frame equal to p's own is p's own object."""
-    pairs = [(i, j) for j in p.right if (i := as_simple(conjugate(p.min, j))) in p.left]
+    pairs = [(i, j) for j in p.right if (i := simple_conjugate(p.min, j)) in p.left]
     left = frozenset(i for i, _ in pairs)
     right = frozenset(j for _, j in pairs)
     return (p.left if left == p.left else left), (p.right if right == p.right else right)
@@ -277,9 +299,7 @@ def _image_rows(system: CoxeterSystem):
     signed = 0 in system.index_set
     for w in all_elements(system):
         d = w.data
-        pos = [0] * n
-        for i, x in enumerate(d, 1):
-            pos[abs(x) - 1] = i if x > 0 else -i
+        pos = _inverse_list(d)
         ld = rd = 0
         conj = []
         if signed:

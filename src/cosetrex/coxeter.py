@@ -17,6 +17,7 @@ Conventions, fixed once for the whole package:
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 from math import prod
@@ -366,19 +367,33 @@ def inverse(w: Element) -> Element:
         if len(word) == system.bond:
             word = _i2_longest(system)
         return Element(system, word)
-    inv = [0] * len(w.data)
-    for i, x in enumerate(w.data, 1):
+    return Element(system, tuple(_inverse_list(w.data)))
+
+
+def _inverse_list(d: Sequence[int]) -> list[int]:
+    """The image list of w^{-1} for the image list d of w (types A and B):
+    the place of each value, negated where the value is negative."""
+    inv = [0] * len(d)
+    for i, x in enumerate(d, 1):
         inv[abs(x) - 1] = i if x > 0 else -i
-    return Element(system, tuple(inv))
+    return inv
 
 
 @lru_cache(maxsize=None)
 def length(w: Element) -> int:
-    """Inversions plus, in type B, the sum of the negated negative images."""
+    """Inversions plus, in type B, the sum of the negated negative images.
+
+    The inversions are counted in one pass over the images, each against
+    the sorted list of those before it, by bisection."""
     d = w.data
     if w.system.cartan == "I2":
         return len(d)
-    inversions = sum(1 for i in range(len(d)) for j in range(i + 1, len(d)) if d[i] > d[j])
+    seen: list[int] = []
+    inversions = 0
+    for x in d:
+        k = bisect_right(seen, x)
+        inversions += len(seen) - k
+        seen.insert(k, x)
     return inversions + sum(-x for x in d if x < 0)
 
 
@@ -552,14 +567,31 @@ def star_product(w: Element, v: Element) -> Element:
     return Element(system, tuple(d))
 
 
-def conjugate(w: Element, i: int) -> Element:
-    """w s_i w^{-1}."""
-    return multiply(multiply(w, simple(w.system, i)), inverse(w))
+def simple_conjugate(w: Element, j: int) -> int | None:
+    """The index i with w s_j w^{-1} = s_i, or None when w s_j w^{-1} is
+    not a simple reflection.
 
-
-def as_simple(e: Element) -> int | None:
-    """The index i with e = s_i, or None if e is not a simple reflection."""
-    return reduced_word(e)[0] if length(e) == 1 else None
+    In types A and B, w s_j w^{-1} swaps the values a = w(j) and b = w(j+1)
+    (and -a, -b): it is s_i for i = min(|a|, |b|) when a and b are
+    neighbours of one sign, that is when |a - b| = 1.  w s_0 w^{-1} negates
+    w(1), so it is s_0 when |w(1)| = 1.  In I2, a right descent j is
+    stripped first, as w s_j w^{-1} = (w s_j) s_j (w s_j)^{-1}; then the
+    answer is s_j at the identity, s_{3 - first letter} at length m - 1, and
+    not simple elsewhere."""
+    system = w.system
+    if j not in system.index_set:
+        raise ValueError(f"index {j} out of range for {system}")
+    d = w.data
+    if system.cartan == "I2":
+        if is_right_descent(w, j):
+            d = _i2_right_mult(w, j).data
+        if not d:
+            return j
+        return _i2_other(d[0]) if len(d) == system.bond - 1 else None
+    if j == 0:
+        return 0 if abs(d[0]) == 1 else None
+    a, b = d[j - 1], d[j]
+    return min(abs(a), abs(b)) if abs(a - b) == 1 else None
 
 
 def order_factors(system: CoxeterSystem | SystemKey) -> Sequence[int]:

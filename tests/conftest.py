@@ -88,6 +88,23 @@ def star_product_oracle(w, v):
     return w
 
 
+def conjugate(w, i):
+    """w s_i w^{-1}, by two products."""
+    return cx.multiply(cx.multiply(w, cx.simple(w.system, i)), cx.inverse(w))
+
+
+def as_simple(e):
+    """The index i with e = s_i, or None if e is not a simple reflection."""
+    return cx.reduced_word(e)[0] if cx.length(e) == 1 else None
+
+
+def max_elem_oracle(p):
+    """The maximum of p as the Demazure product w_I * min * w_J, folded by
+    star_product, which folds a reduced word of each longest element."""
+    out = cx.star_product(cs.longest_element(p.system, p.left), p.min)
+    return cx.star_product(out, cs.longest_element(p.system, p.right))
+
+
 def braid_closure_oracle(system, word):
     """All words reachable from word by braid moves, by breadth-first search
     over the words themselves, one move at a time.  It reads the library's
@@ -147,7 +164,7 @@ def enumerate_core_cosets_oracle(system, right):
             continue
         conj = set()
         for j in right:
-            i = cx.as_simple(cx.conjugate(w, j))
+            i = as_simple(conjugate(w, j))
             if i is None:
                 break
             conj.add(i)
@@ -174,7 +191,7 @@ def descent_table_oracle(system):
                 rd |= 1 << j
                 conj.append(None)
             else:
-                conj.append(cx.as_simple(cx.conjugate(w, j)))
+                conj.append(as_simple(conjugate(w, j)))
         rows.append((w, ld, rd, tuple(conj)))
     return rows
 
@@ -185,13 +202,13 @@ def redundancy_oracle(p):
     conjugates each s_i, i in I, by min^{-1}."""
     left = set()
     for j in p.right:
-        i = cx.as_simple(cx.conjugate(p.min, j))
+        i = as_simple(conjugate(p.min, j))
         if i is not None and i in p.left:
             left.add(i)
     inv = cx.inverse(p.min)
     right = set()
     for i in p.left:
-        j = cx.as_simple(cx.conjugate(inv, i))
+        j = as_simple(conjugate(inv, i))
         if j is not None and j in p.right:
             right.add(j)
     return frozenset(left), frozenset(right)
@@ -222,7 +239,7 @@ def atomic_rex_of_core_oracle(p):
         s = min(extra)
         mid = cur.left | {s}
         w_mid = longest_element_oracle(p.system, mid)
-        t = cx.as_simple(cx.conjugate(w_mid, s))
+        t = as_simple(conjugate(w_mid, s))
         a = at.AtomicCoset(p.system, mid - {s}, mid, mid - {t}, s, t)
         atoms.append(a)
         cur = peel_oracle(cur, a, pmax)

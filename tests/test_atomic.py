@@ -9,8 +9,10 @@ from cosetrex import expressions as ex
 from cosetrex import squash_a
 from conftest import (
     all_subsets,
+    as_simple,
     atomic_rex_of_core_oracle,
     compose_atomics_oracle,
+    conjugate,
     peel_oracle,
     recursion_headroom,
     reduced_composite_oracle,
@@ -63,7 +65,7 @@ def test_atomic_from_equals_a_fresh_atom(system):
     for M in all_subsets(system):
         w = cs.longest_element(system, M)
         for s in sorted(M):
-            t = cx.as_simple(cx.conjugate(w, s))
+            t = as_simple(conjugate(w, s))
             a = at.atomic_from(system, M, s)
             assert a == at.AtomicCoset(system, M - {s}, M, M - {t}, s, t)
             assert at.atomic_from(system, set(M), s) is a

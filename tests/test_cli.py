@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import functools
 import gc
 import io
@@ -507,7 +508,22 @@ def _unsquash_off_the_minimum(monkeypatch):
     monkeypatch.setattr(squash_a, "coset_of", lambda system, I, y, J: cs.identity_coset(system, J))
 
 
-# faults, each with a run that must catch it; the last two always raise
+def _max_keeps_the_signs(monkeypatch):
+    # max_elem sorts the type-B run s_0..s_{k-1} like the run s_1..s_{k-1},
+    # keeping the signs of its places instead of writing -|x|
+    right = cs.max_elem.__wrapped__
+    _rebind_everywhere(
+        monkeypatch, cs.max_elem, lambda p: right(dataclasses.replace(p, left=p.left - {0}, right=p.right - {0}))
+    )
+
+
+def _simple_conjugate_misses_the_identity(monkeypatch):
+    right = cx.simple_conjugate
+    _rebind_everywhere(monkeypatch, right, lambda w, j: None if w == cx.identity(w.system) else right(w, j))
+
+
+# faults, each with a run that must catch it; _peel_to_itself,
+# _unsquash_off_the_minimum and the four type-B rows at the end always raise
 # inside a library cross-check, which verify reports as a FAIL line
 _WALK_FAULTS = [
     (_stop_one_atom_early, "core-atomic", "A", "3"),
@@ -525,6 +541,10 @@ _WALK_FAULTS = [
     (_factor_the_core, "add-remove", "B", "3"),
     (_peel_to_itself, "core-atomic", "A", "3"),
     (_unsquash_off_the_minimum, "squash-bijection", "A", "3"),
+    (_max_keeps_the_signs, "core-atomic", "B", "3"),
+    (_max_keeps_the_signs, "matsumoto", "B", "3"),
+    (_simple_conjugate_misses_the_identity, "core-atomic", "B", "3"),
+    (_simple_conjugate_misses_the_identity, "matsumoto", "B", "3"),
 ]
 
 

@@ -2,6 +2,7 @@ import copy
 import itertools
 import json
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -12,10 +13,12 @@ from cosetrex import atomic as at
 from cosetrex import cosets as cs
 from cosetrex import coxeter as cx
 from conftest import (
+    as_simple,
     braid_closure_oracle,
     braid_words,
     bruhat_leq_oracle,
     cayley_distances,
+    conjugate,
     inversion_count,
     perm_from_word,
     perm_mult,
@@ -390,15 +393,81 @@ def test_bruhat_partial_order_on_s4(a3):
                     assert leq[w, u]
 
 
-def test_conjugate_and_as_simple(a3):
+def test_simple_conjugate_examples(a3, b2):
     for i in a3.simple_indices:
-        assert cx.conjugate(cx.identity(a3), i) == cx.simple(a3, i)
+        assert conjugate(cx.identity(a3), i) == cx.simple(a3, i)
+        assert cx.simple_conjugate(cx.identity(a3), i) == i
     w0 = cx.element_from_word(a3, (1, 2, 1, 3, 2, 1))
     assert w0.data == (4, 3, 2, 1)
-    assert cx.conjugate(w0, 1) == cx.simple(a3, 3)
-    assert cx.as_simple(cx.element_from_images(a3, (2, 1, 3, 4))) == 1
-    assert cx.as_simple(cx.element_from_images(a3, (3, 4, 1, 2))) is None
-    assert cx.as_simple(cx.identity(a3)) is None
+    assert conjugate(w0, 1) == cx.simple(a3, 3)
+    assert cx.simple_conjugate(w0, 1) == 3  # 1 is a right descent of w0
+    assert as_simple(cx.element_from_images(a3, (2, 1, 3, 4))) == 1
+    assert as_simple(cx.element_from_images(a3, (3, 4, 1, 2))) is None
+    assert as_simple(cx.identity(a3)) is None
+    # s_1 s_1 s_1 = s_1 at the right descent 1; s_1 s_2 s_1 swaps 1 and 3
+    s1 = cx.simple(a3, 1)
+    assert cx.simple_conjugate(s1, 1) == 1
+    assert cx.simple_conjugate(s1, 2) is None
+    assert cx.simple_conjugate(cx.element_from_images(a3, (3, 4, 1, 2)), 1) == 3
+    # type B: s_0 is fixed exactly when |w(1)| = 1, and two negative neighbours give s_i
+    for images, expected in [((1, 2), 0), ((-1, 2), 0), ((1, -2), 0), ((2, 1), None), ((-2, -1), None)]:
+        assert cx.simple_conjugate(cx.element_from_images(b2, images), 0) == expected
+    assert cx.simple_conjugate(cx.element_from_images(b2, (-2, -1)), 1) == 1
+    assert cx.simple_conjugate(cx.element_from_images(b2, (-1, 2)), 1) is None
+    # I2: the longest element swaps s_1 and s_2 when m is odd and fixes them when m is even
+    for m, swapped in [(5, True), (4, False)]:
+        system = cx.dihedral(m)
+        w0 = cx.element_from_word(system, cx._i2_longest(system))
+        for j in (1, 2):
+            assert cx.simple_conjugate(w0, j) == (3 - j if swapped else j)
+    i25 = cx.dihedral(5)
+    assert cx.simple_conjugate(cx.element_from_word(i25, (2, 1, 2, 1)), 2) == 1
+    assert cx.simple_conjugate(cx.element_from_word(i25, (2, 1)), 2) is None
+    with pytest.raises(ValueError):
+        cx.simple_conjugate(cx.identity(a3), 0)
+
+
+@pytest.mark.parametrize(
+    "systems",
+    [[cx.type_a(r) for r in range(7)], [cx.type_b(r) for r in range(6)], [cx.dihedral(m) for m in range(3, 9)]],
+    ids=["A0-A6", "B0-B5", "I2(3..8)"],
+)
+def test_simple_conjugate_agrees_with_the_product_oracle(systems):
+    # every simple index, right descents included
+    for system in systems:
+        for w in cx.all_elements(system):
+            for j in system.simple_indices:
+                assert cx.simple_conjugate(w, j) == as_simple(conjugate(w, j)), (w, j)
+
+
+def _length_oracle(w):
+    return inversion_count(w.data) + sum(-x for x in w.data if x < 0)
+
+
+@pytest.mark.parametrize(
+    "systems", [[cx.type_a(r) for r in range(7)], [cx.type_b(r) for r in range(6)]], ids=["A0-A6", "B0-B5"]
+)
+def test_length_agrees_with_the_pair_count(systems):
+    for system in systems:
+        for w in cx.all_elements(system):
+            assert cx.length.__wrapped__(w) == _length_oracle(w), w
+
+
+@pytest.mark.parametrize("cartan", ["A", "B"])
+def test_length_agrees_with_the_pair_count_at_large_rank(cartan):
+    rng = random.Random(20)
+    for rank in (20, 21, 57, 120, 300):
+        system = cx.CoxeterSystem(cartan, rank)
+        n = system.points
+        for _ in range(3):
+            images = rng.sample(range(1, n + 1), n)
+            if cartan == "B":
+                images = [x * rng.choice((1, -1)) for x in images]
+            w = cx.element_from_images(system, images)
+            assert cx.length.__wrapped__(w) == _length_oracle(w)
+        # the reversed window has the most inversions
+        top = cx.element_from_images(system, range(n, 0, -1))
+        assert cx.length.__wrapped__(top) == _length_oracle(top) == n * (n - 1) // 2
 
 
 @pytest.mark.parametrize("system", SMALL_SYSTEMS + [cx.type_b(3), cx.dihedral(7)], ids=str)

@@ -7,7 +7,7 @@ from cosetrex import cosets as cs
 from cosetrex import coxeter as cx
 from cosetrex import nilcox as nc
 from cosetrex import squash_a as sqa
-from conftest import all_subsets, reduced_composite_oracle
+from conftest import all_subsets, as_simple, conjugate, reduced_composite_oracle
 
 
 def exs4_p(a3):
@@ -163,7 +163,7 @@ def test_reachable_equals_core_basis(system):
             assert cs.is_core(p)
             # frames of a reachable symbol are conjugate via the minimum
             assert frozenset(
-                cx.as_simple(cx.conjugate(p.min, j)) for j in p.right
+                as_simple(conjugate(p.min, j)) for j in p.right
             ) == p.left
 
 
