@@ -68,7 +68,7 @@ def parse_subset(text: str) -> Frame:
 def longest_element(system: CoxeterSystem, indices: Frame) -> Element:
     """The longest element w_I of the parabolic subgroup W_I, in closed
     form: the identity with the places of each run of I sorted (see
-    _sort_runs).  In I2(m), w_I is the longest word for I = {1,2} and s_i
+    star_longest).  In I2(m), w_I is the longest word for I = {1,2} and s_i
     for I = {i}.  The empty frame gives the system's one identity object,
     which star_product skips by identity."""
     indices = check_subset(system, indices)
@@ -76,7 +76,27 @@ def longest_element(system: CoxeterSystem, indices: Frame) -> Element:
         return identity(system)
     if system.cartan == "I2":
         return Element(system, _i2_longest(system)) if len(indices) == 2 else simple(system, *indices)
-    return Element(system, tuple(_sort_runs(list(identity(system).data), indices)))
+    return star_longest(identity(system), (indices,))
+
+
+def star_longest(x: Element, frames: Iterable[Frame]) -> Element:
+    """x * w_K1 * w_K2 * ... (star product) for the frames K1, K2, ...
+
+    Types A and B sort the runs of each frame on one copy of x's image list
+    (_sort_runs); I2 folds each longest word by star_product.  With no
+    nonempty frame, x itself."""
+    system = x.system
+    frames = [K for K in frames if K]
+    if not frames:
+        return x
+    if system.cartan == "I2":
+        for K in frames:
+            x = star_product(x, longest_element(system, K))
+        return x
+    d = list(x.data)
+    for K in frames:
+        _sort_runs(d, K)
+    return Element(system, tuple(d))
 
 
 def _sort_runs(d: list[int], indices: Frame) -> list[int]:
@@ -147,10 +167,12 @@ def max_elem(p: DoubleCoset) -> Element:
     min's image list, and the runs of I sort places of its position list,
     as w_I * x is the inverse of x^{-1} * w_I; the position list is local,
     so no inverse is cached.  I2 folds the longest words by star_product.
-    Empty frames give min itself."""
+    Empty frames give min itself, or the system's identity object when min
+    equals it: the cache answers every equal coset with what it computed
+    first, and a product (say w_I w_I) can leave a copy of the identity."""
     system, left, right = p.system, p.left, p.right
     if not (left or right):
-        return p.min
+        return system._identity if p.min == system._identity else p.min
     if system.cartan == "I2":
         return star_product(star_product(longest_element(system, left), p.min), longest_element(system, right))
     d = list(p.min.data)

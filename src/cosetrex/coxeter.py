@@ -298,7 +298,8 @@ def element_from_images(system: CoxeterSystem, images: Sequence[int]) -> Element
     signed = system.cartan == "B"
     if sorted(map(abs, images)) != list(range(1, n + 1)) or not (signed or all(x > 0 for x in images)):
         raise ValueError(f"{images} is not a {'signed ' if signed else ''}permutation of 1..{n}")
-    return Element(system, images)
+    # the identity is the system's one object, which star_product skips by identity
+    return system._identity if images == system._identity.data else Element(system, images)
 
 
 def element_from_word(system: CoxeterSystem, word: Sequence[int]) -> Element:

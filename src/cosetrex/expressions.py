@@ -15,17 +15,17 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
-from .coxeter import CoxeterSystem, Element, identity, length, multiply, star_product
+from .coxeter import CoxeterSystem, identity, length, multiply
 from .cosets import (
     DoubleCoset,
     Frame,
-    _sort_runs,
     check_subset,
     coset_of,
     format_subset,
     identity_coset,
     longest_element,
     parabolic_length,
+    star_longest,
 )
 
 
@@ -137,25 +137,14 @@ def _as_multistep(expr: Expression) -> MultistepExpression:
 
 
 def evaluate(expr: Expression) -> DoubleCoset:
-    """The coset expressed: star product of the longest elements of the tops.
-
-    Types A and B fold each top into one image list by sorting its runs
-    (cosets._sort_runs); I2 folds the longest words by star_product."""
+    """The coset expressed: star product of the longest elements of the
+    tops, folded into the identity by cosets.star_longest."""
     M = _as_multistep(expr)
-    system = M.system
     tops = M.frames[1::2]
     if not tops:
-        return identity_coset(system, M.frames[0])
-    if system.cartan == "I2":
-        x = identity(system)
-        for K in tops:
-            x = star_product(x, longest_element(system, K))
-    else:
-        d = list(identity(system).data)
-        for K in tops:
-            _sort_runs(d, K)
-        x = Element(system, tuple(d))
-    return coset_of(system, M.frames[0], x, M.frames[-1])
+        return identity_coset(M.system, M.frames[0])
+    x = star_longest(identity(M.system), tops)
+    return coset_of(M.system, M.frames[0], x, M.frames[-1])
 
 
 def is_reduced(expr: Expression) -> bool:

@@ -60,11 +60,24 @@ def test_longest_element_agrees_with_the_descent_loop(systems):
 
 @pytest.mark.parametrize("system", [cx.type_a(3), cx.type_b(3), cx.dihedral(5)], ids=str)
 def test_the_empty_frame_gives_the_identity_object(system):
-    # star_product skips its fold only for the identity object itself; the
-    # body is called past the cache, which may hold an equal coset whose
-    # minimum is a copy of the identity (parsed from text by an earlier test)
+    # star_product skips its fold only for the identity object itself
     assert cs.longest_element(system, frozenset()) is cx.identity(system)
-    assert cs.max_elem.__wrapped__(cs.identity_coset(system, frozenset())) is cx.identity(system)
+    assert cs.max_elem(cs.identity_coset(system, frozenset())) is cx.identity(system)
+
+
+@pytest.mark.parametrize("system", [cx.type_a(3), cx.type_b(3), cx.dihedral(5)], ids=str)
+def test_a_copy_of_the_identity_does_not_reach_the_max_cache(system):
+    # max_elem's cache answers every equal coset with its first result: a
+    # parsed identity or a product equal to it must not leave a copy there
+    e = cx.identity(system)
+    parsed = cs.coset_from_json(cs.coset_to_json(cs.identity_coset(system, frozenset())))
+    assert parsed.min is e
+    s = cx.simple(system, system.simple_indices[0])
+    product = cs.coset_of(system, frozenset(), cx.multiply(s, s), frozenset())
+    cs.max_elem.cache_clear()
+    for p in (product, parsed):
+        assert cs.max_elem(p) is e
+    assert cs.max_elem(cs.identity_coset(system, frozenset())) is e
 
 
 @pytest.mark.parametrize(
@@ -82,14 +95,25 @@ def test_max_elem_agrees_with_the_star_fold(systems):
 
 
 @pytest.mark.parametrize(
-    "systems", [[cx.type_a(r) for r in range(6)], [cx.type_b(r) for r in range(5)]], ids=["A0-A5", "B0-B4"]
+    "systems",
+    [[cx.type_a(r) for r in range(6)], [cx.type_b(r) for r in range(5)], [cx.dihedral(m) for m in range(3, 9)]],
+    ids=["A0-A5", "B0-B4", "I2(3..8)"],
 )
 def test_sorting_runs_is_the_star_product_with_the_longest_element(systems):
     for system in systems:
         for K in all_subsets(system):
             wK = longest_element_oracle(system, K)
             for x in cx.all_elements(system):
-                assert tuple(cs._sort_runs(list(x.data), K)) == star_product_oracle(x, wK).data, (x, K)
+                assert cs.star_longest(x, [K]) == star_product_oracle(x, wK), (x, K)
+
+
+@pytest.mark.parametrize("system", [cx.type_a(3), cx.type_b(3), cx.dihedral(5)], ids=str)
+def test_star_longest_folds_its_frames_in_order(system):
+    x = cx.simple(system, system.simple_indices[-1])
+    assert cs.star_longest(x, [frozenset(), frozenset()]) is x
+    K, L = frozenset(system.simple_indices[:1]), frozenset(system.simple_indices[-2:])
+    expected = star_product_oracle(cs.longest_element(system, K), cs.longest_element(system, L))
+    assert cs.star_longest(cx.identity(system), [K, frozenset(), L]) == expected
 
 
 def test_coset_of_examples(a2, a3):
