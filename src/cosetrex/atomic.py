@@ -13,6 +13,7 @@ from typing import Iterable, Sequence
 
 from .coxeter import (
     CoxeterSystem,
+    _memo,
     all_paths,
     braid_class,
     braid_steps,
@@ -63,7 +64,7 @@ def atomic_from(system: CoxeterSystem, mid: Iterable[int], s: int) -> AtomicCose
 
 @lru_cache(maxsize=None)
 def _atom(system: CoxeterSystem, mid: Frame, s: int) -> AtomicCoset:
-    # one object per atom: the cached greedy steps hold many references to few atoms
+    # one object per atom: the walks' step memos hold many references to few atoms
     w = longest_element(system, mid)
     t = simple_conjugate(w, s)
     if t is None:  # conjugation by w_M permutes the simples of M
@@ -136,20 +137,25 @@ def is_atomic(p: DoubleCoset) -> bool:
     return t is not None and p.right == frozenset(mid) - {t} and is_core(p)
 
 
-def atomic_rex_of_core(p: DoubleCoset) -> tuple[AtomicCoset, ...]:
+def atomic_rex_of_core(p: DoubleCoset, steps: dict | None = None) -> tuple[AtomicCoset, ...]:
     """Greedy atomic reduced expression of a core coset.
 
     At each step, add the smallest left descent of the maximum not already
     in the left frame, remove its conjugate under the enlarged longest
     element, and recurse on the shorter remainder coset.  The remainder is
     again a core coset with the same right frame, and the step depends only
-    on the current coset, so each coset's step is computed once.
+    on the current coset, so a walk over a cell passes one dict as steps,
+    which keeps each coset's step for the calls after it.  A coset in steps
+    passed the core test or is the remainder of one that did, so it is not
+    tested again.
     """
-    if not is_core(p):
+    if steps is None:
+        steps = {}
+    if p not in steps and not is_core(p):
         raise ValueError("atomic expressions are only defined for core cosets")
     atoms: list[AtomicCoset] = []
     cur = p
-    while (step := _greedy_step(cur)) is not None:
+    while (step := _memo(steps, _greedy_step, cur)) is not None:
         a, cur = step
         atoms.append(a)
     if cur.left != cur.right or cur.min != identity(cur.system):
@@ -157,7 +163,6 @@ def atomic_rex_of_core(p: DoubleCoset) -> tuple[AtomicCoset, ...]:
     return tuple(atoms)
 
 
-@lru_cache(maxsize=None)
 def _greedy_step(cur: DoubleCoset) -> tuple[AtomicCoset, DoubleCoset] | None:
     """The greedy first atom of cur with the remainder it leaves, or None
     when every left descent of the maximum is in the left frame."""
@@ -204,14 +209,17 @@ def _atomic_steps(p: DoubleCoset) -> list[tuple[int, DoubleCoset]]:
     return out
 
 
-def matsumoto_connected(p: DoubleCoset, classes: dict | None = None, pairs: dict | None = None) -> bool:
+def matsumoto_connected(
+    p: DoubleCoset, classes: dict | None = None, pairs: dict | None = None, steps: dict | None = None
+) -> bool:
     """Whether braid moves of the squashed group reach every atomic reduced
     expression of the core coset p from its greedy one, and nothing else:
     same_paths compares the braid class of the greedy index word with the
     atomic walk from p.  classes keeps the braid classes, which a system's
-    cells share, and pairs the compared pairs, which hold cosets of p's cell."""
+    cells share; pairs the compared pairs and steps the greedy steps, which
+    hold cosets of p's cell."""
     small = squashed_system(p.system, p.right)
-    start = braid_class(small, word_of_rex(atomic_rex_of_core(p)), {} if classes is None else classes)
+    start = braid_class(small, word_of_rex(atomic_rex_of_core(p, steps)), {} if classes is None else classes)
     return same_paths({start}, braid_steps, {p}, _atomic_steps, {} if pairs is None else pairs)
 
 
@@ -227,11 +235,12 @@ def one_step_of_atoms(system: CoxeterSystem, atoms: Sequence[AtomicCoset], start
     return OneStepExpression(system, start, tuple(steps))
 
 
-def factor_through_core(p: DoubleCoset) -> MultistepExpression:
-    """A reduced expression of p through its core, using the greedy atomic part."""
+def factor_through_core(p: DoubleCoset, steps: dict | None = None) -> MultistepExpression:
+    """A reduced expression of p through its core, using the greedy atomic
+    part; steps keeps the greedy steps, as in atomic_rex_of_core."""
     inner = core(p)
     K, L = inner.left, inner.right
-    expr = to_multistep(one_step_of_atoms(p.system, atomic_rex_of_core(inner), K))
+    expr = to_multistep(one_step_of_atoms(p.system, atomic_rex_of_core(inner, steps), K))
     if K != p.left:
         expr = concatenate(MultistepExpression(p.system, (p.left, p.left, K)), expr)
     if L != p.right:

@@ -152,10 +152,12 @@ def _systems(cartan: str, max_rank: int, budget: int) -> list[CoxeterSystem]:
 
 # the caches verify empties at the start of each cell of _core_by_right and
 # each left frame of _cosets_by_left, and all of these at the start of each
-# system; held as objects, since a tracer or a test may rebind the public names
-_CELL_CACHES = (cosets.max_elem, cosets._redundancy, cosets.is_core, atomic._greedy_step)
+# system; held as objects, since a tracer or a test may rebind the public names.
+# What a walk rereads per coset (greedy steps, is_core, squashed images) it
+# keeps in a memo of its own, which lives as long as the walk's local variable.
+_CELL_CACHES = (cosets.max_elem,)
 _SYSTEM_CACHES = _CELL_CACHES + (
-    coxeter.length, coxeter.inverse, coxeter.right_descents, coxeter.reduced_word,
+    coxeter.length, coxeter.inverse, coxeter.reduced_word,
     cosets.longest_element, cosets._descent_table, atomic._atom, atomic.coset_of_atom,
 )
 
@@ -267,14 +269,16 @@ def _check_matsumoto(system: CoxeterSystem, emit, fail) -> None:
     classes: dict = {}  # braid classes, which this system's cells share
     for J, found in _core_by_right(system):
         pairs: dict = {}  # the compared pairs, all in this cell
+        steps: dict = {}  # the greedy steps, all in this cell
         for _, p in found:
-            if not connected(p, classes, pairs):
+            if not connected(p, classes, pairs, steps):
                 fail(f"matsumoto: braid closure misses expressions of {p}")
         emit(f"matsumoto {system.cartan} rank={system.rank} J={cosets.format_subset(J)}: ok")
 
 
 def _check_mimimi(system: CoxeterSystem, emit, fail) -> None:
     pairs = 0
+    core: dict = {}  # is_core of the composites, which repeat
     for J, composable in _composable_core_pairs(_core_by_right(system)):
         for p, q in composable:
             pairs += 1
@@ -283,7 +287,7 @@ def _check_mimimi(system: CoxeterSystem, emit, fail) -> None:
             rhs = coxeter.length(prod) == coxeter.length(p.min) + coxeter.length(q.min)
             if (r is not None) != rhs:
                 fail(f"mimimi reducedness mismatch: {p} * {q}")
-            elif r is not None and (r.min != prod or not cosets.is_core(r)):
+            elif r is not None and (r.min != prod or not coxeter._memo(core, cosets.is_core, r)):
                 fail(f"mimimi composite mismatch: {p} * {q}")
         emit(f"mimimi {system.cartan} rank={system.rank} through J={cosets.format_subset(J)}: ok")
     emit(f"mimimi {system.cartan} rank={system.rank}: {pairs} pairs")
@@ -346,8 +350,9 @@ def _check_add_remove(system: CoxeterSystem, emit, fail) -> None:
     e = coxeter.identity(system)
     for I, found in _cosets_by_left(system):
         wI = cosets.longest_element(system, I)
+        steps: dict = {}  # the greedy steps of the cores of this left frame
         for p in found:
-            expr = atomic.factor_through_core(p)
+            expr = atomic.factor_through_core(p, steps)
             if not (expressions.is_reduced(expr) and expressions.evaluate(expr) == p):
                 fail(f"add-remove: core factorization of {p}")
             pmax = cosets.max_elem(p)
@@ -395,14 +400,16 @@ def _check_type_b(system: CoxeterSystem, emit, fail) -> None:
     for J, found in core:
         _check_squash_bijection(system, J, found, fail)
         emit(f"type-b rank={system.rank} J={cosets.format_subset(J)}: {len(found)} core cosets")
-    # squashing is a homomorphism on reduced core compositions
+    # squashing is a homomorphism on reduced core compositions; squashed
+    # keeps each coset's image (and so its is_core test), as the pairs repeat
+    squashed: dict = {}
     for _, composable in _composable_core_pairs(core):
         for p, q in composable:
             r = cosets.reduced_composite(p, q)
             if r is None:
                 continue
-            sp, sq = squash_a.squash_coset(p), squash_a.squash_coset(q)
-            if squash_a.squash_coset(r) != coxeter.multiply(sp, sq):
+            sp, sq, sr = [coxeter._memo(squashed, squash_a.squash_coset, x) for x in (p, q, r)]
+            if sr != coxeter.multiply(sp, sq):
                 fail(f"type-b: squash not multiplicative at {p} * {q}")
             if coxeter.length(coxeter.multiply(sp, sq)) != coxeter.length(sp) + coxeter.length(sq):
                 fail(f"type-b: squash not length-additive at {p} * {q}")

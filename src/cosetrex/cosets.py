@@ -181,10 +181,10 @@ def max_elem(p: DoubleCoset) -> Element:
     return Element(system, tuple(_sort_runs(d, right)))
 
 
-@lru_cache(maxsize=None)
 def _redundancy(p: DoubleCoset) -> tuple[Frame, Frame]:
     """The left and right redundancy, from the j in J and i in I with
-    min s_j min^{-1} = s_i; a frame equal to p's own is p's own object."""
+    min s_j min^{-1} = s_i; a frame equal to p's own is p's own object.
+    Not cached: a walk that rereads it (or is_core) keeps its own memo."""
     pairs = [(i, j) for j in p.right if (i := simple_conjugate(p.min, j)) in p.left]
     left = frozenset(i for i, _ in pairs)
     right = frozenset(j for _, j in pairs)
@@ -201,7 +201,6 @@ def right_redundancy(p: DoubleCoset) -> Frame:
     return _redundancy(p)[1]
 
 
-@lru_cache(maxsize=None)
 def is_core(p: DoubleCoset) -> bool:
     """True iff conjugation by the minimal element carries J onto I.
 

@@ -420,18 +420,37 @@ def is_right_descent(w: Element, i: int) -> bool:
 
 
 def is_left_descent(w: Element, i: int) -> bool:
-    return is_right_descent(inverse(w), i)
+    """Whether l(s_i w) < l(w): in I2 the first letter, or both at length m;
+    in types A and B a right descent of w^{-1} (Bjorner-Brenti, GTM 231,
+    1.5.3 and 8.1), read off the two entries of w's position list that it
+    compares, so no inverse is built."""
+    d = w.data
+    if w.system.cartan == "I2":
+        return bool(d) and (len(d) == w.system.bond or d[0] == i)
+    if not i:
+        return -1 in d  # w^{-1}(1) < 0
+    return _preimage(d, i) > _preimage(d, i + 1)
 
 
-@lru_cache(maxsize=None)
+def _preimage(d: Sequence[int], v: int) -> int:
+    """w^{-1}(v) for v > 0, from the image list d of w (types A and B): the
+    place of v, or minus the place of -v; entry v - 1 of _inverse_list(d)."""
+    return d.index(v) + 1 if v in d else -d.index(-v) - 1
+
+
 def right_descents(w: Element) -> frozenset[int]:
     """{i : l(w s_i) < l(w)}."""
     return frozenset(i for i in w.system.simple_indices if is_right_descent(w, i))
 
 
 def left_descents(w: Element) -> frozenset[int]:
-    """{i : l(s_i w) < l(w)}."""
-    return right_descents(inverse(w))
+    """{i : l(s_i w) < l(w)}, as is_left_descent reads them, with the
+    position list (types A and B) built once."""
+    system = w.system
+    if system.cartan == "I2":
+        return frozenset(i for i in system.simple_indices if is_left_descent(w, i))
+    pos = _inverse_list(w.data)
+    return frozenset(i for i in system.simple_indices if (pos[i - 1] > pos[i] if i else pos[0] < 0))
 
 
 @lru_cache(maxsize=None)
@@ -470,6 +489,18 @@ def reduced_words(w: Element) -> tuple[tuple[int, ...], ...]:
 def _strip_left_descents(u: Element) -> list[tuple[int, Element]]:
     """Each left descent i of u, in order, with s_i u."""
     return [(i, multiply(simple(u.system, i), u)) for i in sorted(left_descents(u))]
+
+
+_UNSEEN = object()
+
+
+def _memo(memo: dict, fn: Callable, x):
+    """fn(x), computed once per x that memo holds: a walk that rereads an
+    answer per node keeps it in a dict of its own, which dies with the walk."""
+    found = memo.get(x, _UNSEEN)
+    if found is _UNSEEN:
+        found = memo[x] = fn(x)
+    return found
 
 
 def all_paths(root, steps: Callable, memo: dict) -> tuple[tuple, ...]:

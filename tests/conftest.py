@@ -93,6 +93,17 @@ def conjugate(w, i):
     return cx.multiply(cx.multiply(w, cx.simple(w.system, i)), cx.inverse(w))
 
 
+def is_left_descent_oracle(w, i):
+    """Whether s_i is a left descent of w: a right descent of the inverse
+    element, which it builds."""
+    return cx.is_right_descent(cx.inverse(w), i)
+
+
+def left_descents_oracle(w):
+    """The left descents of w, as the right descents of the inverse element."""
+    return cx.right_descents(cx.inverse(w))
+
+
 def as_simple(e):
     """The index i with e = s_i, or None if e is not a simple reflection."""
     return cx.reduced_word(e)[0] if cx.length(e) == 1 else None

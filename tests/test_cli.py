@@ -4,8 +4,10 @@ import functools
 import gc
 import io
 import json
+import os
 import re
 import runpy
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -396,23 +398,20 @@ def test_every_suite_passes_at_small_rank(capsys, suite, cartan):
 
 
 def _drop_last_atom(monkeypatch):
+    # memo: the walk's step memo, passed through
     right = atomic.atomic_rex_of_core
-    monkeypatch.setattr(atomic, "atomic_rex_of_core", lambda p: right(p)[:-1])
+    monkeypatch.setattr(atomic, "atomic_rex_of_core", lambda p, *memo: right(p, *memo)[:-1])
 
 
 def _peel_to_the_identity(monkeypatch):
-    # every remainder becomes the identity coset of the right frame; a fresh
-    # step cache keeps steps cached by earlier tests out, and the fault's own
-    # steps out of later tests
+    # every remainder becomes the identity coset of the right frame
     monkeypatch.setattr(atomic, "_peel", lambda p, a, pmax: cs.identity_coset(p.system, p.right))
-    monkeypatch.setattr(atomic, "_greedy_step", functools.lru_cache(maxsize=None)(atomic._greedy_step.__wrapped__))
 
 
 def _stop_one_atom_early(monkeypatch):
     # the greedy step that would leave the identity coset of its frames is
-    # not taken, so each greedy expression loses its last atom; a fresh step
-    # cache as in _peel_to_the_identity
-    right = atomic._greedy_step.__wrapped__
+    # not taken, so each greedy expression loses its last atom
+    right = atomic._greedy_step
 
     def step(cur):
         found = right(cur)
@@ -420,7 +419,7 @@ def _stop_one_atom_early(monkeypatch):
             return None
         return found
 
-    monkeypatch.setattr(atomic, "_greedy_step", functools.lru_cache(maxsize=None)(step))
+    monkeypatch.setattr(atomic, "_greedy_step", step)
 
 
 def _swap_two_atom_indices(monkeypatch):
@@ -499,7 +498,7 @@ def _peel_to_itself(monkeypatch):
 def _factor_the_core(monkeypatch):
     # each coset's factorization is its core's, which evaluates to the core
     right = atomic.factor_through_core
-    monkeypatch.setattr(atomic, "factor_through_core", lambda p: right(cs.core(p)))
+    monkeypatch.setattr(atomic, "factor_through_core", lambda p, *memo: right(cs.core(p), *memo))
 
 
 def _unsquash_off_the_minimum(monkeypatch):
@@ -573,6 +572,9 @@ def _clear_every_cache():
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "after-a-clean-run"])
 @pytest.mark.parametrize("fault, suite, cartan, max_rank", _WALK_FAULTS, ids=_fault_id)
 def test_a_wrong_answer_is_caught_whatever_the_caches_hold(capsys, monkeypatch, warm, fault, suite, cartan, max_rank):
+    # after a clean run, the library caches are warm, and so would be any
+    # walk memo that outlived its walk: the faulted run must not read the
+    # clean answers from either
     argv = ("verify", suite, "--type", cartan, "--max-rank", max_rank)
     _clear_every_cache()
     if warm:
@@ -643,7 +645,7 @@ def _walked_cosets(system):
 def test_add_remove_factors_each_coset_once(capsys, monkeypatch):
     calls = []
     right = atomic.factor_through_core
-    _rebind_everywhere(monkeypatch, right, lambda p: calls.append(p) or right(p))
+    _rebind_everywhere(monkeypatch, right, lambda p, *memo: calls.append(p) or right(p, *memo))
     code, out, err = run(capsys, "verify", "add-remove", "--type", "B", "--max-rank", "3")
     assert code == 0, err
     walked = [p for r in range(1, 4) for p in _walked_cosets(cx.type_b(r))]
@@ -697,9 +699,9 @@ def _system_of(key):
 
 
 def test_verify_scopes_its_caches_to_the_cell_and_the_system(capsys, monkeypatch):
-    coset_keyed = [cs.max_elem, cs._redundancy, cs.is_core, atomic._greedy_step]
+    coset_keyed = [cs.max_elem]
     system_keyed = coset_keyed + [
-        cx.length, cx.inverse, cx.right_descents, cx.reduced_word, cs.longest_element,
+        cx.length, cx.inverse, cx.reduced_word, cs.longest_element,
         cs._descent_table, atomic._atom, atomic.coset_of_atom,
     ]
     systems = [cx.type_a(r) for r in range(1, 5)]
@@ -748,6 +750,47 @@ def test_verify_gives_every_library_cache_a_lifetime():
     caches = {obj for module in _package_modules() for obj in vars(module).values() if hasattr(obj, "cache_clear")}
     assert caches - process_wide <= set(cli._SYSTEM_CACHES)
     assert set(cli._CELL_CACHES) <= set(cli._SYSTEM_CACHES)
+
+
+def test_core_atomic_keeps_no_memo_per_coset(capsys):
+    # core-atomic reads each coset's greedy step, core test and redundancy
+    # once: they are plain functions, and no dict keyed by cosets outlives
+    # the run; the only coset-keyed cache left is max_elem's, which its last
+    # cell emptied at its start.  Left descents read the position list, so
+    # no inverse or descent set is cached per element.
+    _clear_every_cache()
+    code, out, err = run(capsys, "verify", "core-atomic", "--type", "A", "--max-rank", "4")
+    assert code == 0, err
+    for fn in (cs.is_core, cs._redundancy, atomic._greedy_step, cx.right_descents):
+        assert not hasattr(fn, "cache_info"), fn
+    gc.collect()
+    memos = [obj for obj in gc.get_objects()
+             if type(obj) is dict and obj and isinstance(next(iter(obj)), cs.DoubleCoset)]
+    assert not memos
+    caches = {obj for module in _package_modules() for obj in vars(module).values() if hasattr(obj, "cache_clear")}
+    keyed = {cache for cache in caches
+             if any(isinstance(arg, cs.DoubleCoset) for key in _cache_keys(cache) for arg in key)}
+    assert keyed == {cs.max_elem}
+    last = [p for (p,) in _cache_keys(cs.max_elem) if p.system == cx.type_a(4)]
+    assert len(last) == len(_cache_keys(cs.max_elem)) <= cx.group_order(cx.type_a(4))
+    assert cx.inverse.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize(
+    "suite, cartan",
+    [("core-atomic", "A"), ("core-atomic", "B"), ("core-atomic", "I2"), ("matsumoto", "A"), ("matsumoto", "B")],
+)
+def test_verify_prints_the_same_under_python_O(suite, cartan):
+    # -O strips is_core's __debug__ cross-check: a check, never a change of
+    # what a run prints or returns
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    argv = ["-m", "cosetrex", "verify", suite, "--type", cartan]
+    runs = [subprocess.run([sys.executable, *flags, *argv], env=env, capture_output=True, text=True, timeout=300)
+            for flags in ([], ["-O"])]
+    plain, optimized = runs
+    assert plain.returncode == 0 and plain.stdout.endswith(f"{suite}: all checks passed\n"), plain.stderr
+    assert (optimized.returncode, optimized.stdout) == (plain.returncode, plain.stdout)
 
 
 _WORKLOADS = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))
@@ -816,8 +859,9 @@ def test_matsumoto_agrees_with_the_word_listing_check(monkeypatch, fault):
     for system in [cx.type_a(r) for r in range(1, 5)] + [cx.type_b(r) for r in range(1, 4)]:
         memo = {}
         for _, found in cli._core_by_right(system):
+            steps = {}
             for _, p in found:
-                verdicts.append(atomic.matsumoto_connected(p, memo))
+                verdicts.append(atomic.matsumoto_connected(p, memo, {}, steps))
                 assert verdicts[-1] == _matsumoto_by_words(p), p
     assert len(verdicts) == 419
     assert all(verdicts) == (fault is None)

@@ -168,8 +168,6 @@ def test_redundancy_conjugation_bijection(system):
     ids=str,
 )
 def test_redundancy_core_and_is_core_agree_with_the_two_loop_oracle(system):
-    # a cached answer holds the frames of the first equal coset asked about
-    cs._redundancy.cache_clear()
     for I in all_subsets(system):
         for J in all_subsets(system):
             for p in cs.enumerate_cosets(system, I, J, budget=None):

@@ -20,6 +20,8 @@ from conftest import (
     cayley_distances,
     conjugate,
     inversion_count,
+    is_left_descent_oracle,
+    left_descents_oracle,
     perm_from_word,
     perm_mult,
     perm_simple,
@@ -260,6 +262,24 @@ def test_descents_match_length_definition(system):
         assert cx.left_descents(w) == expect_left
         assert cx.right_descents(w) == expect_right
         assert cx.left_descents(w) == cx.right_descents(cx.inverse(w))
+
+
+@pytest.mark.parametrize(
+    "systems",
+    [[cx.type_a(r) for r in range(7)], [cx.type_b(r) for r in range(6)], [cx.dihedral(m) for m in range(3, 9)]],
+    ids=["A0-A6", "B0-B5", "I2(3..8)"],
+)
+def test_left_descents_agree_with_the_inverse_oracle(systems):
+    # every (w, i); the library reads the position list (A, B) or the word
+    # (I2), so it builds and caches no inverse
+    for system in systems:
+        cx.inverse.cache_clear()
+        elements = list(cx.all_elements(system))
+        found = [(cx.left_descents(w), [cx.is_left_descent(w, i) for i in system.simple_indices]) for w in elements]
+        assert cx.inverse.cache_info().currsize == 0
+        for w, (descents, each) in zip(elements, found):
+            assert descents == left_descents_oracle(w), w
+            assert each == [is_left_descent_oracle(w, i) for i in system.simple_indices], w
 
 
 def test_reduced_word_examples(a2, a3):
