@@ -7,9 +7,10 @@ construction below peels one atomic coset at a time off the left.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .coxeter import (
     CoxeterSystem,
@@ -137,21 +138,41 @@ def is_atomic(p: DoubleCoset) -> bool:
     return t is not None and p.right == frozenset(mid) - {t} and is_core(p)
 
 
-def atomic_rex_of_core(p: DoubleCoset, steps: dict | None = None) -> tuple[AtomicCoset, ...]:
+# the greedy steps and the core tests kept by the open keeping_greedy_steps
+# block, if any
+_kept: tuple[dict, dict] | None = None
+
+
+@contextmanager
+def keeping_greedy_steps() -> Iterator[None]:
+    """Within the block, atomic_rex_of_core keeps each coset's greedy step,
+    and its core test of each coset it is given, in dicts that are dropped
+    when the block ends.  A greedy remainder is again a core coset with the
+    same right frame, so a walk over one cell opens a block for it and
+    computes each step once; a walk that reads each step once opens none
+    and keeps nothing.  The memos are held here, not passed in, so that
+    atomic_rex_of_core keeps its one-argument form, which perfbench's
+    drop-atom fault wraps."""
+    global _kept
+    outer, _kept = _kept, ({}, {})
+    try:
+        yield
+    finally:
+        _kept = outer
+
+
+def atomic_rex_of_core(p: DoubleCoset) -> tuple[AtomicCoset, ...]:
     """Greedy atomic reduced expression of a core coset.
 
     At each step, add the smallest left descent of the maximum not already
     in the left frame, remove its conjugate under the enlarged longest
     element, and recurse on the shorter remainder coset.  The remainder is
     again a core coset with the same right frame, and the step depends only
-    on the current coset, so a walk over a cell passes one dict as steps,
-    which keeps each coset's step for the calls after it.  A coset in steps
-    passed the core test or is the remainder of one that did, so it is not
-    tested again.
+    on the current coset, so inside keeping_greedy_steps each step is kept
+    for the calls after it.
     """
-    if steps is None:
-        steps = {}
-    if p not in steps and not is_core(p):
+    steps, cores = ({}, {}) if _kept is None else _kept
+    if not _memo(cores, is_core, p):
         raise ValueError("atomic expressions are only defined for core cosets")
     atoms: list[AtomicCoset] = []
     cur = p
@@ -209,17 +230,14 @@ def _atomic_steps(p: DoubleCoset) -> list[tuple[int, DoubleCoset]]:
     return out
 
 
-def matsumoto_connected(
-    p: DoubleCoset, classes: dict | None = None, pairs: dict | None = None, steps: dict | None = None
-) -> bool:
+def matsumoto_connected(p: DoubleCoset, classes: dict | None = None, pairs: dict | None = None) -> bool:
     """Whether braid moves of the squashed group reach every atomic reduced
     expression of the core coset p from its greedy one, and nothing else:
     same_paths compares the braid class of the greedy index word with the
     atomic walk from p.  classes keeps the braid classes, which a system's
-    cells share; pairs the compared pairs and steps the greedy steps, which
-    hold cosets of p's cell."""
+    cells share, and pairs the compared pairs, which hold cosets of p's cell."""
     small = squashed_system(p.system, p.right)
-    start = braid_class(small, word_of_rex(atomic_rex_of_core(p, steps)), {} if classes is None else classes)
+    start = braid_class(small, word_of_rex(atomic_rex_of_core(p)), {} if classes is None else classes)
     return same_paths({start}, braid_steps, {p}, _atomic_steps, {} if pairs is None else pairs)
 
 
@@ -235,12 +253,11 @@ def one_step_of_atoms(system: CoxeterSystem, atoms: Sequence[AtomicCoset], start
     return OneStepExpression(system, start, tuple(steps))
 
 
-def factor_through_core(p: DoubleCoset, steps: dict | None = None) -> MultistepExpression:
-    """A reduced expression of p through its core, using the greedy atomic
-    part; steps keeps the greedy steps, as in atomic_rex_of_core."""
+def factor_through_core(p: DoubleCoset) -> MultistepExpression:
+    """A reduced expression of p through its core, using the greedy atomic part."""
     inner = core(p)
     K, L = inner.left, inner.right
-    expr = to_multistep(one_step_of_atoms(p.system, atomic_rex_of_core(inner, steps), K))
+    expr = to_multistep(one_step_of_atoms(p.system, atomic_rex_of_core(inner), K))
     if K != p.left:
         expr = concatenate(MultistepExpression(p.system, (p.left, p.left, K)), expr)
     if L != p.right:

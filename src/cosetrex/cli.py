@@ -154,7 +154,8 @@ def _systems(cartan: str, max_rank: int, budget: int) -> list[CoxeterSystem]:
 # each left frame of _cosets_by_left, and all of these at the start of each
 # system; held as objects, since a tracer or a test may rebind the public names.
 # What a walk rereads per coset (greedy steps, is_core, squashed images) it
-# keeps in a memo of its own, which lives as long as the walk's local variable.
+# keeps in a memo of its own, a local dict or an atomic.keeping_greedy_steps
+# block, which lives as long as the walk.
 _CELL_CACHES = (cosets.max_elem,)
 _SYSTEM_CACHES = _CELL_CACHES + (
     coxeter.length, coxeter.inverse, coxeter.reduced_word,
@@ -269,10 +270,10 @@ def _check_matsumoto(system: CoxeterSystem, emit, fail) -> None:
     classes: dict = {}  # braid classes, which this system's cells share
     for J, found in _core_by_right(system):
         pairs: dict = {}  # the compared pairs, all in this cell
-        steps: dict = {}  # the greedy steps, all in this cell
-        for _, p in found:
-            if not connected(p, classes, pairs, steps):
-                fail(f"matsumoto: braid closure misses expressions of {p}")
+        with atomic.keeping_greedy_steps():  # the greedy steps, all in this cell
+            for _, p in found:
+                if not connected(p, classes, pairs):
+                    fail(f"matsumoto: braid closure misses expressions of {p}")
         emit(f"matsumoto {system.cartan} rank={system.rank} J={cosets.format_subset(J)}: ok")
 
 
@@ -350,32 +351,31 @@ def _check_add_remove(system: CoxeterSystem, emit, fail) -> None:
     e = coxeter.identity(system)
     for I, found in _cosets_by_left(system):
         wI = cosets.longest_element(system, I)
-        steps: dict = {}  # the greedy steps of the cores of this left frame
-        for p in found:
-            expr = atomic.factor_through_core(p, steps)
-            if not (expressions.is_reduced(expr) and expressions.evaluate(expr) == p):
-                fail(f"add-remove: core factorization of {p}")
-            pmax = cosets.max_elem(p)
-            ldes = coxeter.left_descents(pmax)
-            lred = cosets.left_redundancy(p)
-            for s in system.simple_indices:
-                M = I ^ {s}
-                if s in I:  # a reduced removal leaves the maximum w_{I-s} w_I max(p)
-                    qmax = coxeter.multiply(coxeter.multiply(cosets.longest_element(system, M), wI), pmax)
-                    stated, sign = s not in lred, "-"
-                else:
-                    qmax, stated, sign = pmax, s in ldes, "+"
-                q = cosets.coset_of(system, M, qmax, p.right)
-                if cosets.composes_reducedly_to(cosets.DoubleCoset(system, I, M, e), q, p) != stated:
-                    fail(f"add-remove: {sign}{s} at {p}")
+        with atomic.keeping_greedy_steps():  # the greedy steps of this frame's cores
+            for p in found:
+                expr = atomic.factor_through_core(p)
+                if not (expressions.is_reduced(expr) and expressions.evaluate(expr) == p):
+                    fail(f"add-remove: core factorization of {p}")
+                pmax = cosets.max_elem(p)
+                ldes = coxeter.left_descents(pmax)
+                lred = cosets.left_redundancy(p)
+                for s in system.simple_indices:
+                    M = I ^ {s}
+                    if s in I:  # a reduced removal leaves the maximum w_{I-s} w_I max(p)
+                        qmax = coxeter.multiply(coxeter.multiply(cosets.longest_element(system, M), wI), pmax)
+                        stated, sign = s not in lred, "-"
+                    else:
+                        qmax, stated, sign = pmax, s in ldes, "+"
+                    q = cosets.coset_of(system, M, qmax, p.right)
+                    if cosets.composes_reducedly_to(cosets.DoubleCoset(system, I, M, e), q, p) != stated:
+                        fail(f"add-remove: {sign}{s} at {p}")
         emit(f"add-remove {system.cartan} rank={system.rank} I={cosets.format_subset(I)}: ok")
 
 
 def _check_redundancy_a(system: CoxeterSystem, emit, fail) -> None:
     for I, found in _cosets_by_left(system):
         for p in found:
-            rred = cosets.right_redundancy(p)
-            lred = cosets.left_redundancy(p)
+            lred, rred = cosets._redundancy(p)
             pmin = p.min
             for j in p.right:
                 stated = coxeter.act(pmin, j + 1) == coxeter.act(pmin, j) + 1 and coxeter.act(pmin, j) in I
@@ -394,7 +394,8 @@ def _check_redundancy_a(system: CoxeterSystem, emit, fail) -> None:
 def _check_type_b(system: CoxeterSystem, emit, fail) -> None:
     for _, found in _cosets_by_left(system):
         for p in found:
-            if (0 in cosets.left_redundancy(p)) != (0 in cosets.right_redundancy(p)):
+            lred, rred = cosets._redundancy(p)
+            if (0 in lred) != (0 in rred):
                 fail(f"type-b: s0 redundancy asymmetry at {p}")
     core = list(_core_by_right(system))
     for J, found in core:

@@ -80,13 +80,16 @@ def test_atomic_from_equals_a_fresh_atom(system):
 @pytest.mark.parametrize("order", ["enumeration", "reverse"])
 @pytest.mark.parametrize("system", SMALL_SYSTEMS, ids=str)
 def test_greedy_rex_matches_the_uncached_oracle(system, order):
-    # a step memo filled in either order gives the same expressions as none
+    # a step memo filled in either order gives the same expressions as none,
+    # and is dropped when its block ends
     found = [p for J in all_subsets(system) for _, p in cs.enumerate_core_cosets(system, J)]
     if order == "reverse":
         found.reverse()
-    steps = {}
-    for p in found:
-        assert at.atomic_rex_of_core(p, steps) == atomic_rex_of_core_oracle(p) == at.atomic_rex_of_core(p)
+    with at.keeping_greedy_steps():
+        kept = [at.atomic_rex_of_core(p) for p in found]
+    assert at._kept is None
+    for p, rex in zip(found, kept):
+        assert rex == atomic_rex_of_core_oracle(p) == at.atomic_rex_of_core(p)
 
 
 @pytest.mark.parametrize("system", SMALL_SYSTEMS, ids=str)
@@ -157,14 +160,13 @@ def test_greedy_rex_requires_core(a2):
     bad = cs.coset_of(a2, {1}, cx.simple(a2, 2), {1})
     with pytest.raises(ValueError):
         at.atomic_rex_of_core(bad)
-    # a step memo filled by the core cosets of bad's right frame skips the
-    # core test only for what it holds
-    steps = {}
-    for _, p in cs.enumerate_core_cosets(a2, {1}):
-        at.atomic_rex_of_core(p, steps)
-    assert bad not in steps
-    with pytest.raises(ValueError):
-        at.atomic_rex_of_core(bad, steps)
+    # a step memo filled by the core cosets of bad's right frame does not
+    # stand in for the core test
+    with at.keeping_greedy_steps():
+        for _, p in cs.enumerate_core_cosets(a2, {1}):
+            at.atomic_rex_of_core(p)
+        with pytest.raises(ValueError):
+            at.atomic_rex_of_core(bad)
     with pytest.raises(ValueError):
         at.all_atomic_rexes(bad)
 

@@ -398,9 +398,8 @@ def test_every_suite_passes_at_small_rank(capsys, suite, cartan):
 
 
 def _drop_last_atom(monkeypatch):
-    # memo: the walk's step memo, passed through
     right = atomic.atomic_rex_of_core
-    monkeypatch.setattr(atomic, "atomic_rex_of_core", lambda p, *memo: right(p, *memo)[:-1])
+    monkeypatch.setattr(atomic, "atomic_rex_of_core", lambda p: right(p)[:-1])
 
 
 def _peel_to_the_identity(monkeypatch):
@@ -487,7 +486,9 @@ def _compose_to_the_tail(monkeypatch):
 
 
 def _no_right_redundancy(monkeypatch):
-    monkeypatch.setattr(cs, "right_redundancy", lambda p: frozenset())
+    # redundancy-a reads both redundancies from one _redundancy call
+    right = cs._redundancy
+    monkeypatch.setattr(cs, "_redundancy", lambda p: (right(p)[0], frozenset()))
 
 
 def _peel_to_itself(monkeypatch):
@@ -498,7 +499,7 @@ def _peel_to_itself(monkeypatch):
 def _factor_the_core(monkeypatch):
     # each coset's factorization is its core's, which evaluates to the core
     right = atomic.factor_through_core
-    monkeypatch.setattr(atomic, "factor_through_core", lambda p, *memo: right(cs.core(p), *memo))
+    monkeypatch.setattr(atomic, "factor_through_core", lambda p: right(cs.core(p)))
 
 
 def _unsquash_off_the_minimum(monkeypatch):
@@ -645,7 +646,7 @@ def _walked_cosets(system):
 def test_add_remove_factors_each_coset_once(capsys, monkeypatch):
     calls = []
     right = atomic.factor_through_core
-    _rebind_everywhere(monkeypatch, right, lambda p, *memo: calls.append(p) or right(p, *memo))
+    _rebind_everywhere(monkeypatch, right, lambda p: calls.append(p) or right(p))
     code, out, err = run(capsys, "verify", "add-remove", "--type", "B", "--max-rank", "3")
     assert code == 0, err
     walked = [p for r in range(1, 4) for p in _walked_cosets(cx.type_b(r))]
@@ -859,10 +860,10 @@ def test_matsumoto_agrees_with_the_word_listing_check(monkeypatch, fault):
     for system in [cx.type_a(r) for r in range(1, 5)] + [cx.type_b(r) for r in range(1, 4)]:
         memo = {}
         for _, found in cli._core_by_right(system):
-            steps = {}
-            for _, p in found:
-                verdicts.append(atomic.matsumoto_connected(p, memo, {}, steps))
-                assert verdicts[-1] == _matsumoto_by_words(p), p
+            with atomic.keeping_greedy_steps():
+                for _, p in found:
+                    verdicts.append(atomic.matsumoto_connected(p, memo))
+                    assert verdicts[-1] == _matsumoto_by_words(p), p
     assert len(verdicts) == 419
     assert all(verdicts) == (fault is None)
 
