@@ -158,8 +158,8 @@ def _systems(cartan: str, max_rank: int, budget: int) -> list[CoxeterSystem]:
 # block, which lives as long as the walk.
 _CELL_CACHES = (cosets.max_elem,)
 _SYSTEM_CACHES = _CELL_CACHES + (
-    coxeter.length, coxeter.inverse, coxeter.reduced_word,
-    cosets.longest_element, cosets._descent_table, atomic._atom, atomic.coset_of_atom,
+    coxeter.length, coxeter.inverse, coxeter.reduced_word, cosets.longest_element,
+    cosets._descent_table, cosets._core_index, atomic._atom, atomic.coset_of_atom,
 )
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -19,6 +19,7 @@ from .coxeter import (
     SystemKey,
     _i2_longest,
     _inverse_list,
+    _length,
     all_elements,
     element_from_data,
     identity,
@@ -263,10 +264,6 @@ def composes_reducedly_to(p: DoubleCoset, q: DoubleCoset, r: DoubleCoset) -> boo
     return ab is not None and (r.left, r.right) == (p.left, q.right) and ab == max_elem(r)
 
 
-def _coset_sort_key(p: DoubleCoset):
-    return (tuple(sorted(p.left)), length(p.min), p.min.data)
-
-
 DEFAULT_BUDGET = 10000
 
 
@@ -296,7 +293,8 @@ def _mask(indices: Iterable[int]) -> int:
 @lru_cache(maxsize=None)
 def _descent_table(system: CoxeterSystem) -> tuple[tuple, ...]:
     """One row (w, left-descent mask, right-descent mask, conj) per element w,
-    in the order of all_elements.
+    by length, then by w's data: the order in which the enumerators return
+    the cosets of one left frame.
 
     Bit i of a mask stands for s_i.  conj[k] is the simple index of
     w s_j w^{-1} for the k-th simple index j, or None when j is a right
@@ -304,13 +302,44 @@ def _descent_table(system: CoxeterSystem) -> tuple[tuple, ...]:
     tuples: A6 has 468 distinct ones over 5040 elements.  Each row is read
     off w's image tuple (A, B) or normal-form word (I2), with no product;
     tests/conftest.py keeps the product-based build as the oracle.
+
+    The elements are built again in the table's order, but for the
+    system's identity object, which all_elements yields in I2.  A full
+    collection of the cyclic GC relinks the objects in the order of the
+    references it follows, the table's, and later ones walk them in that
+    order: out of step with their order in memory, each took 4-5x as long
+    at A8.
     """
-    rows = _word_rows(system) if system.cartan == "I2" else _image_rows(system)
+    ranked = sorted((_length(w), w.data, w) for w in all_elements(system))
+    elements = [w if w is system._identity else Element(system, d) for _, d, w in ranked]
+    rows = _word_rows(system, elements) if system.cartan == "I2" else _image_rows(system, elements)
     shared: dict[tuple, tuple] = {}
     return tuple((w, ld, rd, shared.setdefault(conj, conj)) for w, ld, rd, conj in rows)
 
 
-def _image_rows(system: CoxeterSystem):
+@lru_cache(maxsize=None)
+def _core_index(system: CoxeterSystem) -> tuple[tuple, tuple]:
+    """_descent_table(system), and the positions of its rows grouped by conj
+    tuple, with the conj tuples grouped by their conjugation mask, as
+    (mask, [(conj, positions), ...]) pairs.  Bit j of the mask is set when
+    w s_j w^{-1} is simple and j is no right descent, so a row is the
+    minimum of a core coset with right frame J exactly when its mask
+    contains J's.  Each group's positions ascend, in the table's order, in
+    an array of 4-byte integers: a list would hold an int object per row."""
+    from array import array  # here, not at the top: single-coset queries never load it
+
+    table = _descent_table(system)
+    by_conj: dict[tuple, array] = {}
+    for pos, (_, _, _, conj) in enumerate(table):
+        by_conj.setdefault(conj, array("I")).append(pos)
+    by_mask: dict[int, list] = {}
+    for conj, positions in by_conj.items():
+        mask = _mask(j for j, i in zip(system.simple_indices, conj) if i is not None)
+        by_mask.setdefault(mask, []).append((conj, positions))
+    return table, tuple(by_mask.items())
+
+
+def _image_rows(system: CoxeterSystem, elements: Iterable[Element]):
     """Rows of type A or B (Bjorner-Brenti, GTM 231, 1.5 and 8.1).  With
     a = w(j) < b = w(j+1), w s_j w^{-1} swaps the values a and b (and -a,
     -b): it is s_a when 0 < a = b-1, s_|b| when a = b-1 < 0, and not simple
@@ -318,7 +347,7 @@ def _image_rows(system: CoxeterSystem):
     The left descents are the right descents of the position list w^{-1}."""
     n = system.points
     signed = 0 in system.index_set
-    for w in all_elements(system):
+    for w in elements:
         d = w.data
         pos = _inverse_list(d)
         ld = rd = 0
@@ -343,12 +372,12 @@ def _image_rows(system: CoxeterSystem):
         yield w, ld, rd, tuple(conj)
 
 
-def _word_rows(system: CoxeterSystem):
+def _word_rows(system: CoxeterSystem, elements: Iterable[Element]):
     """Rows of I2(m): the descents are the first and the last letter, or
     both at length m; w s_j w^{-1} is simple only at the identity (s_j) and
     at length m-1, where w s_j is the longest element (s_{3 - first letter})."""
     m = system.bond
-    for w in all_elements(system):
+    for w in elements:
         word = w.data
         if not word:
             yield w, 0, 0, (1, 2)
@@ -365,7 +394,7 @@ def enumerate_cosets(
     right: Iterable[int],
     budget: int | None = DEFAULT_BUDGET,
 ) -> list[DoubleCoset]:
-    """All (I,J)-cosets.
+    """All (I,J)-cosets, in the order of their minima in _descent_table.
 
     An element w is the minimal element of its (I,J)-coset exactly when it
     has no left descent in I and no right descent in J.
@@ -374,13 +403,11 @@ def enumerate_cosets(
     left = check_subset(system, left)
     right = check_subset(system, right)
     lmask, rmask = _mask(left), _mask(right)
-    out = [
+    return [
         DoubleCoset(system, left, right, w)
         for w, ld, rd, _ in _descent_table(system)
         if not (ld & lmask or rd & rmask)
     ]
-    out.sort(key=_coset_sort_key)
-    return out
 
 
 def enumerate_core_cosets(
@@ -391,22 +418,32 @@ def enumerate_core_cosets(
     An element w is the minimal element of a core coset with right frame J
     exactly when it has no right descent in J and conjugates every s_j,
     j in J, to a simple reflection; the left frame is then w J w^{-1}.
+    Those rows are the conj groups of _core_index whose mask contains J's,
+    and each conj group has one left frame.  The cosets come by left frame,
+    sorted, then in table order: each frame's groups merge their ascending
+    positions.  No other row of the table is read, and no length computed.
+    The empty frame, whose cosets are every row in table order, reads the
+    table alone, so the index is not built while its cosets are walked.
     """
     check_budget(system, budget)
     right = check_subset(system, right)
+    if not right:
+        return [(right, DoubleCoset(system, right, right, w)) for w, _, _, _ in _descent_table(system)]
     rmask = _mask(right)
     slots = [j - system.simple_indices.start for j in right]
-    lefts: dict[Frame, Frame] = {}  # one object per left frame
+    table, index = _core_index(system)
+    if table is not _descent_table(system):  # built before the table was rebuilt or replaced
+        _core_index.cache_clear()
+        table, index = _core_index(system)
+    groups: dict[Frame, list] = {}  # left frame -> position runs
+    for mask, conjs in index:
+        if mask & rmask == rmask:
+            for conj, positions in conjs:
+                groups.setdefault(frozenset(conj[k] for k in slots), []).append(positions)
     out = []
-    for w, _, rd, conj in _descent_table(system):
-        if rd & rmask:
-            continue
-        images = [conj[k] for k in slots]
-        if None not in images:
-            left = frozenset(images)
-            left = lefts.setdefault(left, left)
-            out.append((left, DoubleCoset(system, left, right, w)))
-    out.sort(key=lambda pair: _coset_sort_key(pair[1]))
+    for left in sorted(groups, key=sorted):
+        positions = sorted(chain.from_iterable(groups[left]))  # a merge of ascending runs
+        out += [(left, DoubleCoset(system, left, right, table[i][0])) for i in positions]
     return out
 
 

@@ -187,9 +187,10 @@ def enumerate_core_cosets_oracle(system, right):
 
 
 def descent_table_oracle(system):
-    """The rows of cs._descent_table by products: the left descents are the
-    right descents of the inverse, and conj[k] is as_simple of the conjugate
-    w s_j w^{-1}, for each simple index j that is not a right descent."""
+    """The rows of cs._descent_table by products, by length, then by data:
+    the left descents are the right descents of the inverse, and conj[k] is
+    as_simple of the conjugate w s_j w^{-1}, for each simple index j that is
+    not a right descent."""
     rows = []
     for w in cx.all_elements(system):
         inv = cx.inverse(w)
@@ -204,7 +205,7 @@ def descent_table_oracle(system):
             else:
                 conj.append(as_simple(conjugate(w, j)))
         rows.append((w, ld, rd, tuple(conj)))
-    return rows
+    return sorted(rows, key=lambda row: (cx.length(row[0]), row[0].data))
 
 
 def redundancy_oracle(p):

@@ -703,7 +703,7 @@ def test_verify_scopes_its_caches_to_the_cell_and_the_system(capsys, monkeypatch
     coset_keyed = [cs.max_elem]
     system_keyed = coset_keyed + [
         cx.length, cx.inverse, cx.reduced_word, cs.longest_element,
-        cs._descent_table, atomic._atom, atomic.coset_of_atom,
+        cs._descent_table, cs._core_index, atomic._atom, atomic.coset_of_atom,
     ]
     systems = [cx.type_a(r) for r in range(1, 5)]
 

@@ -324,10 +324,73 @@ def test_enumerate_core_matches_naive_filter(system):
 def test_enumerators_match_their_oracles(system):
     # equal as lists: the same cosets in the same order
     frames = all_subsets(system)
-    for J in frames:
-        assert cs.enumerate_core_cosets(system, J) == enumerate_core_cosets_oracle(system, J)
-        for I in frames:
+    for I in frames:
+        for J in frames:
             assert cs.enumerate_cosets(system, I, J) == enumerate_cosets_oracle(system, I, J)
+
+
+@pytest.mark.parametrize(
+    "system",
+    [cx.type_a(r) for r in range(6)] + [cx.type_b(r) for r in range(5)] + [cx.dihedral(m) for m in range(3, 9)],
+    ids=str,
+)
+def test_core_enumerator_matches_its_oracle(system):
+    # equal as lists, on every right frame: the index's merge keeps the order
+    for J in all_subsets(system):
+        assert cs.enumerate_core_cosets(system, J) == enumerate_core_cosets_oracle(system, J)
+
+
+@pytest.mark.parametrize("system", [cx.type_a(4), cx.type_b(3)], ids=str)
+def test_enumerators_leave_the_length_cache_empty(system):
+    # the table carries the order, so no coset's length is looked up
+    for cache in (cx.length, cs._descent_table, cs._core_index):
+        cache.cache_clear()
+    frames = all_subsets(system)
+    for J in frames:
+        assert cs.enumerate_core_cosets(system, J)
+        for I in frames:
+            assert cs.enumerate_cosets(system, I, J)
+    assert cx.length.cache_info().currsize == 0
+
+
+def test_core_index_visits_only_the_rows_it_returns(monkeypatch):
+    system = cx.type_a(5)
+    table = cs._descent_table(system)
+    visited = []
+
+    class CountingTable:
+        def __len__(self):
+            return len(table)
+
+        def __getitem__(self, i):
+            visited.append(i)
+            return table[i]
+
+        def __iter__(self):
+            for row in table:
+                visited.append(row)
+                yield row
+
+    counting = CountingTable()
+    monkeypatch.setattr(cs, "_descent_table", lambda system: counting)
+    cs.enumerate_core_cosets(system, frozenset({1}))  # the index is built over every row
+    assert cs._core_index(system)[0] is counting
+    for J in all_subsets(system):
+        visited.clear()
+        found = cs.enumerate_core_cosets(system, J)
+        assert len(visited) == len(set(visited)) == len(found) > 0, J
+
+
+def test_core_index_follows_a_replaced_table(monkeypatch):
+    # an index built over another table object is built again, not read
+    system, J = cx.type_a(3), frozenset({1})
+    full = cs.enumerate_core_cosets(system, J)
+    table = cs._descent_table(system)
+    last = next(k for k, (w, _, _, _) in enumerate(table) if w == full[-1][1].min)
+    monkeypatch.setattr(cs, "_descent_table", lambda system: table[:last] + table[last + 1:])
+    assert cs.enumerate_core_cosets(system, J) == full[:-1]
+    monkeypatch.undo()
+    assert cs.enumerate_core_cosets(system, J) == full
 
 
 @pytest.mark.parametrize(
@@ -338,9 +401,11 @@ def test_enumerators_match_their_oracles(system):
 def test_descent_table_agrees_with_the_product_oracle(system):
     # rank 0 included: B0's image tuple is empty
     cx.inverse.cache_clear()
+    cx.length.cache_clear()
     cs._descent_table.cache_clear()
     table = cs._descent_table(system)
-    assert cx.inverse.cache_info().currsize == 0  # no product, so no inverse
+    # no product, so no inverse; the order's lengths are not cached
+    assert cx.inverse.cache_info().currsize == cx.length.cache_info().currsize == 0
     assert list(table) == descent_table_oracle(system)
     # equal conj tuples are one object
     shared = {}
