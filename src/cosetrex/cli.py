@@ -21,15 +21,18 @@ def _system_from_args(args, budget: int | None = None) -> CoxeterSystem:
     return CoxeterSystem(*key)
 
 
-def _print_coset(p, fmt: str) -> None:
+def _coset_line(p, fmt: str) -> str:
     if fmt == "json":
-        print(json.dumps(cosets.coset_to_json(p), sort_keys=True))
-    else:
-        print(
-            f"coset: left={cosets.format_subset(p.left)}"
-            f" right={cosets.format_subset(p.right)}"
-            f" min={coxeter.format_element(p.min)}"
-        )
+        return json.dumps(cosets.coset_to_json(p), sort_keys=True)
+    return (
+        f"coset: left={cosets.format_subset(p.left)}"
+        f" right={cosets.format_subset(p.right)}"
+        f" min={coxeter.format_element(p.min)}"
+    )
+
+
+def _print_coset(p, fmt: str) -> None:
+    print(_coset_line(p, fmt))
 
 
 def _print_result(p, reduced: bool, fmt: str) -> None:
@@ -100,16 +103,14 @@ def _cmd_enumerate_core(args) -> int:
     J = cosets.parse_subset(args.right)
     found = cosets.enumerate_core_cosets(system, J, budget=None)
     if args.format == "json":
-        for _, p in found:
-            _print_coset(p, "json")
-    else:  # _print_coset's lines, with each frame formatted once per call
+        lines = [_coset_line(p, "json") for _, p in found]
+    else:  # _coset_line's lines, with each frame formatted once per call
         right = cosets.format_subset(J)
-        heads: dict[frozenset, str] = {}
-        for I, p in found:
-            if I not in heads:
-                heads[I] = f"coset: left={cosets.format_subset(I)} right={right} min="
-            print(heads[I] + coxeter.format_element(p.min))
-    print(f"count: {len(found)}")
+        heads = {I: f"coset: left={cosets.format_subset(I)} right={right} min=" for I in {I for I, _ in found}}
+        lines = [heads[I] + coxeter.format_element(p.min) for I, p in found]
+    lines.append(f"count: {len(found)}\n")
+    del found  # so the cosets and the joined text are not held at once
+    sys.stdout.write("\n".join(lines))  # one write, not a print per coset
     return 0
 
 
@@ -168,14 +169,28 @@ def _clear(caches) -> None:
         cache.cache_clear()
 
 
-def _core_by_right(system: CoxeterSystem):
-    """Each right frame J with the core cosets (I, p) out of it.  Each cell
+def _core_count(system: CoxeterSystem, J: frozenset) -> int:
+    """The number of core cosets with right frame J, in closed form: the
+    order of the squashed group in types A and B, and 2m, 2, 2 and 1 for
+    J = {}, {1}, {2} and {1,2} in I2(m)."""
+    if system.cartan == "I2":
+        return (2 * system.bond, 2, 1)[len(J)]
+    return coxeter.group_order(atomic.squashed_system(system, J))
+
+
+def _core_by_right(system: CoxeterSystem, fail):
+    """Each right frame J with the core cosets (I, p) out of it, reporting
+    through fail a cell whose size is not its closed form.  Each cell
     starts with the coset-keyed caches empty: a greedy or atomic step keeps
     the right frame, so a walk from a cell reads no coset of another cell
     but the atoms' cosets, whose maxima are cheap to compute again."""
     for J in cosets.all_frames(system):
         _clear(_CELL_CACHES)
-        yield J, cosets.enumerate_core_cosets(system, J, budget=None)
+        found = cosets.enumerate_core_cosets(system, J, budget=None)
+        expected = _core_count(system, J)
+        if len(found) != expected:
+            fail(f"core count at {system} J={sorted(J)}: {len(found)} != {expected}")
+        yield J, found
 
 
 def _cosets_by_left(system: CoxeterSystem):
@@ -205,7 +220,7 @@ def _check_core_atomic(system: CoxeterSystem, emit, fail) -> None:
     """Check one greedy step per core coset p: p is its frame's identity coset,
     or p = a . q reduced with q in p's cell.  q is shorter, so by induction
     every greedy atomic expression is reduced and composes to its coset."""
-    for J, found in _core_by_right(system):
+    for J, found in _core_by_right(system, fail):
         cell = {p for _, p in found}
         for _, p in found:
             if not _greedy_step_holds(J, cell, p):
@@ -248,7 +263,7 @@ def _check_squash_bijection(system: CoxeterSystem, J: frozenset, found, fail) ->
 
 
 def _check_squash(system: CoxeterSystem, emit, fail) -> None:
-    for J, found in _core_by_right(system):
+    for J, found in _core_by_right(system, fail):
         _check_squash_bijection(system, J, found, fail)
         emit(f"squash-bijection A rank={system.rank} J={cosets.format_subset(J)}: {len(found)} cosets")
 
@@ -256,7 +271,7 @@ def _check_squash(system: CoxeterSystem, emit, fail) -> None:
 def _check_atomic_rex_bijection(system: CoxeterSystem, emit, fail) -> None:
     # the atomic walk from p and the reduced-word walk from squash(p) carry
     # the same words; memo keeps the pairs found equal, all in one cell
-    for J, found in _core_by_right(system):
+    for J, found in _core_by_right(system, fail):
         memo: dict = {}
         for _, p in found:
             sigma = squash_a.squash_coset(p)
@@ -268,7 +283,7 @@ def _check_atomic_rex_bijection(system: CoxeterSystem, emit, fail) -> None:
 def _check_matsumoto(system: CoxeterSystem, emit, fail) -> None:
     connected = squash_b.matsumoto_connected_b if system.cartan == "B" else atomic.matsumoto_connected
     classes: dict = {}  # braid classes, which this system's cells share
-    for J, found in _core_by_right(system):
+    for J, found in _core_by_right(system, fail):
         pairs: dict = {}  # the compared pairs, all in this cell
         with atomic.keeping_greedy_steps():  # the greedy steps, all in this cell
             for _, p in found:
@@ -280,7 +295,7 @@ def _check_matsumoto(system: CoxeterSystem, emit, fail) -> None:
 def _check_mimimi(system: CoxeterSystem, emit, fail) -> None:
     pairs = 0
     core: dict = {}  # is_core of the composites, which repeat
-    for J, composable in _composable_core_pairs(_core_by_right(system)):
+    for J, composable in _composable_core_pairs(_core_by_right(system, fail)):
         for p, q in composable:
             pairs += 1
             r = cosets.reduced_composite(p, q)
@@ -331,7 +346,7 @@ def _check_nilcox_relations(system: CoxeterSystem, emit, fail) -> None:
     report = nilcox.verify_relations(system)
     for failure in report.failures:
         fail(failure)
-    for J, found in _core_by_right(system):
+    for J, found in _core_by_right(system, fail):
         expected = coxeter.group_order(atomic.squashed_system(system, J))
         basis = [p for _, p in found]
         if len(basis) != expected:
@@ -397,7 +412,7 @@ def _check_type_b(system: CoxeterSystem, emit, fail) -> None:
             lred, rred = cosets._redundancy(p)
             if (0 in lred) != (0 in rred):
                 fail(f"type-b: s0 redundancy asymmetry at {p}")
-    core = list(_core_by_right(system))
+    core = list(_core_by_right(system, fail))
     for J, found in core:
         _check_squash_bijection(system, J, found, fail)
         emit(f"type-b rank={system.rank} J={cosets.format_subset(J)}: {len(found)} core cosets")

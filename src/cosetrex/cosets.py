@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, combinations
-from operator import mul
-from typing import Iterable, Sequence
+from operator import getitem, mul
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .coxeter import (
     CoxeterSystem,
@@ -290,65 +290,134 @@ def _mask(indices: Iterable[int]) -> int:
     return sum(1 << i for i in indices)
 
 
+class DescentTable(NamedTuple):
+    """The rows of _descent_table, as columns: row k is the element
+    element(k), its left- and right-descent masks left[k] and right[k], and
+    its conj tuple conjs[conj[k]].
+
+    Types A and B hold the image tuples in data, width bytes a row, in one
+    array('b'), and unpack is a Struct's unpack_from; I2 holds its 2m
+    words in data, width is 1 and unpack is getitem.  The masks and conj
+    ids are arrays of 4-byte integers, and conjs lists the distinct conj
+    tuples, so no column holds an object per row."""
+
+    system: CoxeterSystem
+    data: Sequence
+    width: int
+    unpack: Callable
+    left: Sequence[int]
+    right: Sequence[int]
+    conj: Sequence[int]
+    conjs: list
+
+    def element(self, k: int) -> Element:
+        """The element of row k, built on each call; row 0 is the identity,
+        the system's one object, which star_product skips by identity."""
+        if not k:
+            return self.system._identity
+        return Element(self.system, self.unpack(self.data, k * self.width))
+
+
 @lru_cache(maxsize=None)
-def _descent_table(system: CoxeterSystem) -> tuple[tuple, ...]:
+def _descent_table(system: CoxeterSystem) -> DescentTable:
     """One row (w, left-descent mask, right-descent mask, conj) per element w,
     by length, then by w's data: the order in which the enumerators return
     the cosets of one left frame.
 
     Bit i of a mask stands for s_i.  conj[k] is the simple index of
     w s_j w^{-1} for the k-th simple index j, or None when j is a right
-    descent of w or w s_j w^{-1} is not simple.  Rows share equal conj
-    tuples: A6 has 468 distinct ones over 5040 elements.  Each row is read
-    off w's image tuple (A, B) or normal-form word (I2), with no product;
-    tests/conftest.py keeps the product-based build as the oracle.
+    descent of w or w s_j w^{-1} is not simple.  A6 has 468 distinct conj
+    tuples over 5040 elements.  Each row is read off w's image tuple (A, B)
+    or normal-form word (I2), with no product; tests/conftest.py keeps the
+    product-based build as the oracle.
 
-    The elements are built again in the table's order, but for the
-    system's identity object, which all_elements yields in I2.  A full
-    collection of the cyclic GC relinks the objects in the order of the
-    references it follows, the table's, and later ones walk them in that
-    order: out of step with their order in memory, each took 4-5x as long
-    at A8.
+    The elements come from all_elements, and none is kept.  I2 yields
+    them in the table's order.  Type A yields the permutations in data
+    order, and the k-th one's length is the sum of its inversion table,
+    the digits of k in the factorial base (Bjorner-Brenti, GTM 231, ch. 1),
+    so a counting sort by length orders its rows.  Type B sorts each
+    length class by data, with lengths from _length.  About 21 bytes a row
+    at A8: 9 image bytes and three 4-byte columns.
     """
-    ranked = sorted((_length(w), w.data, w) for w in all_elements(system))
-    elements = [w if w is system._identity else Element(system, d) for _, d, w in ranked]
-    rows = _word_rows(system, elements) if system.cartan == "I2" else _image_rows(system, elements)
-    shared: dict[tuple, tuple] = {}
-    return tuple((w, ld, rd, shared.setdefault(conj, conj)) for w, ld, rd, conj in rows)
+    from array import array  # here, not at the top: single-coset queries never load it
+
+    if system.cartan == "I2":
+        words = [w.data for w in all_elements(system)]
+        data, width, unpack, rows = words, 1, getitem, _word_rows(system, words)
+    else:
+        from struct import Struct
+
+        width = system.points
+        unpack = Struct(f"{width}b").unpack_from
+        unsorted = array("b")
+        lengths = _permutation_lengths(width) if system.cartan == "A" else array("H")
+        for w in all_elements(system):
+            unsorted.extend(w.data)
+            if system.cartan == "B":
+                lengths.append(_length(w))
+        classes = [array("I") for _ in range(max(lengths) + 1)]
+        for k, ell in enumerate(lengths):
+            classes[ell].append(k)
+        data = array("b")
+        for c in classes:
+            for k in c if system.cartan == "A" else sorted(c, key=lambda k: unpack(unsorted, k * width)):
+                data += unsorted[k * width : (k + 1) * width]
+        rows = _image_rows(system, (unpack(data, k * width) for k in range(len(lengths))))
+        del unsorted, lengths, classes
+    left, right, conj = array("I"), array("I"), array("I")
+    ids: dict[tuple, int] = {}
+    for ld, rd, c in rows:
+        left.append(ld)
+        right.append(rd)
+        conj.append(ids.setdefault(c, len(ids)))
+    return DescentTable(system, data, width, unpack, left, right, conj, list(ids))
+
+
+def _permutation_lengths(n: int):
+    """The lengths of the permutations of 1..n in lexicographic order: the
+    k-th has inversion table the digits of k in the factorial base, the
+    first digit (w(1) - 1) changing slowest, and its length is their sum."""
+    from array import array
+
+    lengths = array("H", [0])
+    for radix in range(2, n + 1):
+        lengths = array("H", [digit + ell for digit in range(radix) for ell in lengths])
+    return lengths
 
 
 @lru_cache(maxsize=None)
-def _core_index(system: CoxeterSystem) -> tuple[tuple, tuple]:
+def _core_index(system: CoxeterSystem) -> tuple[DescentTable, tuple]:
     """_descent_table(system), and the positions of its rows grouped by conj
     tuple, with the conj tuples grouped by their conjugation mask, as
     (mask, [(conj, positions), ...]) pairs.  Bit j of the mask is set when
     w s_j w^{-1} is simple and j is no right descent, so a row is the
     minimum of a core coset with right frame J exactly when its mask
     contains J's.  Each group's positions ascend, in the table's order, in
-    an array of 4-byte integers: a list would hold an int object per row."""
-    from array import array  # here, not at the top: single-coset queries never load it
+    an array of 4-byte integers, like the table's columns: a list would
+    hold an int object per row."""
+    from array import array
 
     table = _descent_table(system)
-    by_conj: dict[tuple, array] = {}
-    for pos, (_, _, _, conj) in enumerate(table):
-        by_conj.setdefault(conj, array("I")).append(pos)
+    by_conj = [array("I") for _ in table.conjs]
+    for pos, c in enumerate(table.conj):
+        by_conj[c].append(pos)
     by_mask: dict[int, list] = {}
-    for conj, positions in by_conj.items():
+    for conj, positions in zip(table.conjs, by_conj):
         mask = _mask(j for j, i in zip(system.simple_indices, conj) if i is not None)
         by_mask.setdefault(mask, []).append((conj, positions))
     return table, tuple(by_mask.items())
 
 
-def _image_rows(system: CoxeterSystem, elements: Iterable[Element]):
-    """Rows of type A or B (Bjorner-Brenti, GTM 231, 1.5 and 8.1).  With
-    a = w(j) < b = w(j+1), w s_j w^{-1} swaps the values a and b (and -a,
-    -b): it is s_a when 0 < a = b-1, s_|b| when a = b-1 < 0, and not simple
-    when a < 0 < b.  w s_0 w^{-1} negates w(1): it is s_0 when w(1) = 1.
-    The left descents are the right descents of the position list w^{-1}."""
+def _image_rows(system: CoxeterSystem, images: Iterable[Sequence[int]]):
+    """Rows (left mask, right mask, conj) of type A or B, one per image
+    tuple d (Bjorner-Brenti, GTM 231, 1.5 and 8.1).  With a = d(j) <
+    b = d(j+1), w s_j w^{-1} swaps the values a and b (and -a, -b): it is
+    s_a when 0 < a = b-1, s_|b| when a = b-1 < 0, and not simple when
+    a < 0 < b.  w s_0 w^{-1} negates w(1): it is s_0 when w(1) = 1.  The
+    left descents are the right descents of the position list w^{-1}."""
     n = system.points
     signed = 0 in system.index_set
-    for w in elements:
-        d = w.data
+    for d in images:
         pos = _inverse_list(d)
         ld = rd = 0
         conj = []
@@ -369,23 +438,23 @@ def _image_rows(system: CoxeterSystem, elements: Iterable[Element]):
                 conj.append(a if b == a + 1 else None)
             else:
                 conj.append(-b if a == b - 1 else None)
-        yield w, ld, rd, tuple(conj)
+        yield ld, rd, tuple(conj)
 
 
-def _word_rows(system: CoxeterSystem, elements: Iterable[Element]):
-    """Rows of I2(m): the descents are the first and the last letter, or
-    both at length m; w s_j w^{-1} is simple only at the identity (s_j) and
-    at length m-1, where w s_j is the longest element (s_{3 - first letter})."""
+def _word_rows(system: CoxeterSystem, words: Iterable[tuple[int, ...]]):
+    """Rows of I2(m), one per normal-form word: the descents are the first
+    and the last letter, or both at length m; w s_j w^{-1} is simple only at
+    the identity (s_j) and at length m-1, where w s_j is the longest element
+    (s_{3 - first letter})."""
     m = system.bond
-    for w in elements:
-        word = w.data
+    for word in words:
         if not word:
-            yield w, 0, 0, (1, 2)
+            yield 0, 0, (1, 2)
         elif len(word) == m:
-            yield w, 0b110, 0b110, (None, None)
+            yield 0b110, 0b110, (None, None)
         else:
             i = 3 - word[0] if len(word) == m - 1 else None
-            yield w, 1 << word[0], 1 << word[-1], tuple(None if j == word[-1] else i for j in (1, 2))
+            yield 1 << word[0], 1 << word[-1], tuple(None if j == word[-1] else i for j in (1, 2))
 
 
 def enumerate_cosets(
@@ -403,9 +472,11 @@ def enumerate_cosets(
     left = check_subset(system, left)
     right = check_subset(system, right)
     lmask, rmask = _mask(left), _mask(right)
+    table = _descent_table(system)
+    element = table.element
     return [
-        DoubleCoset(system, left, right, w)
-        for w, ld, rd, _ in _descent_table(system)
+        DoubleCoset(system, left, right, element(k))
+        for k, (ld, rd) in enumerate(zip(table.left, table.right))
         if not (ld & lmask or rd & rmask)
     ]
 
@@ -421,14 +492,16 @@ def enumerate_core_cosets(
     Those rows are the conj groups of _core_index whose mask contains J's,
     and each conj group has one left frame.  The cosets come by left frame,
     sorted, then in table order: each frame's groups merge their ascending
-    positions.  No other row of the table is read, and no length computed.
+    positions.  No other row of the table is decoded, and no length computed.
     The empty frame, whose cosets are every row in table order, reads the
     table alone, so the index is not built while its cosets are walked.
     """
     check_budget(system, budget)
     right = check_subset(system, right)
     if not right:
-        return [(right, DoubleCoset(system, right, right, w)) for w, _, _, _ in _descent_table(system)]
+        table = _descent_table(system)
+        element = table.element
+        return [(right, DoubleCoset(system, right, right, element(k))) for k in range(len(table.left))]
     rmask = _mask(right)
     slots = [j - system.simple_indices.start for j in right]
     table, index = _core_index(system)
@@ -440,10 +513,11 @@ def enumerate_core_cosets(
         if mask & rmask == rmask:
             for conj, positions in conjs:
                 groups.setdefault(frozenset(conj[k] for k in slots), []).append(positions)
+    element = table.element
     out = []
     for left in sorted(groups, key=sorted):
         positions = sorted(chain.from_iterable(groups[left]))  # a merge of ascending runs
-        out += [(left, DoubleCoset(system, left, right, table[i][0])) for i in positions]
+        out += [(left, DoubleCoset(system, left, right, element(i))) for i in positions]
     return out
 
 

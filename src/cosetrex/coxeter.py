@@ -656,16 +656,19 @@ def all_elements(system: CoxeterSystem) -> Iterator[Element]:
         yield Element(system, _i2_longest(system))
         return
     n = system.points
-    signs = (1, -1) if system.cartan == "B" else (1,)
-    for p in itertools.permutations(range(1, n + 1)):
-        for s in itertools.product(signs, repeat=n):
+    permutations = itertools.permutations(range(1, n + 1))
+    if system.cartan == "A":
+        yield from (Element(system, p) for p in permutations)
+        return
+    for p in permutations:
+        for s in itertools.product((1, -1), repeat=n):
             yield Element(system, tuple(map(mul, s, p)))
 
 
 def format_element(w: Element) -> str:
     if w.system.cartan == "I2":
-        return " ".join(str(i) for i in w.data)
-    return "[" + ",".join(str(x) for x in w.data) + "]"
+        return " ".join(map(str, w.data))
+    return "[" + ",".join(map(str, w.data)) + "]"
 
 
 def element_from_data(system: CoxeterSystem, data: Sequence[int]) -> Element:

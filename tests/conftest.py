@@ -208,6 +208,25 @@ def descent_table_oracle(system):
     return sorted(rows, key=lambda row: (cx.length(row[0]), row[0].data))
 
 
+def table_rows(table):
+    """The rows (w, left mask, right mask, conj tuple) of a cs.DescentTable,
+    decoded from its columns."""
+    return [
+        (table.element(k), ld, rd, table.conjs[c])
+        for k, (ld, rd, c) in enumerate(zip(table.left, table.right, table.conj))
+    ]
+
+
+def drop_table_row(table, k):
+    """table with row k left out of every column."""
+    def cut(column, width=1):
+        return column[: k * width] + column[(k + 1) * width :]
+
+    return table._replace(
+        data=cut(table.data, table.width), left=cut(table.left), right=cut(table.right), conj=cut(table.conj)
+    )
+
+
 def redundancy_oracle(p):
     """The left and right redundancy of p by two separate loops: I ∩ min J
     min^{-1} conjugates each s_j, j in J, by min; min^{-1} I min ∩ J

@@ -9,6 +9,7 @@ import re
 import runpy
 import subprocess
 import sys
+from array import array
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from cosetrex import coxeter as cx
 from cosetrex import expressions as ex
 from cosetrex import squash_a
 from cosetrex.cli import _SUITES, build_parser, main
-from conftest import add_remove_oracle, braid_closure_oracle
+from conftest import add_remove_oracle, braid_closure_oracle, drop_table_row, enumerate_core_cosets_oracle
 
 S11_TEXT = "[{2,3,6,10} +8 -8 +9 -10 +7 -6 +8 -8 +5 -5 +6 -7 +4 -2]"
 
@@ -859,7 +860,7 @@ def test_matsumoto_agrees_with_the_word_listing_check(monkeypatch, fault):
     verdicts = []
     for system in [cx.type_a(r) for r in range(1, 5)] + [cx.type_b(r) for r in range(1, 4)]:
         memo = {}
-        for _, found in cli._core_by_right(system):
+        for _, found in cli._core_by_right(system, pytest.fail):
             with atomic.keeping_greedy_steps():
                 for _, p in found:
                     verdicts.append(atomic.matsumoto_connected(p, memo))
@@ -870,35 +871,60 @@ def test_matsumoto_agrees_with_the_word_listing_check(monkeypatch, fault):
 
 def _drop_a_table_row(monkeypatch):
     right = cs._descent_table
-    monkeypatch.setattr(cs, "_descent_table", lambda system: right(system)[:-1])
+    monkeypatch.setattr(cs, "_descent_table", lambda system: drop_table_row(right(system), len(right(system).left) - 1))
+
+
+def _drop_a_middle_table_row(monkeypatch):
+    right = cs._descent_table
+    monkeypatch.setattr(cs, "_descent_table", lambda system: drop_table_row(right(system), len(right(system).left) // 2))
 
 
 def _identity_conjugates_to_nothing(monkeypatch):
     right = cs._descent_table
 
     def table(system):
-        (w, ld, rd, conj), *rest = right(system)
-        assert w == cx.identity(system)
-        return ((w, ld, rd, (None,) * len(conj)), *rest)
+        table = right(system)
+        assert table.element(0) == cx.identity(system)
+        conjs = table.conjs + [(None,) * len(table.conjs[table.conj[0]])]
+        return table._replace(conj=array("I", [len(conjs) - 1]) + table.conj[1:], conjs=conjs)
 
     monkeypatch.setattr(cs, "_descent_table", table)
 
 
-@pytest.mark.parametrize("fault", [_drop_a_table_row, _identity_conjugates_to_nothing], ids=lambda f: f.__name__)
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ("verify", "squash-bijection", "--type", "A", "--max-rank", "3"),
-        ("verify", "type-b", "--type", "B", "--max-rank", "2"),
-    ],
-    ids=" ".join,
+    "system",
+    [cx.type_a(r) for r in range(1, 5)] + [cx.type_b(r) for r in range(1, 4)] + [cx.dihedral(m) for m in (3, 5, 8)],
+    ids=str,
+)
+def test_core_count_is_the_size_of_each_cell(system):
+    for J in cs.all_frames(system):
+        assert cli._core_count(system, J) == len(enumerate_core_cosets_oracle(system, J))
+
+
+# every (suite, type) pair that walks cli._core_by_right
+_CORE_WALKS = [
+    (suite, cartan)
+    for suite in ("core-atomic", "squash-bijection", "atomic-rex-bijection", "matsumoto", "mimimi",
+                  "nilcox-relations", "type-b")
+    for cartan in _SUITES[suite][1]
+]
+
+
+@pytest.mark.parametrize(
+    "fault", [_drop_a_table_row, _drop_a_middle_table_row, _identity_conjugates_to_nothing], ids=lambda f: f.__name__
+)
+@pytest.mark.parametrize(
+    "argv", [("verify", suite, "--type", cartan, "--max-rank", "3") for suite, cartan in _CORE_WALKS], ids=" ".join
 )
 def test_verify_catches_a_wrong_descent_table(capsys, monkeypatch, fault, argv):
     fault(monkeypatch)
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert "all checks passed" not in out
-    assert any(line.startswith("FAIL: squash count at ") for line in err.splitlines())
+    failures = err.splitlines()
+    assert any(line.startswith("FAIL: core count at ") for line in failures)
+    if argv[1] in ("squash-bijection", "type-b"):
+        assert any(line.startswith("FAIL: squash count at ") for line in failures)
 
 
 # ---------------------------------------------------------------------------

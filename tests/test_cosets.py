@@ -1,4 +1,6 @@
+import gc
 import re
+from itertools import permutations
 
 import pytest
 
@@ -9,13 +11,16 @@ from conftest import (
     as_simple,
     conjugate,
     descent_table_oracle,
+    drop_table_row,
     enumerate_core_cosets_oracle,
     enumerate_cosets_oracle,
+    inversion_count,
     longest_element_oracle,
     max_elem_oracle,
     reduced_composite_oracle,
     redundancy_oracle,
     star_product_oracle,
+    table_rows,
 )
 
 
@@ -354,24 +359,19 @@ def test_enumerators_leave_the_length_cache_empty(system):
 
 
 def test_core_index_visits_only_the_rows_it_returns(monkeypatch):
+    # a row is visited when an enumerator decodes its element
     system = cx.type_a(5)
     table = cs._descent_table(system)
     visited = []
 
-    class CountingTable:
-        def __len__(self):
-            return len(table)
+    class CountingTable(cs.DescentTable):
+        __slots__ = ()
 
-        def __getitem__(self, i):
-            visited.append(i)
-            return table[i]
+        def element(self, k):
+            visited.append(k)
+            return super().element(k)
 
-        def __iter__(self):
-            for row in table:
-                visited.append(row)
-                yield row
-
-    counting = CountingTable()
+    counting = CountingTable(*table)
     monkeypatch.setattr(cs, "_descent_table", lambda system: counting)
     cs.enumerate_core_cosets(system, frozenset({1}))  # the index is built over every row
     assert cs._core_index(system)[0] is counting
@@ -386,8 +386,8 @@ def test_core_index_follows_a_replaced_table(monkeypatch):
     system, J = cx.type_a(3), frozenset({1})
     full = cs.enumerate_core_cosets(system, J)
     table = cs._descent_table(system)
-    last = next(k for k, (w, _, _, _) in enumerate(table) if w == full[-1][1].min)
-    monkeypatch.setattr(cs, "_descent_table", lambda system: table[:last] + table[last + 1:])
+    last = next(k for k, (w, _, _, _) in enumerate(table_rows(table)) if w == full[-1][1].min)
+    monkeypatch.setattr(cs, "_descent_table", lambda system: drop_table_row(table, last))
     assert cs.enumerate_core_cosets(system, J) == full[:-1]
     monkeypatch.undo()
     assert cs.enumerate_core_cosets(system, J) == full
@@ -406,10 +406,36 @@ def test_descent_table_agrees_with_the_product_oracle(system):
     table = cs._descent_table(system)
     # no product, so no inverse; the order's lengths are not cached
     assert cx.inverse.cache_info().currsize == cx.length.cache_info().currsize == 0
-    assert list(table) == descent_table_oracle(system)
+    rows = table_rows(table)
+    assert rows == descent_table_oracle(system)
     # equal conj tuples are one object
     shared = {}
-    assert all(shared.setdefault(conj, conj) is conj for _, _, _, conj in table)
+    assert all(shared.setdefault(conj, conj) is conj for _, _, _, conj in rows)
+    # row 0 is the identity, the system's one object
+    assert rows[0][0] is cx.identity(system)
+
+
+def test_permutation_lengths_are_inversion_counts():
+    # the order in which all_elements yields type A
+    for n in range(1, 7):
+        assert list(cs._permutation_lengths(n)) == [inversion_count(p) for p in permutations(range(1, n + 1))]
+
+
+def test_descent_table_columns_hold_no_element():
+    system = cx.type_a(6)
+    table = cs._descent_table(system)
+    columns = [table.data, table.left, table.right, table.conj, table.conjs]
+    seen, reached = set(), list(columns)
+    while reached:
+        x = reached.pop()
+        if id(x) not in seen and not isinstance(x, type):  # an array refers to its type
+            seen.add(id(x))
+            assert not isinstance(x, cx.Element)
+            reached += gc.get_referents(x)
+    # 7 image bytes and three 4-byte columns a row
+    rows = len(table.left)
+    assert rows == 5040
+    assert sum(memoryview(column).nbytes for column in columns[:4]) <= 32 * rows
 
 
 @pytest.mark.parametrize(
@@ -420,7 +446,7 @@ def test_descent_table_agrees_with_the_product_oracle(system):
 def test_descent_table_conj_column_is_simple_conjugate(systems):
     # the table's inline read and simple_conjugate, at every j that is not a right descent
     for system in systems:
-        for w, _, rd, conj in cs._descent_table(system):
+        for w, _, rd, conj in table_rows(cs._descent_table(system)):
             for j, c in zip(system.simple_indices, conj):
                 if not rd >> j & 1:
                     assert c == cx.simple_conjugate(w, j), (w, j)
