@@ -154,13 +154,15 @@ def _systems(cartan: str, max_rank: int, budget: int) -> list[CoxeterSystem]:
 # the caches verify empties at the start of each cell of _core_by_right and
 # each left frame of _cosets_by_left, and all of these at the start of each
 # system; held as objects, since a tracer or a test may rebind the public names.
+# The descent table holds the core cosets' index too.  inverse keeps no cache:
+# only invert (atomatom) calls it, once per atom.
 # What a walk rereads per coset (greedy steps, is_core, squashed images) it
 # keeps in a memo of its own, a local dict or an atomic.keeping_greedy_steps
 # block, which lives as long as the walk.
 _CELL_CACHES = (cosets.max_elem,)
 _SYSTEM_CACHES = _CELL_CACHES + (
-    coxeter.length, coxeter.inverse, coxeter.reduced_word, cosets.longest_element,
-    cosets._descent_table, cosets._core_index, atomic._atom, atomic.coset_of_atom,
+    coxeter.length, coxeter.reduced_word, cosets.longest_element,
+    cosets._descent_table, atomic._atom, atomic.coset_of_atom,
 )
 
 
@@ -242,12 +244,9 @@ def _greedy_step_holds(J: frozenset, cell: set, p) -> bool:
 
 def _check_squash_bijection(system: CoxeterSystem, J: frozenset, found, fail) -> None:
     """Check that squashing the core cosets found with right frame J is a
-    bijection onto the squashed group: the counts agree, squashing is
-    injective, and squash and unsquash invert each other."""
+    bijection onto the squashed group: squashing is injective, and squash
+    and unsquash invert each other; _core_by_right has checked the count."""
     small = atomic.squashed_system(system, J)
-    expected = coxeter.group_order(small)
-    if len(found) != expected:
-        fail(f"squash count at {system} J={sorted(J)}: {len(found)} != {expected}")
     images = set()
     for I, p in found:
         sigma = squash_a.squash_coset(p)
@@ -347,11 +346,7 @@ def _check_nilcox_relations(system: CoxeterSystem, emit, fail) -> None:
     for failure in report.failures:
         fail(failure)
     for J, found in _core_by_right(system, fail):
-        expected = coxeter.group_order(atomic.squashed_system(system, J))
-        basis = [p for _, p in found]
-        if len(basis) != expected:
-            fail(f"basis count at {system} J={sorted(J)}: {len(basis)} != {expected}")
-        if nilcox.reachable_cosets(system, J) != set(basis):
+        if nilcox.reachable_cosets(system, J) != {p for _, p in found}:
             fail(f"reachable generator products differ from the core basis at {system} J={sorted(J)}")
     emit(f"nilcox-relations {system.cartan} rank={system.rank}: {report.checked} relation instances")
 

@@ -7,6 +7,7 @@ from that data on demand.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, combinations
@@ -292,14 +293,18 @@ def _mask(indices: Iterable[int]) -> int:
 
 class DescentTable(NamedTuple):
     """The rows of _descent_table, as columns: row k is the element
-    element(k), its left- and right-descent masks left[k] and right[k], and
-    its conj tuple conjs[conj[k]].
+    element(k) and its left- and right-descent masks left[k] and right[k].
+    by_mask groups the row positions by conj tuple, and the conj tuples by
+    their conjugation mask, as (mask, [(conj, positions), ...]) pairs: bit
+    j of the mask is set when w s_j w^{-1} is simple and j is no right
+    descent, so a row is the minimum of a core coset with right frame J
+    exactly when its mask contains J's.  Each group's positions ascend.
 
     Types A and B hold the image tuples in data, width bytes a row, in one
     array('b'), and unpack is a Struct's unpack_from; I2 holds its 2m
-    words in data, width is 1 and unpack is getitem.  The masks and conj
-    ids are arrays of 4-byte integers, and conjs lists the distinct conj
-    tuples, so no column holds an object per row."""
+    words in data, width is 1 and unpack is getitem.  The masks and the
+    positions are arrays of 4-byte integers, so no column holds an object
+    per row."""
 
     system: CoxeterSystem
     data: Sequence
@@ -307,8 +312,7 @@ class DescentTable(NamedTuple):
     unpack: Callable
     left: Sequence[int]
     right: Sequence[int]
-    conj: Sequence[int]
-    conjs: list
+    by_mask: tuple
 
     def element(self, k: int) -> Element:
         """The element of row k, built on each call; row 0 is the identity,
@@ -322,7 +326,8 @@ class DescentTable(NamedTuple):
 def _descent_table(system: CoxeterSystem) -> DescentTable:
     """One row (w, left-descent mask, right-descent mask, conj) per element w,
     by length, then by w's data: the order in which the enumerators return
-    the cosets of one left frame.
+    the cosets of one left frame.  The conj tuples are kept only as the
+    keys of the groups of row positions in by_mask.
 
     Bit i of a mask stands for s_i.  conj[k] is the simple index of
     w s_j w^{-1} for the k-th simple index j, or None when j is a right
@@ -337,7 +342,7 @@ def _descent_table(system: CoxeterSystem) -> DescentTable:
     the digits of k in the factorial base (Bjorner-Brenti, GTM 231, ch. 1),
     so a counting sort by length orders its rows.  Type B sorts each
     length class by data, with lengths from _length.  About 21 bytes a row
-    at A8: 9 image bytes and three 4-byte columns.
+    at A8: 9 image bytes, two 4-byte masks and a 4-byte position.
     """
     from array import array  # here, not at the top: single-coset queries never load it
 
@@ -364,13 +369,17 @@ def _descent_table(system: CoxeterSystem) -> DescentTable:
                 data += unsorted[k * width : (k + 1) * width]
         rows = _image_rows(system, (unpack(data, k * width) for k in range(len(lengths))))
         del unsorted, lengths, classes
-    left, right, conj = array("I"), array("I"), array("I")
-    ids: dict[tuple, int] = {}
-    for ld, rd, c in rows:
+    left, right = array("I"), array("I")
+    by_conj: defaultdict[tuple, array] = defaultdict(lambda: array("I"))
+    for pos, (ld, rd, c) in enumerate(rows):
         left.append(ld)
         right.append(rd)
-        conj.append(ids.setdefault(c, len(ids)))
-    return DescentTable(system, data, width, unpack, left, right, conj, list(ids))
+        by_conj[c].append(pos)
+    by_mask: dict[int, list] = {}
+    for conj, positions in by_conj.items():
+        mask = _mask(j for j, i in zip(system.simple_indices, conj) if i is not None)
+        by_mask.setdefault(mask, []).append((conj, positions))
+    return DescentTable(system, data, width, unpack, left, right, tuple(by_mask.items()))
 
 
 def _permutation_lengths(n: int):
@@ -383,29 +392,6 @@ def _permutation_lengths(n: int):
     for radix in range(2, n + 1):
         lengths = array("H", [digit + ell for digit in range(radix) for ell in lengths])
     return lengths
-
-
-@lru_cache(maxsize=None)
-def _core_index(system: CoxeterSystem) -> tuple[DescentTable, tuple]:
-    """_descent_table(system), and the positions of its rows grouped by conj
-    tuple, with the conj tuples grouped by their conjugation mask, as
-    (mask, [(conj, positions), ...]) pairs.  Bit j of the mask is set when
-    w s_j w^{-1} is simple and j is no right descent, so a row is the
-    minimum of a core coset with right frame J exactly when its mask
-    contains J's.  Each group's positions ascend, in the table's order, in
-    an array of 4-byte integers, like the table's columns: a list would
-    hold an int object per row."""
-    from array import array
-
-    table = _descent_table(system)
-    by_conj = [array("I") for _ in table.conjs]
-    for pos, c in enumerate(table.conj):
-        by_conj[c].append(pos)
-    by_mask: dict[int, list] = {}
-    for conj, positions in zip(table.conjs, by_conj):
-        mask = _mask(j for j, i in zip(system.simple_indices, conj) if i is not None)
-        by_mask.setdefault(mask, []).append((conj, positions))
-    return table, tuple(by_mask.items())
 
 
 def _image_rows(system: CoxeterSystem, images: Iterable[Sequence[int]]):
@@ -489,31 +475,26 @@ def enumerate_core_cosets(
     An element w is the minimal element of a core coset with right frame J
     exactly when it has no right descent in J and conjugates every s_j,
     j in J, to a simple reflection; the left frame is then w J w^{-1}.
-    Those rows are the conj groups of _core_index whose mask contains J's,
-    and each conj group has one left frame.  The cosets come by left frame,
-    sorted, then in table order: each frame's groups merge their ascending
-    positions.  No other row of the table is decoded, and no length computed.
-    The empty frame, whose cosets are every row in table order, reads the
-    table alone, so the index is not built while its cosets are walked.
+    Those rows are the conj groups of the table's by_mask whose mask
+    contains J's, and each conj group has one left frame.  The cosets come
+    by left frame, sorted, then in table order: each frame's groups merge
+    their ascending positions.  No other row of the table is decoded, and
+    no length computed.  The empty frame, whose cosets are every row in
+    table order, reads the rows in order.
     """
     check_budget(system, budget)
     right = check_subset(system, right)
+    table = _descent_table(system)
+    element = table.element
     if not right:
-        table = _descent_table(system)
-        element = table.element
         return [(right, DoubleCoset(system, right, right, element(k))) for k in range(len(table.left))]
     rmask = _mask(right)
     slots = [j - system.simple_indices.start for j in right]
-    table, index = _core_index(system)
-    if table is not _descent_table(system):  # built before the table was rebuilt or replaced
-        _core_index.cache_clear()
-        table, index = _core_index(system)
     groups: dict[Frame, list] = {}  # left frame -> position runs
-    for mask, conjs in index:
+    for mask, conjs in table.by_mask:
         if mask & rmask == rmask:
             for conj, positions in conjs:
                 groups.setdefault(frozenset(conj[k] for k in slots), []).append(positions)
-    element = table.element
     out = []
     for left in sorted(groups, key=sorted):
         positions = sorted(chain.from_iterable(groups[left]))  # a merge of ascending runs

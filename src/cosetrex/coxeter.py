@@ -360,7 +360,6 @@ def multiply(w: Element, v: Element) -> Element:
     return Element(system, tuple(images[x] for x in points))
 
 
-@lru_cache(maxsize=None)
 def inverse(w: Element) -> Element:
     system = w.system
     if system.cartan == "I2":
@@ -471,7 +470,7 @@ def reduced_word(w: Element) -> tuple[int, ...]:
     system = w.system
     if system.cartan == "I2":
         return w.data
-    d = list(inverse(w).data)
+    d = _inverse_list(w.data)
     start = i = system.simple_indices.start
     out = []
     while i < len(d):

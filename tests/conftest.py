@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import sys
+from array import array
 from collections import deque
 from contextlib import contextmanager
 from itertools import combinations
@@ -210,21 +211,51 @@ def descent_table_oracle(system):
 
 def table_rows(table):
     """The rows (w, left mask, right mask, conj tuple) of a cs.DescentTable,
-    decoded from its columns."""
-    return [
-        (table.element(k), ld, rd, table.conjs[c])
-        for k, (ld, rd, c) in enumerate(zip(table.left, table.right, table.conj))
-    ]
+    decoded from its columns and its groups.  Every row position is in
+    exactly one group, and each group's mask is the mask of its conj tuple."""
+    conjs = [None] * len(table.left)
+    for mask, groups in table.by_mask:
+        for conj, positions in groups:
+            assert mask == sum(1 << j for j, i in zip(table.system.simple_indices, conj) if i is not None)
+            for k in positions:
+                assert conjs[k] is None, k
+                conjs[k] = conj
+    assert None not in conjs
+    return [(table.element(k), ld, rd, c) for k, (ld, rd, c) in enumerate(zip(table.left, table.right, conjs))]
 
 
 def drop_table_row(table, k):
-    """table with row k left out of every column."""
+    """table with row k left out of every column and of its group; the
+    positions after k shift down by one."""
     def cut(column, width=1):
         return column[: k * width] + column[(k + 1) * width :]
 
-    return table._replace(
-        data=cut(table.data, table.width), left=cut(table.left), right=cut(table.right), conj=cut(table.conj)
-    )
+    def shift(positions):
+        return array("I", (i - (i > k) for i in positions if i != k))
+
+    by_mask = tuple((mask, [(conj, shift(positions)) for conj, positions in groups]) for mask, groups in table.by_mask)
+    return table._replace(data=cut(table.data, table.width), left=cut(table.left), right=cut(table.right), by_mask=by_mask)
+
+
+def package_modules():
+    return [m for name, m in sys.modules.items() if name.partition(".")[0] == "cosetrex"]
+
+
+def rebind_everywhere(monkeypatch, old, new):
+    # modules import library functions by name, so every module-level binding
+    # of old in the package is rebound, not only the one where it is defined
+    for module in package_modules():
+        for name, obj in list(vars(module).items()):
+            if obj is old:
+                monkeypatch.setattr(module, name, new)
+
+
+def count_calls(monkeypatch, fn):
+    """A list that gets the arguments of each call of fn, rebound
+    everywhere in the package to a wrapper that records them."""
+    calls = []
+    rebind_everywhere(monkeypatch, fn, lambda *args: calls.append(args) or fn(*args))
+    return calls
 
 
 def redundancy_oracle(p):

@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import functools
 import gc
+import hashlib
 import io
 import json
 import os
@@ -23,7 +24,15 @@ from cosetrex import coxeter as cx
 from cosetrex import expressions as ex
 from cosetrex import squash_a
 from cosetrex.cli import _SUITES, build_parser, main
-from conftest import add_remove_oracle, braid_closure_oracle, drop_table_row, enumerate_core_cosets_oracle
+from conftest import (
+    add_remove_oracle,
+    braid_closure_oracle,
+    count_calls,
+    drop_table_row,
+    enumerate_core_cosets_oracle,
+    package_modules,
+    rebind_everywhere,
+)
 
 S11_TEXT = "[{2,3,6,10} +8 -8 +9 -10 +7 -6 +8 -8 +5 -5 +6 -7 +4 -2]"
 
@@ -452,28 +461,15 @@ def _drop_a_commutation(monkeypatch):
     monkeypatch.setattr(cx, "_braid_table", table)
 
 
-def _package_modules():
-    return [m for name, m in sys.modules.items() if name.partition(".")[0] == "cosetrex"]
-
-
-def _rebind_everywhere(monkeypatch, old, new):
-    # modules import library functions by name, so every module-level binding
-    # of old in the package is rebound, not only the one where it is defined
-    for module in _package_modules():
-        for name, obj in list(vars(module).items()):
-            if obj is old:
-                monkeypatch.setattr(module, name, new)
-
-
 def _negate_reducedness(monkeypatch):
     # both reducedness checks: reduced_composite, which gives the star
     # composite where the composition is not reduced and 0 where it is, and
     # the one-product check
     right = cs.reduced_composite
     star = cs.star_compose
-    _rebind_everywhere(monkeypatch, right, lambda p, q: star(p, q) if right(p, q) is None else None)
+    rebind_everywhere(monkeypatch, right, lambda p, q: star(p, q) if right(p, q) is None else None)
     composes = cs.composes_reducedly_to
-    _rebind_everywhere(monkeypatch, composes, lambda p, q, r: not composes(p, q, r))
+    rebind_everywhere(monkeypatch, composes, lambda p, q, r: not composes(p, q, r))
 
 
 def _compose_to_the_tail(monkeypatch):
@@ -481,7 +477,7 @@ def _compose_to_the_tail(monkeypatch):
     # composes_reducedly_to compares against
     monkeypatch.setattr(cs, "star_compose", lambda p, q: q)
     right = cs.reduced_composite
-    _rebind_everywhere(monkeypatch, right, lambda p, q: None if right(p, q) is None else q)
+    rebind_everywhere(monkeypatch, right, lambda p, q: None if right(p, q) is None else q)
     composes = cs.composes_reducedly_to
     monkeypatch.setattr(cs, "composes_reducedly_to", lambda p, q, r: composes(p, q, q))
 
@@ -513,14 +509,14 @@ def _max_keeps_the_signs(monkeypatch):
     # max_elem sorts the type-B run s_0..s_{k-1} like the run s_1..s_{k-1},
     # keeping the signs of its places instead of writing -|x|
     right = cs.max_elem.__wrapped__
-    _rebind_everywhere(
+    rebind_everywhere(
         monkeypatch, cs.max_elem, lambda p: right(dataclasses.replace(p, left=p.left - {0}, right=p.right - {0}))
     )
 
 
 def _simple_conjugate_misses_the_identity(monkeypatch):
     right = cx.simple_conjugate
-    _rebind_everywhere(monkeypatch, right, lambda w, j: None if w == cx.identity(w.system) else right(w, j))
+    rebind_everywhere(monkeypatch, right, lambda w, j: None if w == cx.identity(w.system) else right(w, j))
 
 
 # faults, each with a run that must catch it; _peel_to_itself,
@@ -565,7 +561,7 @@ def test_verify_catches_a_wrong_answer_in_each_walk(capsys, monkeypatch, fault, 
 
 
 def _clear_every_cache():
-    for module in _package_modules():
+    for module in package_modules():
         for obj in vars(module).values():
             if hasattr(obj, "cache_clear"):
                 obj.cache_clear()
@@ -629,7 +625,7 @@ def test_core_atomic_walks_each_remainder_once(capsys, monkeypatch):
             calls[name] += 1
             return right(*args)
 
-        _rebind_everywhere(monkeypatch, right, counted)
+        rebind_everywhere(monkeypatch, right, counted)
     code, out, err = run(capsys, "verify", "core-atomic", "--type", "A", "--max-rank", "4")
     assert code == 0, err
     systems = [cx.type_a(r) for r in range(1, 5)]
@@ -647,7 +643,7 @@ def _walked_cosets(system):
 def test_add_remove_factors_each_coset_once(capsys, monkeypatch):
     calls = []
     right = atomic.factor_through_core
-    _rebind_everywhere(monkeypatch, right, lambda p: calls.append(p) or right(p))
+    rebind_everywhere(monkeypatch, right, lambda p: calls.append(p) or right(p))
     code, out, err = run(capsys, "verify", "add-remove", "--type", "B", "--max-rank", "3")
     assert code == 0, err
     walked = [p for r in range(1, 4) for p in _walked_cosets(cx.type_b(r))]
@@ -703,8 +699,8 @@ def _system_of(key):
 def test_verify_scopes_its_caches_to_the_cell_and_the_system(capsys, monkeypatch):
     coset_keyed = [cs.max_elem]
     system_keyed = coset_keyed + [
-        cx.length, cx.inverse, cx.reduced_word, cs.longest_element,
-        cs._descent_table, cs._core_index, atomic._atom, atomic.coset_of_atom,
+        cx.length, cx.reduced_word, cs.longest_element,
+        cs._descent_table, atomic._atom, atomic.coset_of_atom,
     ]
     systems = [cx.type_a(r) for r in range(1, 5)]
 
@@ -749,18 +745,19 @@ def test_verify_gives_every_library_cache_a_lifetime():
     # of the few that stay for the process: the simple reflections and braid
     # tables of the interned systems, and the shared argument parser
     process_wide = {cx.simple, cx._braid_table, cli.build_parser}
-    caches = {obj for module in _package_modules() for obj in vars(module).values() if hasattr(obj, "cache_clear")}
+    caches = {obj for module in package_modules() for obj in vars(module).values() if hasattr(obj, "cache_clear")}
     assert caches - process_wide <= set(cli._SYSTEM_CACHES)
     assert set(cli._CELL_CACHES) <= set(cli._SYSTEM_CACHES)
 
 
-def test_core_atomic_keeps_no_memo_per_coset(capsys):
+def test_core_atomic_keeps_no_memo_per_coset(capsys, monkeypatch):
     # core-atomic reads each coset's greedy step, core test and redundancy
     # once: they are plain functions, and no dict keyed by cosets outlives
     # the run; the only coset-keyed cache left is max_elem's, which its last
     # cell emptied at its start.  Left descents read the position list, so
-    # no inverse or descent set is cached per element.
+    # no inverse or descent set is built or cached per element.
     _clear_every_cache()
+    inverses = count_calls(monkeypatch, cx.inverse)
     code, out, err = run(capsys, "verify", "core-atomic", "--type", "A", "--max-rank", "4")
     assert code == 0, err
     for fn in (cs.is_core, cs._redundancy, atomic._greedy_step, cx.right_descents):
@@ -769,13 +766,13 @@ def test_core_atomic_keeps_no_memo_per_coset(capsys):
     memos = [obj for obj in gc.get_objects()
              if type(obj) is dict and obj and isinstance(next(iter(obj)), cs.DoubleCoset)]
     assert not memos
-    caches = {obj for module in _package_modules() for obj in vars(module).values() if hasattr(obj, "cache_clear")}
+    caches = {obj for module in package_modules() for obj in vars(module).values() if hasattr(obj, "cache_clear")}
     keyed = {cache for cache in caches
              if any(isinstance(arg, cs.DoubleCoset) for key in _cache_keys(cache) for arg in key)}
     assert keyed == {cs.max_elem}
     last = [p for (p,) in _cache_keys(cs.max_elem) if p.system == cx.type_a(4)]
     assert len(last) == len(_cache_keys(cs.max_elem)) <= cx.group_order(cx.type_a(4))
-    assert cx.inverse.cache_info().currsize == 0
+    assert not inverses
 
 
 @pytest.mark.parametrize(
@@ -793,6 +790,40 @@ def test_verify_prints_the_same_under_python_O(suite, cartan):
     plain, optimized = runs
     assert plain.returncode == 0 and plain.stdout.endswith(f"{suite}: all checks passed\n"), plain.stderr
     assert (optimized.returncode, optimized.stdout) == (plain.returncode, plain.stdout)
+
+
+# stdout of `verify <suite> --type <type>` at the default ranks, as (line
+# count, sha256); it does not depend on the hash seed
+_DEFAULT_OUTPUT = {
+    ("core-atomic", "A"): (63, "9862db093c7f435ed2676c33b25a5a084b8b8de39bfeced492df87836c1dc333"),
+    ("core-atomic", "B"): (15, "838d5ba5d09fb08801d05efd6aa54aba2c3db05c5978c3c84856a4f8665cfde0"),
+    ("core-atomic", "I2"): (21, "db17003718709713903273f0bf5599c7ce0b7180e0c845511c2902d21daaca5f"),
+    ("squash-bijection", "A"): (63, "f0b1557abfc5912d9bd601669f4499a643f36acdc9b876818b74c69a1c9461f4"),
+    ("atomic-rex-bijection", "A"): (31, "105dbf6bf6f137ebce646852f1783cbb803ddb9e4b858b437c76c2e3d091ed2d"),
+    ("atomic-rex-bijection", "B"): (15, "36e493d031599708691c9fa26990781d8190f5880714350a2b7be8d296ed1ff2"),
+    ("matsumoto", "A"): (31, "551ee814f060f3a4643929c866f5c25934cd79dd00c373ff92395ceb6b99ea7c"),
+    ("matsumoto", "B"): (15, "13b7168fcd1e316376760f5bbfaef5eda714c00e9d05daac0a5055c7b00e2954"),
+    ("mimimi", "A"): (35, "083d95c92f6f5a6f1cdd3c8372473bced9f10f7e171c48b84875ead68f9e2bfe"),
+    ("mimimi", "B"): (18, "7c53bbeaab02a0aaf48539e9bd414be5c0eb45802ef0764ca39307554d046eb5"),
+    ("mimimi", "I2"): (6, "f699f444157e46d62c5cd105a6592761e661e6a4fb31741b9dc377bc81c428d5"),
+    ("atomatom", "A"): (5, "62d0afea460780cac40b8c0bf78b362b795e63969560b20d352ae5ab8dc6252e"),
+    ("atomatom", "B"): (4, "4159aa3d325d4c0bfceae3725fc2d9445b1b2ed87adb099fa69ae2f667ce6e32"),
+    ("nilcox-relations", "A"): (5, "5e3fc90cd7f56a0258c31d7198e33a3fea79ee74a88005f25826b746c35942b7"),
+    ("nilcox-relations", "B"): (4, "292d541f2c57c617aee0c60f934d76fb39a620954522153cf7f096d753d74e8c"),
+    ("add-remove", "A"): (15, "c4ba7d941635e5b54c12c84968706c8bc132dc19da4aaeb1e166744c1be81cde"),
+    ("add-remove", "B"): (15, "4d9ec2bbadd0f602d373e39dd8745ebb25a74b769956634aef90942fe9a6e818"),
+    ("add-remove", "I2"): (5, "81cb95bfc92adb6f2b96523c34531a1e83d8b0a0fdb44dd169a9107a11e2cfcf"),
+    ("redundancy-a", "A"): (31, "f5666aefbf7ec3e440b8bd1417c8fd62a29e5864d7efe638040528672fa5fe19"),
+    ("type-b", "B"): (18, "37ae0918caf0e046d57ca5e10c0176934d238d87b957a1df8f297e6011e3ad8b"),
+}
+
+
+@pytest.mark.parametrize("suite, cartan", [(suite, cartan) for suite, (_, types) in _SUITES.items() for cartan in types])
+def test_verify_default_output_is_pinned(capsys, suite, cartan):
+    code, out, err = run(capsys, "verify", suite, "--type", cartan)
+    assert code == 0, err
+    lines, digest = _DEFAULT_OUTPUT[suite, cartan]
+    assert (out.count("\n"), hashlib.sha256(out.encode()).hexdigest()) == (lines, digest)
 
 
 _WORKLOADS = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))
@@ -821,14 +852,14 @@ def test_verify_output_passes_the_benchmark_gates(capsys, workload, argv):
 def _rebind_cached_functions(monkeypatch):
     # as the benchmark's tracer does: each public lru_cache'd function becomes
     # a plain pass-through wrapper, which has no cache_clear
-    cached = {id(obj): obj for module in _package_modules() for name, obj in vars(module).items()
+    cached = {id(obj): obj for module in package_modules() for name, obj in vars(module).items()
               if not name.startswith("_") and hasattr(obj, "cache_clear")}
     for fn in cached.values():
         def wrapper(*args, _fn=fn, **kwargs):
             return _fn(*args, **kwargs)
 
         wrapper.__wrapped__ = fn
-        _rebind_everywhere(monkeypatch, fn, wrapper)
+        rebind_everywhere(monkeypatch, fn, wrapper)
 
 
 @pytest.mark.parametrize("cartan", ["A", "B"])
@@ -885,8 +916,13 @@ def _identity_conjugates_to_nothing(monkeypatch):
     def table(system):
         table = right(system)
         assert table.element(0) == cx.identity(system)
-        conjs = table.conjs + [(None,) * len(table.conjs[table.conj[0]])]
-        return table._replace(conj=array("I", [len(conjs) - 1]) + table.conj[1:], conjs=conjs)
+        # position 0 leaves its group for a new all-None one, of mask 0
+        by_mask = tuple(
+            (mask, [(conj, array("I", (k for k in positions if k))) for conj, positions in groups])
+            for mask, groups in table.by_mask
+        )
+        nothing = (None,) * len(system.simple_indices)
+        return table._replace(by_mask=by_mask + ((0, [(nothing, array("I", [0]))]),))
 
     monkeypatch.setattr(cs, "_descent_table", table)
 
@@ -923,8 +959,11 @@ def test_verify_catches_a_wrong_descent_table(capsys, monkeypatch, fault, argv):
     assert "all checks passed" not in out
     failures = err.splitlines()
     assert any(line.startswith("FAIL: core count at ") for line in failures)
-    if argv[1] in ("squash-bijection", "type-b"):
-        assert any(line.startswith("FAIL: squash count at ") for line in failures)
+    # each short cell is reported once, by the walk's own count
+    counts = [line for line in failures if "count at" in line]
+    assert all(line.startswith("FAIL: core count at ") for line in counts)
+    cells = [line.rpartition(": ")[0] for line in counts]
+    assert len(cells) == len(set(cells))
 
 
 # ---------------------------------------------------------------------------

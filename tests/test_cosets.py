@@ -10,6 +10,7 @@ from conftest import (
     all_subsets,
     as_simple,
     conjugate,
+    count_calls,
     descent_table_oracle,
     drop_table_row,
     enumerate_core_cosets_oracle,
@@ -348,7 +349,7 @@ def test_core_enumerator_matches_its_oracle(system):
 @pytest.mark.parametrize("system", [cx.type_a(4), cx.type_b(3)], ids=str)
 def test_enumerators_leave_the_length_cache_empty(system):
     # the table carries the order, so no coset's length is looked up
-    for cache in (cx.length, cs._descent_table, cs._core_index):
+    for cache in (cx.length, cs._descent_table):
         cache.cache_clear()
     frames = all_subsets(system)
     for J in frames:
@@ -373,8 +374,7 @@ def test_core_index_visits_only_the_rows_it_returns(monkeypatch):
 
     counting = CountingTable(*table)
     monkeypatch.setattr(cs, "_descent_table", lambda system: counting)
-    cs.enumerate_core_cosets(system, frozenset({1}))  # the index is built over every row
-    assert cs._core_index(system)[0] is counting
+    cs.enumerate_core_cosets(system, frozenset({1}))
     for J in all_subsets(system):
         visited.clear()
         found = cs.enumerate_core_cosets(system, J)
@@ -398,14 +398,14 @@ def test_core_index_follows_a_replaced_table(monkeypatch):
     [cx.type_a(r) for r in range(6)] + [cx.type_b(r) for r in range(5)] + [cx.dihedral(m) for m in range(3, 8)],
     ids=str,
 )
-def test_descent_table_agrees_with_the_product_oracle(system):
+def test_descent_table_agrees_with_the_product_oracle(system, monkeypatch):
     # rank 0 included: B0's image tuple is empty
-    cx.inverse.cache_clear()
     cx.length.cache_clear()
     cs._descent_table.cache_clear()
+    inverses = count_calls(monkeypatch, cx.inverse)
     table = cs._descent_table(system)
     # no product, so no inverse; the order's lengths are not cached
-    assert cx.inverse.cache_info().currsize == cx.length.cache_info().currsize == 0
+    assert not inverses and cx.length.cache_info().currsize == 0
     rows = table_rows(table)
     assert rows == descent_table_oracle(system)
     # equal conj tuples are one object
@@ -424,7 +424,8 @@ def test_permutation_lengths_are_inversion_counts():
 def test_descent_table_columns_hold_no_element():
     system = cx.type_a(6)
     table = cs._descent_table(system)
-    columns = [table.data, table.left, table.right, table.conj, table.conjs]
+    positions = [positions for _, groups in table.by_mask for _, positions in groups]
+    columns = [table.data, table.left, table.right, table.by_mask]
     seen, reached = set(), list(columns)
     while reached:
         x = reached.pop()
@@ -432,10 +433,10 @@ def test_descent_table_columns_hold_no_element():
             seen.add(id(x))
             assert not isinstance(x, cx.Element)
             reached += gc.get_referents(x)
-    # 7 image bytes and three 4-byte columns a row
+    # 7 image bytes, two 4-byte masks and a 4-byte position a row
     rows = len(table.left)
     assert rows == 5040
-    assert sum(memoryview(column).nbytes for column in columns[:4]) <= 32 * rows
+    assert sum(memoryview(column).nbytes for column in columns[:3] + positions) <= 32 * rows
 
 
 @pytest.mark.parametrize(
