@@ -9,6 +9,7 @@ import argparse
 import json
 import sys
 from functools import lru_cache
+from itertools import islice
 from typing import Callable, Sequence
 
 from . import atomic, cosets, coxeter, expressions, nilcox, squash_a, squash_b
@@ -22,13 +23,16 @@ def _system_from_args(args, budget: int | None = None) -> CoxeterSystem:
 
 
 def _coset_line(p, fmt: str) -> str:
+    return next(_listing(p.system, p.left, p.right, (p.min.data,), fmt))
+
+
+def _listing(system: CoxeterSystem, I: frozenset, J: frozenset, minima, fmt: str):
+    """The lines of the (I, J)-cosets whose minima are stored as the data
+    tuples minima, in format fmt; the text head is formatted once."""
     if fmt == "json":
-        return json.dumps(cosets.coset_to_json(p), sort_keys=True)
-    return (
-        f"coset: left={cosets.format_subset(p.left)}"
-        f" right={cosets.format_subset(p.right)}"
-        f" min={coxeter.format_element(p.min)}"
-    )
+        return (json.dumps(cosets.coset_document(system, I, J, d), sort_keys=True) for d in minima)
+    head = f"coset: left={cosets.format_subset(I)} right={cosets.format_subset(J)} min="
+    return (head + coxeter.format_data(system.cartan, d) for d in minima)
 
 
 def _print_coset(p, fmt: str) -> None:
@@ -98,19 +102,20 @@ def _cmd_unsquash(args) -> int:
     return 0
 
 
+# the lines enumerate-core writes per call; the listing holds no more at once
+_CHUNK = 4096
+
+
 def _cmd_enumerate_core(args) -> int:
+    """_coset_line's lines, read from the view's rows, with no Element or
+    coset built, and written a chunk at a time."""
     system = _system_from_args(args, args.budget)  # checks the budget before building
     J = cosets.parse_subset(args.right)
     found = cosets.enumerate_core_cosets(system, J, budget=None)
-    if args.format == "json":
-        lines = [_coset_line(p, "json") for _, p in found]
-    else:  # _coset_line's lines, with each frame formatted once per call
-        right = cosets.format_subset(J)
-        heads = {I: f"coset: left={cosets.format_subset(I)} right={right} min=" for I in {I for I, _ in found}}
-        lines = [heads[I] + coxeter.format_element(p.min) for I, p in found]
-    lines.append(f"count: {len(found)}\n")
-    del found  # so the cosets and the joined text are not held at once
-    sys.stdout.write("\n".join(lines))  # one write, not a print per coset
+    lines = (line for I, minima in found.minima() for line in _listing(system, I, J, minima, args.format))
+    while chunk := list(islice(lines, _CHUNK)):
+        sys.stdout.write("\n".join(chunk) + "\n")
+    sys.stdout.write(f"count: {len(found)}\n")
     return 0
 
 
@@ -188,7 +193,7 @@ def _core_by_right(system: CoxeterSystem, fail):
     but the atoms' cosets, whose maxima are cheap to compute again."""
     for J in cosets.all_frames(system):
         _clear(_CELL_CACHES)
-        found = cosets.enumerate_core_cosets(system, J, budget=None)
+        found = list(cosets.enumerate_core_cosets(system, J, budget=None))
         expected = _core_count(system, J)
         if len(found) != expected:
             fail(f"core count at {system} J={sorted(J)}: {len(found)} != {expected}")

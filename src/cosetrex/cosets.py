@@ -7,7 +7,9 @@ from that data on demand.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import defaultdict
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, combinations
@@ -469,8 +471,9 @@ def enumerate_cosets(
 
 def enumerate_core_cosets(
     system: CoxeterSystem, right: Iterable[int], budget: int | None = DEFAULT_BUDGET
-) -> list[tuple[Frame, DoubleCoset]]:
-    """All core cosets with the given right frame, over every left frame.
+) -> CoreCosets:
+    """All core cosets with the given right frame, over every left frame,
+    as pairs (I, p): a CoreCosets view over the descent table.
 
     An element w is the minimal element of a core coset with right frame J
     exactly when it has no right descent in J and conjugates every s_j,
@@ -478,16 +481,16 @@ def enumerate_core_cosets(
     Those rows are the conj groups of the table's by_mask whose mask
     contains J's, and each conj group has one left frame.  The cosets come
     by left frame, sorted, then in table order: each frame's groups merge
-    their ascending positions.  No other row of the table is decoded, and
-    no length computed.  The empty frame, whose cosets are every row in
-    table order, reads the rows in order.
+    their ascending positions into one array (a frame with one group keeps
+    the table's).  The empty frame's one group is every row, a range.  No
+    row is decoded here, and no length computed: the view decodes a row
+    when it is read.
     """
     check_budget(system, budget)
     right = check_subset(system, right)
     table = _descent_table(system)
-    element = table.element
     if not right:
-        return [(right, DoubleCoset(system, right, right, element(k))) for k in range(len(table.left))]
+        return CoreCosets(table, right, ((right, range(len(table.left))),))
     rmask = _mask(right)
     slots = [j - system.simple_indices.start for j in right]
     groups: dict[Frame, list] = {}  # left frame -> position runs
@@ -495,24 +498,96 @@ def enumerate_core_cosets(
         if mask & rmask == rmask:
             for conj, positions in conjs:
                 groups.setdefault(frozenset(conj[k] for k in slots), []).append(positions)
-    out = []
-    for left in sorted(groups, key=sorted):
-        positions = sorted(chain.from_iterable(groups[left]))  # a merge of ascending runs
-        out += [(left, DoubleCoset(system, left, right, element(i))) for i in positions]
-    return out
+    from array import array
+
+    merged = tuple(
+        (left, runs[0] if len(runs) == 1 else array("I", sorted(chain.from_iterable(runs))))
+        for left, runs in sorted(groups.items(), key=lambda item: sorted(item[0]))
+    )
+    return CoreCosets(table, right, merged)
+
+
+class CoreCosets(SequenceABC):
+    """The pairs (I, p) that enumerate_core_cosets returns, read-only, as a
+    view over the descent table: groups holds each left frame I with the
+    ascending table positions of its cosets' minima, and rows the view's
+    indices into the concatenation of the groups.
+
+    len and the bounds of an index read rows alone.  An index or an
+    iteration builds the pair (I, DoubleCoset) only for each row it reaches,
+    decoding the row's element by table.element; a slice is again a view,
+    over the same groups.  minima yields the rows' data tuples, with no
+    Element or coset at all, for a listing."""
+
+    __slots__ = ("table", "right", "groups", "starts", "rows")
+
+    def __init__(self, table: DescentTable, right: Frame, groups: tuple, rows: range | None = None) -> None:
+        self.table, self.right, self.groups = table, right, groups
+        self.starts = list(accumulate((len(positions) for _, positions in groups), initial=0))
+        self.rows = range(self.starts[-1]) if rows is None else rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return CoreCosets(self.table, self.right, self.groups, self.rows[index])
+        left, k = self._locate(self.rows[index])
+        return left, DoubleCoset(self.table.system, left, self.right, self.table.element(k))
+
+    def __iter__(self):
+        system, right, element = self.table.system, self.right, self.table.element
+        for left, positions in self._runs():
+            for k in positions:
+                yield left, DoubleCoset(system, left, right, element(k))
+
+    def minima(self):
+        """(I, the data tuples of the minima of I's rows in this view) per
+        left frame, in the view's order."""
+        table = self.table
+        unpack, data, width = table.unpack, table.data, table.width
+        for left, positions in self._runs():
+            yield left, (unpack(data, k * width) for k in positions)
+
+    def _locate(self, row: int) -> tuple[Frame, int]:
+        """The left frame and the table position of the view's row-th row."""
+        g = bisect_right(self.starts, row) - 1
+        left, positions = self.groups[g]
+        return left, positions[row - self.starts[g]]
+
+    def _runs(self):
+        """(I, positions) for the view's rows, by consecutive rows of one
+        left frame: a group's slice when the view's step is 1, else one row
+        at a time."""
+        rows = self.rows
+        if rows.step != 1:
+            for row in rows:
+                left, k = self._locate(row)
+                yield left, (k,)
+            return
+        for (left, positions), lo, hi in zip(self.groups, self.starts, self.starts[1:]):
+            first, last = max(rows.start, lo), min(rows.stop, hi)
+            if first < last:
+                yield left, positions[first - lo : last - lo]
+
+
+def coset_document(system: CoxeterSystem, left: Frame, right: Frame, data: Sequence[int]) -> dict:
+    """The JSON document of the (left, right)-coset whose minimum is
+    stored as data, the form coset_from_json reads."""
+    doc = {
+        "cartan": system.cartan,
+        "rank": system.rank,
+        "left": sorted(left),
+        "right": sorted(right),
+        "min": list(data),
+    }
+    if system.cartan == "I2":
+        doc["bond"] = system.bond
+    return doc
 
 
 def coset_to_json(p: DoubleCoset) -> dict:
-    doc = {
-        "cartan": p.system.cartan,
-        "rank": p.system.rank,
-        "left": sorted(p.left),
-        "right": sorted(p.right),
-        "min": list(p.min.data),
-    }
-    if p.system.cartan == "I2":
-        doc["bond"] = p.system.bond
-    return doc
+    return coset_document(p.system, p.left, p.right, p.min.data)
 
 
 def check_window(key: SystemKey, min_data: Sequence[int]) -> None:

@@ -665,9 +665,16 @@ def all_elements(system: CoxeterSystem) -> Iterator[Element]:
 
 
 def format_element(w: Element) -> str:
-    if w.system.cartan == "I2":
-        return " ".join(map(str, w.data))
-    return "[" + ",".join(map(str, w.data)) + "]"
+    return format_data(w.system.cartan, w.data)
+
+
+def format_data(cartan: str, data: Sequence[int]) -> str:
+    """The text of an element stored as data, the inverse of parse_data:
+    "2 1" for I2, "[3,4,1,2]" for A and B."""
+    if cartan == "I2":
+        return " ".join(map(str, data))
+    data = tuple(data)  # one %-format over the images: faster than a join of strs
+    return ("[" + "%d," * (len(data) - 1) + "%d]") % data if data else "[]"
 
 
 def element_from_data(system: CoxeterSystem, data: Sequence[int]) -> Element:
@@ -683,7 +690,7 @@ def parse_element(system: CoxeterSystem, text: str) -> Element:
 
 
 def parse_data(cartan: str, text: str) -> list[int]:
-    """The integers of text, in the form format_element writes for type
+    """The integers of text, in the form format_data writes for type
     cartan; it needs no system, so a caller can size them before building one."""
     text = text.strip()
     if cartan == "I2":

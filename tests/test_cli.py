@@ -96,22 +96,65 @@ def test_enumerate_core(capsys):
     assert out.strip().splitlines()[-1] == "count: 2"
 
 
+def _system_flags(system):
+    flags = ["--type", system.cartan, "--rank", str(system.rank)]
+    return flags if system.bond is None else flags + ["--bond", str(system.bond)]
+
+
+def _printed_cosets(capsys, found, fmt):
+    """What cli._print_coset prints for the cosets of the pairs found."""
+    for _, p in found:
+        cli._print_coset(p, fmt)
+    return capsys.readouterr().out
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize(
     "system",
-    [cx.type_a(r) for r in range(5)] + [cx.type_b(r) for r in range(4)] + [cx.dihedral(5)],
+    [cx.type_a(r) for r in range(5)] + [cx.type_b(r) for r in range(4)] + [cx.dihedral(m) for m in range(3, 8)],
     ids=str,
 )
 def test_enumerate_core_prints_each_coset_as_print_coset_does(capsys, system, fmt):
-    flags = ["--type", system.cartan, "--rank", str(system.rank), "--format", fmt]
-    if system.bond is not None:
-        flags += ["--bond", str(system.bond)]
+    # the expected lines come from the brute-force oracle, not from the view
     for J in cs.all_frames(system):
-        found = cs.enumerate_core_cosets(system, J)
-        for _, p in found:
-            cli._print_coset(p, fmt)
-        expected = capsys.readouterr().out + f"count: {len(found)}\n"
-        assert run(capsys, "enumerate-core", *flags, "--right", cs.format_subset(J)) == (0, expected, "")
+        found = enumerate_core_cosets_oracle(system, J)
+        expected = _printed_cosets(capsys, found, fmt) + f"count: {len(found)}\n"
+        argv = ["enumerate-core", *_system_flags(system), "--format", fmt, "--right", cs.format_subset(J)]
+        assert run(capsys, *argv) == (0, expected, "")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("system", [cx.type_a(3), cx.type_b(3)], ids=str)
+def test_enumerate_core_lists_what_the_enumerator_returns(capsys, monkeypatch, system, fmt):
+    # a wrapper that drops the last coset, as the benchmark's drop-coset
+    # fault does, drops it from the listing and from the count
+    fn = cs.enumerate_core_cosets
+    monkeypatch.setattr(cs, "enumerate_core_cosets", lambda *a, **k: fn(*a, **k)[:-1])
+    for J in cs.all_frames(system):
+        found = enumerate_core_cosets_oracle(system, J)[:-1]
+        expected = _printed_cosets(capsys, found, fmt) + f"count: {len(found)}\n"
+        argv = ["enumerate-core", *_system_flags(system), "--format", fmt, "--right", cs.format_subset(J)]
+        assert run(capsys, *argv) == (0, expected, "")
+
+
+def test_enumerate_core_writes_a_chunk_of_lines_at_a_time(capsys, monkeypatch):
+    # A6 with J = {} lists 5040 cosets: two chunks of at most 4096 lines, then the count
+    system = cx.type_a(6)
+    expected = _printed_cosets(capsys, enumerate_core_cosets_oracle(system, frozenset()), "text") + "count: 5040\n"
+    writes = []
+
+    class Recording(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    monkeypatch.setattr(sys, "stdout", Recording())
+    assert main(["enumerate-core", "--type", "A", "--rank", "6", "--right", "{}"]) == 0
+    assert [text.count("\n") for text in writes] == [4096, 944, 1]
+    assert "".join(writes) == expected
+    # the bytes the listing wrote in one call before it wrote in chunks
+    digest = "b7b2375e706642d5f09fd2b5122e7b5814fff6d16f1f48f464aef13ba85b6ce5"
+    assert hashlib.sha256(expected.encode()).hexdigest() == digest
 
 
 def test_atomic_rex_from_json(capsys):

@@ -4,6 +4,7 @@ from itertools import permutations
 
 import pytest
 
+from cosetrex import cli
 from cosetrex import coxeter as cx
 from cosetrex import cosets as cs
 from conftest import (
@@ -343,7 +344,37 @@ def test_enumerators_match_their_oracles(system):
 def test_core_enumerator_matches_its_oracle(system):
     # equal as lists, on every right frame: the index's merge keeps the order
     for J in all_subsets(system):
-        assert cs.enumerate_core_cosets(system, J) == enumerate_core_cosets_oracle(system, J)
+        assert list(cs.enumerate_core_cosets(system, J)) == enumerate_core_cosets_oracle(system, J)
+
+
+@pytest.mark.parametrize(
+    "system",
+    [cx.type_a(r) for r in range(5)] + [cx.type_b(r) for r in range(4)] + [cx.dihedral(m) for m in range(3, 8)],
+    ids=str,
+)
+def test_core_cosets_view_reads_as_a_sequence(system):
+    # len, indices and slices of the view agree with its iteration and the oracle
+    for J in all_subsets(system):
+        view = cs.enumerate_core_cosets(system, J)
+        expected = enumerate_core_cosets_oracle(system, J)
+        assert isinstance(view, cs.CoreCosets)
+        assert list(view) == expected and len(view) == len(expected) > 0
+        n = len(view)
+        for i in range(-n, n):
+            assert view[i] == expected[i]
+        for i in (n, -n - 1, n + 5):
+            with pytest.raises(IndexError):
+                view[i]
+        for s in (slice(None, -1), slice(0, 0), slice(n, None), slice(-1, None), slice(1, -1),
+                  slice(None, None, 2), slice(None, None, -1), slice(-2, 0, -3), slice(5, 2)):
+            part = view[s]
+            assert isinstance(part, cs.CoreCosets)
+            assert list(part) == expected[s] and len(part) == len(expected[s])
+            assert [part[i] for i in range(len(part))] == expected[s]
+        assert list(view[:-1][1:]) == expected[:-1][1:]
+        assert [(I, d) for I, minima in view[1:].minima() for d in minima] == [
+            (I, p.min.data) for I, p in expected[1:]
+        ]
 
 
 @pytest.mark.parametrize("system", [cx.type_a(4), cx.type_b(3)], ids=str)
@@ -359,8 +390,9 @@ def test_enumerators_leave_the_length_cache_empty(system):
     assert cx.length.cache_info().currsize == 0
 
 
-def test_core_index_visits_only_the_rows_it_returns(monkeypatch):
-    # a row is visited when an enumerator decodes its element
+def test_core_index_visits_only_the_rows_it_returns(monkeypatch, capsys):
+    # a row is visited when an enumerator decodes its element; the CLI
+    # listing reads the rows' data and decodes none
     system = cx.type_a(5)
     table = cs._descent_table(system)
     visited = []
@@ -377,20 +409,26 @@ def test_core_index_visits_only_the_rows_it_returns(monkeypatch):
     cs.enumerate_core_cosets(system, frozenset({1}))
     for J in all_subsets(system):
         visited.clear()
-        found = cs.enumerate_core_cosets(system, J)
+        found = list(cs.enumerate_core_cosets(system, J))
         assert len(visited) == len(set(visited)) == len(found) > 0, J
+    for fmt in ("text", "json"):
+        for J in all_subsets(system):
+            visited.clear()
+            assert cli.main(["enumerate-core", "--rank", "5", "--right", cs.format_subset(J), "--format", fmt]) == 0
+            out = capsys.readouterr().out.splitlines()
+            assert visited == [] and out[-1] == f"count: {len(out) - 1}" and len(out) > 1, (fmt, J)
 
 
 def test_core_index_follows_a_replaced_table(monkeypatch):
     # an index built over another table object is built again, not read
     system, J = cx.type_a(3), frozenset({1})
-    full = cs.enumerate_core_cosets(system, J)
+    full = list(cs.enumerate_core_cosets(system, J))
     table = cs._descent_table(system)
     last = next(k for k, (w, _, _, _) in enumerate(table_rows(table)) if w == full[-1][1].min)
     monkeypatch.setattr(cs, "_descent_table", lambda system: drop_table_row(table, last))
-    assert cs.enumerate_core_cosets(system, J) == full[:-1]
+    assert list(cs.enumerate_core_cosets(system, J)) == full[:-1]
     monkeypatch.undo()
-    assert cs.enumerate_core_cosets(system, J) == full
+    assert list(cs.enumerate_core_cosets(system, J)) == full
 
 
 @pytest.mark.parametrize(

@@ -529,6 +529,16 @@ def test_element_text_forms(a3, b2):
         cx.parse_element(a3, "3,4,1,2")
 
 
+@pytest.mark.parametrize(
+    "cartan, data, text",
+    [("A", [3, 4, 1, 2], "[3,4,1,2]"), ("B", (-2, 1), "[-2,1]"), ("A", (1,), "[1]"), ("A", [], "[]"),
+     ("B", (-12, 3, 10), "[-12,3,10]"), ("I2", (2, 1), "2 1"), ("I2", (), "")],
+)
+def test_format_data_inverts_parse_data(cartan, data, text):
+    assert cx.format_data(cartan, data) == text
+    assert cx.parse_data(cartan, text) == list(data)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(min_value=1, max_value=4), max_size=10))
 def test_star_fold_dominates_product(word):
