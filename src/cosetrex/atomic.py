@@ -8,9 +8,8 @@ construction below peels one atomic coset at a time off the left.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .coxeter import (
     CoxeterSystem,
@@ -43,8 +42,7 @@ from .expressions import (
 )
 
 
-@dataclass(frozen=True)
-class AtomicCoset:
+class AtomicCoset(NamedTuple):
     """The coset of w_mid framed by left = mid - added and right = mid - removed."""
 
     system: CoxeterSystem

@@ -7,10 +7,7 @@ from that data on demand.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import defaultdict
-from collections.abc import Sequence as SequenceABC
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, combinations
 from operator import getitem, mul
@@ -29,9 +26,11 @@ from .coxeter import (
     inverse,
     is_left_descent,
     is_right_descent,
+    left_descents,
     length,
     multiply,
     order_factors,
+    right_descents,
     simple,
     simple_conjugate,
     star_product,
@@ -129,8 +128,7 @@ def parabolic_length(system: CoxeterSystem, indices: Frame) -> int:
     return length(longest_element(system, frozenset(indices)))
 
 
-@dataclass(frozen=True)
-class DoubleCoset:
+class DoubleCoset(NamedTuple):
     """An (I,J)-coset, keyed by its minimal element."""
 
     system: CoxeterSystem
@@ -334,12 +332,13 @@ def _descent_table(system: CoxeterSystem) -> DescentTable:
     Bit i of a mask stands for s_i.  conj[k] is the simple index of
     w s_j w^{-1} for the k-th simple index j, or None when j is a right
     descent of w or w s_j w^{-1} is not simple.  A6 has 468 distinct conj
-    tuples over 5040 elements.  Each row is read off w's image tuple (A, B)
-    or normal-form word (I2), with no product; tests/conftest.py keeps the
-    product-based build as the oracle.
+    tuples over 5040 elements.  I2's 2m rows come from coxeter's descent
+    functions and simple_conjugate; the rows of types A and B are read off
+    w's image tuple by _image_rows.  Neither builds a product;
+    tests/conftest.py keeps the product-based build as the oracle.
 
-    The elements come from all_elements, and none is kept.  I2 yields
-    them in the table's order.  Type A yields the permutations in data
+    The elements come from all_elements; only I2's are kept, and I2
+    yields them in the table's order.  Type A yields the permutations in data
     order, and the k-th one's length is the sum of its inversion table,
     the digits of k in the factorial base (Bjorner-Brenti, GTM 231, ch. 1),
     so a counting sort by length orders its rows.  Type B sorts each
@@ -349,8 +348,13 @@ def _descent_table(system: CoxeterSystem) -> DescentTable:
     from array import array  # here, not at the top: single-coset queries never load it
 
     if system.cartan == "I2":
-        words = [w.data for w in all_elements(system)]
-        data, width, unpack, rows = words, 1, getitem, _word_rows(system, words)
+        elements = list(all_elements(system))
+        data, width, unpack = [w.data for w in elements], 1, getitem
+        rows = (
+            (_mask(left_descents(w)), _mask(right_descents(w)),
+             tuple(None if is_right_descent(w, j) else simple_conjugate(w, j) for j in (1, 2)))
+            for w in elements
+        )
     else:
         from struct import Struct
 
@@ -429,22 +433,6 @@ def _image_rows(system: CoxeterSystem, images: Iterable[Sequence[int]]):
         yield ld, rd, tuple(conj)
 
 
-def _word_rows(system: CoxeterSystem, words: Iterable[tuple[int, ...]]):
-    """Rows of I2(m), one per normal-form word: the descents are the first
-    and the last letter, or both at length m; w s_j w^{-1} is simple only at
-    the identity (s_j) and at length m-1, where w s_j is the longest element
-    (s_{3 - first letter})."""
-    m = system.bond
-    for word in words:
-        if not word:
-            yield 0, 0, (1, 2)
-        elif len(word) == m:
-            yield 0b110, 0b110, (None, None)
-        else:
-            i = 3 - word[0] if len(word) == m - 1 else None
-            yield 1 << word[0], 1 << word[-1], tuple(None if j == word[-1] else i for j in (1, 2))
-
-
 def enumerate_cosets(
     system: CoxeterSystem,
     left: Iterable[int],
@@ -507,37 +495,42 @@ def enumerate_core_cosets(
     return CoreCosets(table, right, merged)
 
 
-class CoreCosets(SequenceABC):
+class CoreCosets:
     """The pairs (I, p) that enumerate_core_cosets returns, read-only, as a
     view over the descent table: groups holds each left frame I with the
-    ascending table positions of its cosets' minima, and rows the view's
-    indices into the concatenation of the groups.
+    ascending table positions of its cosets' minima.
 
-    len and the bounds of an index read rows alone.  An index or an
-    iteration builds the pair (I, DoubleCoset) only for each row it reaches,
-    decoding the row's element by table.element; a slice is again a view,
-    over the same groups.  minima yields the rows' data tuples, with no
+    len reads the groups alone.  An iteration builds the pair
+    (I, DoubleCoset) only for each row it reaches, decoding the row's
+    element by table.element; a slice without a step is again a view, over
+    the slices of the groups.  minima yields the rows' data tuples, with no
     Element or coset at all, for a listing."""
 
-    __slots__ = ("table", "right", "groups", "starts", "rows")
+    __slots__ = ("table", "right", "groups")
 
-    def __init__(self, table: DescentTable, right: Frame, groups: tuple, rows: range | None = None) -> None:
+    def __init__(self, table: DescentTable, right: Frame, groups: tuple) -> None:
         self.table, self.right, self.groups = table, right, groups
-        self.starts = list(accumulate((len(positions) for _, positions in groups), initial=0))
-        self.rows = range(self.starts[-1]) if rows is None else rows
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return sum(len(positions) for _, positions in self.groups)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return CoreCosets(self.table, self.right, self.groups, self.rows[index])
-        left, k = self._locate(self.rows[index])
-        return left, DoubleCoset(self.table.system, left, self.right, self.table.element(k))
+    def __getitem__(self, index: slice) -> CoreCosets:
+        if not isinstance(index, slice):
+            raise TypeError(f"CoreCosets takes a slice, not {type(index).__name__}")
+        start, stop, step = index.indices(len(self))
+        if step != 1:
+            raise ValueError("CoreCosets takes no slice step")
+        groups = []
+        for left, positions in self.groups:
+            lo, hi = max(start, 0), min(stop, len(positions))
+            if lo < hi:
+                groups.append((left, positions[lo:hi]))
+            start, stop = start - len(positions), stop - len(positions)
+        return CoreCosets(self.table, self.right, tuple(groups))
 
     def __iter__(self):
         system, right, element = self.table.system, self.right, self.table.element
-        for left, positions in self._runs():
+        for left, positions in self.groups:
             for k in positions:
                 yield left, DoubleCoset(system, left, right, element(k))
 
@@ -546,29 +539,8 @@ class CoreCosets(SequenceABC):
         left frame, in the view's order."""
         table = self.table
         unpack, data, width = table.unpack, table.data, table.width
-        for left, positions in self._runs():
+        for left, positions in self.groups:
             yield left, (unpack(data, k * width) for k in positions)
-
-    def _locate(self, row: int) -> tuple[Frame, int]:
-        """The left frame and the table position of the view's row-th row."""
-        g = bisect_right(self.starts, row) - 1
-        left, positions = self.groups[g]
-        return left, positions[row - self.starts[g]]
-
-    def _runs(self):
-        """(I, positions) for the view's rows, by consecutive rows of one
-        left frame: a group's slice when the view's step is 1, else one row
-        at a time."""
-        rows = self.rows
-        if rows.step != 1:
-            for row in rows:
-                left, k = self._locate(row)
-                yield left, (k,)
-            return
-        for (left, positions), lo, hi in zip(self.groups, self.starts, self.starts[1:]):
-            first, last = max(rows.start, lo), min(rows.stop, hi)
-            if first < last:
-                yield left, positions[first - lo : last - lo]
 
 
 def coset_document(system: CoxeterSystem, left: Frame, right: Frame, data: Sequence[int]) -> dict:

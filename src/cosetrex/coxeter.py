@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 from operator import index, itemgetter, mul, neg
@@ -230,46 +230,16 @@ def _descend(c: BraidClass, letters: tuple[int, ...]) -> list[BraidClass]:
     return reached
 
 
-class Element:
+class Element(NamedTuple):
     """An element of ``system``: its image tuple (types A and B) or its
     normal-form word (I2) is ``data``.
 
-    Immutable.  The hash is computed once, from ``data``; equality
-    compares the (interned) systems by identity and then the data.
+    A tuple, so immutable, and hashed and compared in C: equality compares
+    the (interned) systems by identity and then the data.
     """
 
-    __slots__ = ("system", "data", "_hash")
-
-    def __init__(self, system: CoxeterSystem, data: tuple[int, ...]) -> None:
-        _set_system(self, system)
-        _set_data(self, data)
-        _set_hash(self, hash(data))
-
-    def __setattr__(self, name: str, value) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not Element:
-            return NotImplemented
-        return self.system is other.system and self.data == other.data
-
-    def __repr__(self) -> str:
-        return f"Element(system={self.system!r}, data={self.data!r})"
-
-    def __reduce__(self):
-        return Element, (self.system, self.data)
-
-
-# the slots' own setters, which __setattr__ refuses to other callers
-_set_system = Element.system.__set__
-_set_data = Element.data.__set__
-_set_hash = Element._hash.__set__
+    system: CoxeterSystem
+    data: tuple[int, ...]
 
 
 def identity(system: CoxeterSystem) -> Element:

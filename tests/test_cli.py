@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import functools
 import gc
 import hashlib
@@ -553,7 +552,7 @@ def _max_keeps_the_signs(monkeypatch):
     # keeping the signs of its places instead of writing -|x|
     right = cs.max_elem.__wrapped__
     rebind_everywhere(
-        monkeypatch, cs.max_elem, lambda p: right(dataclasses.replace(p, left=p.left - {0}, right=p.right - {0}))
+        monkeypatch, cs.max_elem, lambda p: right(p._replace(left=p.left - {0}, right=p.right - {0}))
     )
 
 

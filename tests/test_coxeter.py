@@ -607,6 +607,31 @@ def test_element_is_immutable_and_keeps_its_constructor_and_repr(a3):
     assert repr(w) == "Element(system=CoxeterSystem(cartan='A', rank=3, bond=None), data=(2, 1, 3, 4))"
     assert cx.Element(a3, (2, 1, 3, 4)) == cx.Element(system=a3, data=(2, 1, 3, 4)) == w
     assert copy.deepcopy(w) == w and pickle.loads(pickle.dumps(w)) == w
+    # the cosets built on it, too; their systems come back interned
+    p = cs.DoubleCoset(a3, frozenset({3}), frozenset({2}), w)
+    a = at.atomic_from(a3, {1, 2}, 1)
+    system_repr = "CoxeterSystem(cartan='A', rank=3, bond=None)"
+    assert repr(p) == (
+        f"DoubleCoset(system={system_repr}, left=frozenset({{3}}), right=frozenset({{2}}), min={w!r})"
+    )
+    assert repr(a) == (
+        f"AtomicCoset(system={system_repr}, left=frozenset({{2}}), mid=frozenset({{1, 2}}),"
+        " right=frozenset({1}), added=1, removed=2)"
+    )
+    assert cs.DoubleCoset(system=a3, left=p.left, right=p.right, min=w) == p
+    assert hash(p) == hash((a3, p.left, p.right, w))
+    for x, name in ((p, "min"), (p, "left"), (a, "mid"), (a, "added"), (p, "other"), (a, "other")):
+        with pytest.raises(AttributeError):
+            setattr(x, name, None)
+    for x, name in ((p, "min"), (a, "right")):
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    for x in (p, a):
+        for back in (copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert back == x and back.system is a3 and back.left == x.left
+    # none of the three values carries an instance dict
+    for x in (w, p, a):
+        assert not hasattr(x, "__dict__"), type(x).__name__
 
 
 @pytest.mark.parametrize("system", SMALL_SYSTEMS, ids=str)
