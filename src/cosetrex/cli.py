@@ -64,19 +64,17 @@ def _coset_from_args(args):
             doc = json.loads(args.coset)
         except RecursionError:
             raise ValueError("coset JSON is nested too deeply") from None
-        return cosets.coset_from_json(doc)
-    if None in (args.left, args.right, args.min):
+    elif None in (args.left, args.right, args.min):
         raise ValueError("give the coset as --coset JSON, or as --left, --right and --min")
-    if args.rank is None:
+    elif args.rank is None:
         raise ValueError("--left, --right and --min need --rank")
-    key = coxeter.system_key(args.type or "A", args.rank, args.bond)
-    data = coxeter.parse_data(key.cartan, args.min)
-    cosets.check_window(key, data)  # before a huge system is built
-    system = CoxeterSystem(*key)
-    w = coxeter.element_from_data(system, data)
-    return cosets.coset_of(
-        system, cosets.parse_subset(args.left), w, cosets.parse_subset(args.right)
-    )
+    else:
+        cartan = args.type or "A"
+        doc = {"cartan": cartan, "rank": args.rank, "bond": args.bond,
+               "min": coxeter.parse_data(cartan, args.min),
+               "left": sorted(cosets.parse_subset(args.left)),
+               "right": sorted(cosets.parse_subset(args.right))}
+    return cosets.coset_from_json(doc)
 
 
 def _cmd_atomic_rex(args) -> int:

@@ -61,20 +61,25 @@ class OneStepExpression:
     steps: tuple[tuple[int, int], ...]  # (+1, s) adds s, (-1, t) removes t
 
     def __post_init__(self) -> None:
-        check_subset(self.system, self.start)
-        cur = set(self.start)
+        cur = check_subset(self.system, self.start)
         for op, i in self.steps:
-            check_subset(self.system, {i})
-            if op == 1:
-                if i in cur:
-                    raise ValueError(f"cannot add {i}: already present")
-                cur.add(i)
-            elif op == -1:
-                if i not in cur:
-                    raise ValueError(f"cannot remove {i}: not present")
-                cur.remove(i)
-            else:
-                raise ValueError(f"bad step operation {op}")
+            cur = _step(self.system, cur, op, i)
+
+
+def _step(system: CoxeterSystem, frame: Frame, op: int, i: int) -> Frame:
+    """The frame after the checked step (op, i) of a one-step walk: +1 adds
+    i, which must be absent, and -1 removes i, which must be present.  The
+    frame is in range, so a valid step checks only the frame it adds to."""
+    if op == 1 and i not in frame:
+        return check_subset(system, frame | {i})
+    if op == -1 and i in frame:
+        return frame - {i}
+    check_subset(system, (i,))
+    if op == 1:
+        raise ValueError(f"cannot add {i}: already present")
+    if op == -1:
+        raise ValueError(f"cannot remove {i}: not present")
+    raise ValueError(f"bad step operation {op}")
 
 
 Expression = Union[MultistepExpression, OneStepExpression]
@@ -84,49 +89,36 @@ def multistep(system: CoxeterSystem, chain: Sequence[Iterable[int]]) -> Multiste
     """Build a multistep expression from a chain of pairwise comparable
     frames, normalized to a zig-zag.
 
-    Monotone runs collapse onto their extreme frame, so stalls introduced
-    by walking one index at a time disappear again.
+    One pass keeps bottoms at even places and tops at odd ones, so a
+    monotone run collapses onto its extreme frame and stalls introduced by
+    walking one index at a time disappear again.
     """
-    frames = [frozenset(chain[0])]
+    out = [frozenset(chain[0])]
     for g in chain[1:]:
         g = frozenset(g)
-        prev = frames[-1]
+        prev = out[-1]
+        if g == prev:
+            continue
         if not (prev <= g or g <= prev):
             raise ValueError(
                 f"frames {format_subset(prev)} and {format_subset(g)} are incomparable"
             )
-        if g != prev:
-            frames.append(g)
-    extrema = [frames[0]]
-    dirs: list[int] = []
-    for g in frames[1:]:
-        d = 1 if extrema[-1] < g else -1
-        if dirs and dirs[-1] == d:
-            extrema[-1] = g
+        if len(out) == 1 and g < prev:
+            out.append(prev)  # the first frame doubles as the top
+        if (prev < g) == (len(out) % 2 == 0):  # the run goes on
+            out[-1] = g
         else:
-            extrema.append(g)
-            dirs.append(d)
-    out = [extrema[0]]
-    at_top = False
-    for d, g in zip(dirs, extrema[1:]):
-        if d == -1 and not at_top:
-            out.append(out[-1])  # the current frame doubles as the top
-        out.append(g)
-        at_top = d == 1
-    if at_top:
+            out.append(g)
+    if len(out) % 2 == 0:  # the chain ends on a top
         out.append(out[-1])
     return MultistepExpression(system, tuple(out))
 
 
 def to_multistep(expr: OneStepExpression) -> MultistepExpression:
-    chain = [expr.start]
-    cur = set(expr.start)
+    """The zig-zag walked by expr's steps, which its constructor checked."""
+    chain = [frozenset(expr.start)]
     for op, i in expr.steps:
-        if op == 1:
-            cur.add(i)
-        else:
-            cur.remove(i)
-        chain.append(frozenset(cur))
+        chain.append(chain[-1] | {i} if op == 1 else chain[-1] - {i})
     return multistep(expr.system, chain)
 
 
@@ -263,24 +255,19 @@ class _Parser:
         self.take("[")
         start = self.frame()
         steps: list[tuple[int, int]] = []
-        cur = set(start)
+        cur = start
         while self.peek() in ("+", "-"):
             sign_pos = self.pos()
             op = 1 if self.take() == "+" else -1
             tok = self.take()
             if not tok.isdigit():
                 raise ParseError(f"expected an index but found {tok!r}", self.tokens[self.k - 1][1])
-            i = int(tok)
+            step = (op, int(tok))
             try:
-                check_subset(self.system, {i})
+                cur = _step(self.system, cur, *step)
             except ValueError as exc:
                 raise ParseError(str(exc), sign_pos) from None
-            if op == 1 and i in cur:
-                raise ParseError(f"cannot add {i}: already present", sign_pos)
-            if op == -1 and i not in cur:
-                raise ParseError(f"cannot remove {i}: not present", sign_pos)
-            (cur.add if op == 1 else cur.remove)(i)
-            steps.append((op, i))
+            steps.append(step)
         self.take("]")
         self.expect_end()
         return OneStepExpression(self.system, start, tuple(steps))

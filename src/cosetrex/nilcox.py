@@ -23,7 +23,7 @@ from .cosets import (
     identity_coset,
     reduced_composite,
 )
-from .atomic import atomic_generator, coset_of_atom, squashed_system
+from .atomic import atomic_generator, coset_of_atom, lift_word, squashed_system
 
 
 def generator(system: CoxeterSystem, J: Iterable[int], i: int) -> DoubleCoset:
@@ -34,22 +34,18 @@ def generator(system: CoxeterSystem, J: Iterable[int], i: int) -> DoubleCoset:
 
 
 def psi(system: CoxeterSystem, J: Iterable[int], word: Sequence[int]) -> DoubleCoset | None:
-    """Fold the generator word onto the object J, rightmost letter first.
+    """Fold the atoms of the word lifted onto the object J, rightmost first.
 
     The result is nonzero exactly when the word is reduced in the squashed
-    group, and is then the lifted core coset.  Every letter is checked
-    first, as the fold stops at 0; the squashed rank is the same at every
-    frame of the fold.
+    group, and is then the lifted core coset.  lift_word lifts, and so
+    checks, every letter before the fold can stop at 0.
     """
     J = check_subset(system, J)
     acc = identity_coset(system, J)
     if word:
-        indices = squashed_system(system, J).simple_indices
-        bad = [i for i in word if i not in indices]
-        if bad:
-            raise ValueError(f"generator index {bad[-1]} out of range {indices.start}..{indices.stop - 1}")
-    for i in reversed(word):
-        acc = reduced_composite(generator(system, acc.left, i), acc)
+        squashed_system(system, J)  # refuses I2, which lift_word would lift
+    for a in reversed(lift_word(system, J, word)):
+        acc = reduced_composite(coset_of_atom(a), acc)
         if acc is None:
             return None
     return acc

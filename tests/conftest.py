@@ -351,6 +351,41 @@ def add_remove_oracle(p, I, M, pmax):
     return ex.is_reduced(expr) and ex.evaluate(expr) == p
 
 
+def multistep_oracle(system, chain):
+    """expressions.multistep in three passes: drop repeated frames, collapse
+    each monotone run onto its extreme frame, then double the ends that are
+    tops."""
+    frames = [frozenset(chain[0])]
+    for g in chain[1:]:
+        g = frozenset(g)
+        prev = frames[-1]
+        if not (prev <= g or g <= prev):
+            raise ValueError(
+                f"frames {cs.format_subset(prev)} and {cs.format_subset(g)} are incomparable"
+            )
+        if g != prev:
+            frames.append(g)
+    extrema = [frames[0]]
+    dirs = []
+    for g in frames[1:]:
+        d = 1 if extrema[-1] < g else -1
+        if dirs and dirs[-1] == d:
+            extrema[-1] = g
+        else:
+            extrema.append(g)
+            dirs.append(d)
+    out = [extrema[0]]
+    at_top = False
+    for d, g in zip(dirs, extrema[1:]):
+        if d == -1 and not at_top:
+            out.append(out[-1])  # the current frame doubles as the top
+        out.append(g)
+        at_top = d == 1
+    if at_top:
+        out.append(out[-1])
+    return ex.MultistepExpression(system, tuple(out))
+
+
 @contextmanager
 def recursion_headroom(frames):
     """Lower the recursion limit to the current stack depth plus frames."""

@@ -329,6 +329,38 @@ def test_a_short_min_flag_builds_no_system_of_its_rank(capsys, monkeypatch, comm
     assert ("A", 10**6, None) not in cx._SYSTEMS
 
 
+@pytest.mark.parametrize(
+    "system", [cx.type_a(r) for r in range(1, 4)] + [cx.type_b(r) for r in range(1, 3)]
+    + [cx.dihedral(m) for m in range(3, 6)], ids=str,
+)
+def test_flags_and_coset_json_build_the_same_coset(capsys, system):
+    commands = ["atomic-rex"] if system.cartan == "I2" else ["atomic-rex", "squash"]
+    for J in cs.all_frames(system):
+        for _, p in enumerate_core_cosets_oracle(system, J):
+            flags = [*_system_flags(system), "--left", cs.format_subset(p.left), "--right",
+                     cs.format_subset(p.right), "--min", cx.format_data(system.cartan, p.min.data)]
+            doc = json.dumps(cs.coset_to_json(p))
+            for command in commands:
+                from_flags = run(capsys, command, *flags)
+                assert from_flags[0] == 0 and from_flags[1]
+                assert from_flags == run(capsys, command, "--coset", doc)
+
+
+@pytest.mark.parametrize("command", ["atomic-rex", "squash"])
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--min", "[3,4]", "min lists 2 images, but A3 acts on 4 points"),
+        ("--bond", "4", "bond is only meaningful for I2"),
+        ("--left", "{x}", "invalid literal for int() with base 10: 'x'"),
+    ],
+)
+def test_a_bad_coset_flag_is_a_one_line_usage_error(capsys, command, flag, value, message):
+    flags = {"--type": "A", "--rank": "3", "--left": "{1}", "--right": "{3}", "--min": "[3,4,1,2]", flag: value}
+    argv = [part for pair in flags.items() for part in pair]
+    assert run(capsys, command, *argv) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("command", ["atomic-rex", "squash"])
 def test_coset_flags_without_a_rank_name_the_missing_rank(capsys, command):
     code, _, err = run(capsys, command, "--left", "{1}", "--right", "{3}", "--min", "[3,4,1,2]")

@@ -6,7 +6,7 @@ from cosetrex import atomic as at
 from cosetrex import cosets as cs
 from cosetrex import coxeter as cx
 from cosetrex import expressions as ex
-from conftest import all_subsets
+from conftest import all_subsets, multistep_oracle
 
 S11_TEXT = "[{2,3,6,10} +8 -8 +9 -10 +7 -6 +8 -8 +5 -5 +6 -7 +4 -2]"
 
@@ -33,6 +33,71 @@ def test_one_step_validation(a3):
         ex.OneStepExpression(a3, frozenset({1}), ((-1, 2),))
     with pytest.raises(ValueError):
         ex.OneStepExpression(a3, frozenset({1}), ((2, 2),))
+
+
+
+@pytest.mark.parametrize(
+    "steps, message",
+    [
+        (((1, 1),), "cannot add 1: already present"),
+        (((-1, 2),), "cannot remove 2: not present"),
+        (((2, 2),), "bad step operation 2"),
+        (((1, 9),), "indices [9] out of range for CoxeterSystem(cartan='A', rank=3, bond=None)"),
+    ],
+)
+def test_one_step_rule_texts(a3, steps, message):
+    with pytest.raises(ValueError) as caught:
+        ex.OneStepExpression(a3, {1}, steps)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("[{1} +2 +2]", "cannot add 2: already present", 8),
+        ("[{1} -3]", "cannot remove 3: not present", 5),
+        ("[{1} +9]", "indices [9] out of range for CoxeterSystem(cartan='A', rank=3, bond=None)", 5),
+        ("[{1} +2 -1 -1]", "cannot remove 1: not present", 11),
+    ],
+)
+def test_one_step_rule_parse_errors_point_at_the_sign(a3, text, message, position):
+    with pytest.raises(ex.ParseError) as caught:
+        ex.parse_expression(a3, text)
+    assert str(caught.value) == f"{message} (at position {position})"
+    assert caught.value.position == position
+
+
+@st.composite
+def _chains(draw):
+    """A system and a chain of 1-7 of its frames: most steps add or remove
+    one index, some repeat the frame and some jump to any frame."""
+    system = draw(st.sampled_from((cx.type_a(4), cx.type_b(3))))
+    indices = list(system.simple_indices)
+    frames = st.frozensets(st.sampled_from(indices))
+    chain = [draw(frames)]
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        move = draw(st.sampled_from(("toggle",) * 6 + ("repeat", "jump")))
+        if move == "toggle":
+            chain.append(chain[-1] ^ {draw(st.sampled_from(indices))})
+        elif move == "repeat":
+            chain.append(chain[-1])
+        else:
+            chain.append(draw(frames))
+    return system, chain
+
+
+@settings(max_examples=400, deadline=None)
+@given(_chains())
+def test_multistep_agrees_with_the_three_pass_oracle(case):
+    system, chain = case
+    try:
+        expected = multistep_oracle(system, chain)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as caught:
+            ex.multistep(system, chain)
+        assert str(caught.value) == str(exc)
+    else:
+        assert ex.multistep(system, chain).frames == expected.frames
 
 
 def test_evaluate_examples(a3):

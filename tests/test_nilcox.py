@@ -99,6 +99,13 @@ def test_psi_examples(a3):
             nc.psi(a3, frozenset(), word)
 
 
+def test_psi_refuses_a_word_on_i2():
+    i2 = cx.dihedral(5)
+    with pytest.raises(ValueError):
+        nc.psi(i2, frozenset(), (1,))
+    assert nc.psi(i2, frozenset(), ()) == cs.identity_coset(i2, frozenset())
+
+
 @pytest.mark.parametrize("system", [cx.type_a(3), cx.type_b(2)], ids=str)
 def test_psi_nonzero_iff_reduced(system):
     from itertools import product
