@@ -28,9 +28,14 @@ def _coset_line(p, fmt: str) -> str:
 
 def _listing(system: CoxeterSystem, I: frozenset, J: frozenset, minima, fmt: str):
     """The lines of the (I, J)-cosets whose minima are stored as the data
-    tuples minima, in format fmt; the text head is formatted once."""
+    tuples minima, in format fmt; the parts around the images are formatted
+    once: the text head, and the JSON document with an empty min, sorted
+    keys and all, split where min's images go."""
     if fmt == "json":
-        return (json.dumps(cosets.coset_document(system, I, J, d), sort_keys=True) for d in minima)
+        doc = json.dumps(cosets.coset_document(system, I, J, ()), sort_keys=True)
+        head, tail = doc.split('"min": []')
+        head, tail = head + '"min": [', "]" + tail
+        return (head + ", ".join(map(str, d)) + tail for d in minima)
     head = f"coset: left={cosets.format_subset(I)} right={cosets.format_subset(J)} min="
     return (head + coxeter.format_data(system.cartan, d) for d in minima)
 

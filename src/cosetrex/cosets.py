@@ -7,10 +7,9 @@ from that data on demand.
 """
 from __future__ import annotations
 
-from collections import defaultdict
 from functools import lru_cache
 from itertools import accumulate, chain, combinations
-from operator import getitem, mul
+from operator import getitem, itemgetter, mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .coxeter import (
@@ -19,7 +18,6 @@ from .coxeter import (
     SystemKey,
     _i2_longest,
     _inverse_list,
-    _length,
     all_elements,
     element_from_data,
     identity,
@@ -327,110 +325,189 @@ def _descent_table(system: CoxeterSystem) -> DescentTable:
     """One row (w, left-descent mask, right-descent mask, conj) per element w,
     by length, then by w's data: the order in which the enumerators return
     the cosets of one left frame.  The conj tuples are kept only as the
-    keys of the groups of row positions in by_mask.
+    keys of the groups of row positions in by_mask, in the order of their
+    first rows.
 
     Bit i of a mask stands for s_i.  conj[k] is the simple index of
     w s_j w^{-1} for the k-th simple index j, or None when j is a right
     descent of w or w s_j w^{-1} is not simple.  A6 has 468 distinct conj
-    tuples over 5040 elements.  I2's 2m rows come from coxeter's descent
-    functions and simple_conjugate; the rows of types A and B are read off
-    w's image tuple by _image_rows.  Neither builds a product;
-    tests/conftest.py keeps the product-based build as the oracle.
-
-    The elements come from all_elements; only I2's are kept, and I2
-    yields them in the table's order.  Type A yields the permutations in data
-    order, and the k-th one's length is the sum of its inversion table,
-    the digits of k in the factorial base (Bjorner-Brenti, GTM 231, ch. 1),
-    so a counting sort by length orders its rows.  Type B sorts each
-    length class by data, with lengths from _length.  About 21 bytes a row
-    at A8: 9 image bytes, two 4-byte masks and a 4-byte position.
+    tuples over 5040 elements.  I2's 2m rows come from all_elements,
+    coxeter's descent functions and simple_conjugate; the rows of types A
+    and B come rank by rank from _prefix_rows, with no element built.
+    Neither builds a product; tests/conftest.py keeps the product-based
+    build as the oracle.  About 21 bytes a row at A8: 9 image bytes, two
+    4-byte masks and a 4-byte position.
     """
     from array import array  # here, not at the top: single-coset queries never load it
 
     if system.cartan == "I2":
         elements = list(all_elements(system))
         data, width, unpack = [w.data for w in elements], 1, getitem
-        rows = (
-            (_mask(left_descents(w)), _mask(right_descents(w)),
-             tuple(None if is_right_descent(w, j) else simple_conjugate(w, j) for j in (1, 2)))
-            for w in elements
-        )
+        left = array("I", (_mask(left_descents(w)) for w in elements))
+        right = array("I", (_mask(right_descents(w)) for w in elements))
+        by_conj: dict[tuple, array] = {}
+        for pos, w in enumerate(elements):
+            conj = tuple(None if is_right_descent(w, j) else simple_conjugate(w, j) for j in (1, 2))
+            by_conj.setdefault(conj, array("I")).append(pos)
+        groups = by_conj.items()
     else:
         from struct import Struct
 
         width = system.points
         unpack = Struct(f"{width}b").unpack_from
-        unsorted = array("b")
-        lengths = _permutation_lengths(width) if system.cartan == "A" else array("H")
-        for w in all_elements(system):
-            unsorted.extend(w.data)
-            if system.cartan == "B":
-                lengths.append(_length(w))
-        classes = [array("I") for _ in range(max(lengths) + 1)]
-        for k, ell in enumerate(lengths):
-            classes[ell].append(k)
-        data = array("b")
-        for c in classes:
-            for k in c if system.cartan == "A" else sorted(c, key=lambda k: unpack(unsorted, k * width)):
-                data += unsorted[k * width : (k + 1) * width]
-        rows = _image_rows(system, (unpack(data, k * width) for k in range(len(lengths))))
-        del unsorted, lengths, classes
-    left, right = array("I"), array("I")
-    by_conj: defaultdict[tuple, array] = defaultdict(lambda: array("I"))
-    for pos, (ld, rd, c) in enumerate(rows):
-        left.append(ld)
-        right.append(rd)
-        by_conj[c].append(pos)
+        data, left, right, groups = _prefix_rows(system)
     by_mask: dict[int, list] = {}
-    for conj, positions in by_conj.items():
+    for conj, positions in groups:
         mask = _mask(j for j, i in zip(system.simple_indices, conj) if i is not None)
         by_mask.setdefault(mask, []).append((conj, positions))
     return DescentTable(system, data, width, unpack, left, right, tuple(by_mask.items()))
 
 
-def _permutation_lengths(n: int):
-    """The lengths of the permutations of 1..n in lexicographic order: the
-    k-th has inversion table the digits of k in the factorial base, the
-    first digit (w(1) - 1) changing slowest, and its length is their sum."""
+def _prefix_rows(system: CoxeterSystem):
+    """The data, left and right columns and the (conj, positions) groups of
+    the type-A or type-B descent table, built rank by rank (Bjorner-Brenti,
+    GTM 231, 1.5 and 8.1).
+
+    Level k holds the (signed) permutations of 1..k as columns: the image
+    bytes, key = left mask | N << k with N the set of negated values (bit
+    c for the value c; empty in type A), the right mask, the length, and
+    an id of the pair (conj tuple, first value).  Level k takes one block
+    per first value x, increasing: x followed by each row u of level k-1,
+    its values c relabelled sign(c)(|c| + [|c| >= v]), v = |x|.
+    Relabelling keeps order, so the blocks keep data order, and each
+    column of a block follows from u's columns by the lookups of
+    _block_lookups, mapped over them, and two translate tables: the
+    relabelling, and the right mask's bit 1, [x > u'(1)].  The last level
+    is written in the table's order (_by_new_length); it keeps the left
+    masks alone, no length, and ids of conj tuples alone, whose rows it
+    collects as it writes them.
+    """
     from array import array
+    from operator import add, or_
 
-    lengths = array("H", [0])
-    for radix in range(2, n + 1):
-        lengths = array("H", [digit + ell for digit in range(radix) for ell in lengths])
-    return lengths
-
-
-def _image_rows(system: CoxeterSystem, images: Iterable[Sequence[int]]):
-    """Rows (left mask, right mask, conj) of type A or B, one per image
-    tuple d (Bjorner-Brenti, GTM 231, 1.5 and 8.1).  With a = d(j) <
-    b = d(j+1), w s_j w^{-1} swaps the values a and b (and -a, -b): it is
-    s_a when 0 < a = b-1, s_|b| when a = b-1 < 0, and not simple when
-    a < 0 < b.  w s_0 w^{-1} negates w(1): it is s_0 when w(1) = 1.  The
-    left descents are the right descents of the position list w^{-1}."""
-    n = system.points
-    signed = 0 in system.index_set
-    for d in images:
-        pos = _inverse_list(d)
-        ld = rd = 0
-        conj = []
-        if signed:
-            if pos[0] < 0:
-                ld = 1
-            if d[0] < 0:
-                rd = 1
-            conj.append(0 if d[0] == 1 else None)
-        for j in range(1, n):
-            if pos[j - 1] > pos[j]:
-                ld |= 1 << j
-            a, b = d[j - 1], d[j]
-            if a > b:
-                rd |= 1 << j
-                conj.append(None)
-            elif a > 0:
-                conj.append(a if b == a + 1 else None)
+    signed = system.cartan == "B"
+    points = system.points
+    # translate tables on the bytes of the values -points..points
+    relabels, belows = {}, {}
+    for x in range(-points, points + 1):
+        v = abs(x)
+        relabels[x], belows[x] = bytearray(256), bytearray(256)
+        for c in range(-points, points + 1):
+            relabels[x][c & 255] = (c + (c >= v) - (c <= -v)) & 255
+            belows[x][c & 255] = 2 * (c < x + (x < 0))  # [x > c'] << 1
+    data, key, right, lengths, cid = array("b"), array("I", [0]), array("I", [0]), array("B", [0]), array("I", [0])
+    pairs: list = [((), None)] if points else [()]  # B0's one row is its last level
+    positions = [array("I", [0])]
+    for k in range(1, points + 1):
+        last = k == points
+        firsts = [*range(-k, 0), *range(1, k + 1)] if signed else range(1, k + 1)
+        ids: dict = {}
+        keys = set(key)
+        lookups = {x: _block_lookups(k, x, keys, pairs, signed, last, ids) for x in firsts}
+        # u(1) of each row of level k-1; rank 0 has none, and 127 is above every x
+        places = [data[i :: k - 1].tobytes() for i in range(k - 1)] or [b"\x7f"]
+        if last:
+            top = k * k if signed else k * (k - 1) // 2
+            chunks = _by_new_length(firsts, lookups, key, lengths, top)
+            positions = [array("I") for _ in ids]
+        else:
+            chunks = [(x, range(len(key))) for x in firsts]
+        out = array("b", [0]) * (len(key) * len(firsts) * k)
+        key2, right2, lengths2, cid2 = array("I"), array("I"), array("B"), array("I")
+        at = 0
+        for x, rows in chunks:
+            new_key, delta, rd, conj_of = lookups[x]
+            take = _gather(rows)
+            old = take(key)
+            key2.extend(map(new_key.__getitem__, old))
+            front = bytes(take(places[0]))
+            right2.extend(map(or_, map(rd.__getitem__, take(right)), front.translate(belows[x])))
+            new_ids = map(conj_of.__getitem__, take(cid))
+            if last:
+                for pos, i in enumerate(new_ids, at // k):
+                    positions[i].append(pos)
             else:
-                conj.append(-b if a == b - 1 else None)
-        yield ld, rd, tuple(conj)
+                lengths2.extend(map(add, take(lengths), map(delta.__getitem__, old)))
+                cid2.extend(new_ids)
+            end = at + len(rows) * k
+            out[at:end:k] = array("b", [x]) * len(rows)
+            for i, place in enumerate(places[: k - 1], 1):
+                out[at + i : end : k] = array("b", (front if i == 1 else bytes(take(place))).translate(relabels[x]))
+            at = end
+        data, key, right, lengths, cid, pairs = out, key2, right2, lengths2, cid2, list(ids)
+    groups = sorted(zip(pairs, positions), key=lambda group: group[1][0])
+    return data, key, right, groups
+
+
+def _block_lookups(k: int, x: int, keys, pairs: list, signed: bool, last: bool, ids: dict):
+    """The lookups that give block x of level k from the rows u of level
+    k-1, v = |x|, u' the relabelled u:
+    - key: u's left-mask bits below v-1 kept, those from v on moved up
+      one; bit v-1 set iff v-1 is not negated in u (for v = 1, bit 0 iff
+      x = -1), and bit v iff v is; N relabelled, with v added for x < 0;
+    - length added: v - 1 + [x < 0] + 2 |N & [v, oo)|, per key;
+    - right mask [x < 0] | (rd(u) >> 1) << 2, per rd(u), to which the
+      caller adds [x > u'(1)] << 1;
+    - id: s_0's conj entry from x = 1 (type B), s_1's from x and u(1),
+      then u's entries after s_0's relabelled, v-1 to None and c >= v to
+      c+1, interned in ids with x, or alone on the last level."""
+    v, neg = abs(x), int(x < 0)
+    new_key, delta = {}, {}
+    for q in keys:
+        ld, n = q & ((1 << (k - 1)) - 1), q >> (k - 1)
+        ld = ld & ((1 << (v - 1)) - 1) | (ld >> v) << (v + 1) | (n >> v & 1) << v
+        ld |= neg if v == 1 else (~n >> (v - 1) & 1) << (v - 1)
+        new_key[q] = ld if last else ld | (n & ((1 << v) - 1) | (n >> v) << (v + 1) | neg << v) << k
+        delta[q] = v - 1 + neg + 2 * (n >> v).bit_count()
+    rd = [neg | (r >> 1) << 2 for r in range(1 << (k - 1))]
+    shift = {e: None if e == v - 1 else e + (e >= v) for e in range(1, k)}
+    shift[None] = None
+    conj_of = []
+    for conj, c in pairs:
+        head = (0 if x == 1 else None,) if signed else ()
+        if c is not None:
+            head += ((v if c == v else None) if x > 0 else (v - 1 if c == 1 - v else None),)
+        conj = head + tuple(map(shift.__getitem__, conj[signed:]))
+        conj_of.append(ids.setdefault(conj if last else (conj, x), len(ids)))
+    return new_key, delta, rd, conj_of
+
+
+def _by_new_length(firsts, lookups, key, lengths, top):
+    """The chunks (x, positions) of the last level in the table's order: by
+    new length (at most top), then block; within a chunk the positions of
+    the rows of the level before ascend.  Each block's rows are sorted by
+    new length once, stably, so data order is kept within a length; blocks
+    whose lengths added differ by a constant (all of type A) share one
+    sort, its cuts shifted by that constant."""
+    from array import array
+    from bisect import bisect_left
+    from operator import add
+
+    sorts, blocks = {}, []
+    for x in firsts:
+        delta = lookups[x][1]
+        base = min(delta.values())
+        shape = tuple(d - base for d in delta.values())
+        if shape not in sorts:
+            new = array("B", map(add, lengths, map(dict(zip(delta, shape)).__getitem__, key)))
+            order = array("I", sorted(range(len(new)), key=new.__getitem__))
+            sorts[shape] = order, [bisect_left(order, ell, key=new.__getitem__) for ell in range(top + 2)]
+        order, cuts = sorts[shape]
+        blocks.append((x, order, [0] * base + cuts))
+    for ell in range(top + 1):
+        for x, order, cuts in blocks:
+            if cuts[ell] < cuts[ell + 1]:
+                yield x, order[cuts[ell] : cuts[ell + 1]]
+
+
+def _gather(positions):
+    """The function that takes a column to its items at the ascending
+    positions: a slice for a range or a single position, else an
+    itemgetter, whose tuple a C loop fills."""
+    if len(positions) > 1 and type(positions) is not range:
+        return itemgetter(*positions)
+    lo, hi = positions[0], positions[-1] + 1
+    return lambda column: column[lo:hi]
 
 
 def enumerate_cosets(

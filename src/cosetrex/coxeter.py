@@ -351,13 +351,7 @@ def _inverse_list(d: Sequence[int]) -> list[int]:
 
 @lru_cache(maxsize=None)
 def length(w: Element) -> int:
-    """Inversions plus, in type B, the sum of the negated negative images."""
-    return _length(w)
-
-
-def _length(w: Element) -> int:
-    """length(w), uncached: a pass that lengthens every element of W (the
-    ordered descent table) would fill the cache with entries read once.
+    """Inversions plus, in type B, the sum of the negated negative images.
 
     The inversions are counted in one pass over the images, each against
     the sorted list of those before it, by bisection."""

@@ -12,7 +12,7 @@ one simple index at a time: ``[I +s -t ...]``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Iterable, Sequence, Union
 
 from .coxeter import CoxeterSystem, identity, length, multiply
@@ -59,8 +59,11 @@ class OneStepExpression:
     system: CoxeterSystem
     start: Frame
     steps: tuple[tuple[int, int], ...]  # (+1, s) adds s, (-1, t) removes t
+    checked: InitVar[bool] = False  # True from a caller that walked the steps with _step
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, checked: bool) -> None:
+        if checked:
+            return
         cur = check_subset(self.system, self.start)
         for op, i in self.steps:
             cur = _step(self.system, cur, op, i)
@@ -212,6 +215,12 @@ class _Parser:
         self.k += 1
         return tok
 
+    def index(self) -> int:
+        tok = self.take()
+        if not tok.isdigit():
+            raise ParseError(f"expected an index but found {tok!r}", self.tokens[self.k - 1][1])
+        return int(tok)
+
     def frame(self) -> Frame:
         pos = self.pos()
         self.take("{")
@@ -220,10 +229,7 @@ class _Parser:
             self.take("}")
         else:
             while True:
-                tok = self.take()
-                if not tok.isdigit():
-                    raise ParseError(f"expected an index but found {tok!r}", self.tokens[self.k - 1][1])
-                indices.add(int(tok))
+                indices.add(self.index())
                 nxt = self.take()
                 if nxt == "}":
                     break
@@ -258,11 +264,7 @@ class _Parser:
         cur = start
         while self.peek() in ("+", "-"):
             sign_pos = self.pos()
-            op = 1 if self.take() == "+" else -1
-            tok = self.take()
-            if not tok.isdigit():
-                raise ParseError(f"expected an index but found {tok!r}", self.tokens[self.k - 1][1])
-            step = (op, int(tok))
+            step = (1 if self.take() == "+" else -1, self.index())
             try:
                 cur = _step(self.system, cur, *step)
             except ValueError as exc:
@@ -270,7 +272,7 @@ class _Parser:
             steps.append(step)
         self.take("]")
         self.expect_end()
-        return OneStepExpression(self.system, start, tuple(steps))
+        return OneStepExpression(self.system, start, tuple(steps), checked=True)
 
     def expect_end(self) -> None:
         if self.k < len(self.tokens):

@@ -122,6 +122,26 @@ def test_enumerate_core_prints_each_coset_as_print_coset_does(capsys, system, fm
         assert run(capsys, *argv) == (0, expected, "")
 
 
+@pytest.mark.parametrize(
+    "system",
+    [cx.type_a(r) for r in range(5)] + [cx.type_b(r) for r in range(4)] + [cx.dihedral(m) for m in range(3, 7)],
+    ids=str,
+)
+def test_enumerate_core_json_lines_are_sorted_key_dumps(capsys, system):
+    # each line is json.dumps of the coset's document with sorted keys, byte
+    # for byte, although the listing formats the keys once per left frame;
+    # I2 adds the bond key
+    for J in cs.all_frames(system):
+        expected = [
+            json.dumps(cs.coset_document(system, I, J, p.min.data), sort_keys=True)
+            for I, p in enumerate_core_cosets_oracle(system, J)
+        ]
+        argv = ["enumerate-core", *_system_flags(system), "--format", "json", "--right", cs.format_subset(J)]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == expected + [f"count: {len(expected)}"]
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("system", [cx.type_a(3), cx.type_b(3)], ids=str)
 def test_enumerate_core_lists_what_the_enumerator_returns(capsys, monkeypatch, system, fmt):

@@ -1,6 +1,5 @@
 import gc
 import re
-from itertools import permutations
 
 import pytest
 
@@ -16,7 +15,6 @@ from conftest import (
     drop_table_row,
     enumerate_core_cosets_oracle,
     enumerate_cosets_oracle,
-    inversion_count,
     longest_element_oracle,
     max_elem_oracle,
     reduced_composite_oracle,
@@ -434,17 +432,21 @@ def test_core_enumeration_reads_the_current_table(monkeypatch):
 
 @pytest.mark.parametrize(
     "system",
-    [cx.type_a(r) for r in range(6)] + [cx.type_b(r) for r in range(5)] + [cx.dihedral(m) for m in range(3, 8)],
+    [cx.type_a(r) for r in range(7)] + [cx.type_b(r) for r in range(6)] + [cx.dihedral(m) for m in range(3, 8)],
     ids=str,
 )
 def test_descent_table_agrees_with_the_product_oracle(system, monkeypatch):
-    # rank 0 included: B0's image tuple is empty
+    # rank 0 included: B0's image tuple is empty; A6 and B5 are what enum-core builds
     cx.length.cache_clear()
     cs._descent_table.cache_clear()
     inverses = count_calls(monkeypatch, cx.inverse)
+    drawn = count_calls(monkeypatch, cx.all_elements)
     table = cs._descent_table(system)
-    # no product, so no inverse; the order's lengths are not cached
+    # no product, so no inverse; the order's lengths are not cached; types
+    # A and B build their rows rank by rank, drawing no element of W
     assert not inverses and cx.length.cache_info().currsize == 0
+    assert len(drawn) == (system.cartan == "I2")
+    monkeypatch.undo()
     rows = table_rows(table)
     assert rows == descent_table_oracle(system)
     # equal conj tuples are one object
@@ -454,10 +456,26 @@ def test_descent_table_agrees_with_the_product_oracle(system, monkeypatch):
     assert rows[0][0] is cx.identity(system)
 
 
-def test_permutation_lengths_are_inversion_counts():
-    # the order in which all_elements yields type A
-    for n in range(1, 7):
-        assert list(cs._permutation_lengths(n)) == [inversion_count(p) for p in permutations(range(1, n + 1))]
+@pytest.mark.parametrize("systems", [[cx.type_a(r) for r in range(1, 8)], [cx.type_b(r) for r in range(1, 7)]], ids=["A1-A7", "B1-B6"])
+def test_prefix_build_lengths_are_lengths(systems, monkeypatch):
+    # the last rank of a build orders its rows by lengths computed from the
+    # rank below, whose rows it is handed in data order: every row of A0-A6
+    # and B0-B5 is checked against coxeter's length, uncached
+    handed = []
+    by_new_length = cs._by_new_length
+
+    def spy(firsts, lookups, key, lengths, top):
+        handed.append(list(lengths))
+        return by_new_length(firsts, lookups, key, lengths, top)
+
+    monkeypatch.setattr(cs, "_by_new_length", spy)
+    for system in systems:
+        cs._descent_table.cache_clear()
+        cs._descent_table(system)
+        below = cx.CoxeterSystem(system.cartan, system.rank - 1)
+        elements = sorted(cx.all_elements(below), key=lambda w: w.data)
+        assert handed.pop() == [cx.length.__wrapped__(w) for w in elements], below
+    cs._descent_table.cache_clear()
 
 
 def test_descent_table_columns_hold_no_element():

@@ -6,7 +6,7 @@ from cosetrex import atomic as at
 from cosetrex import cosets as cs
 from cosetrex import coxeter as cx
 from cosetrex import expressions as ex
-from conftest import all_subsets, multistep_oracle
+from conftest import all_subsets, count_calls, multistep_oracle
 
 S11_TEXT = "[{2,3,6,10} +8 -8 +9 -10 +7 -6 +8 -8 +5 -5 +6 -7 +4 -2]"
 
@@ -65,6 +65,18 @@ def test_one_step_rule_parse_errors_point_at_the_sign(a3, text, message, positio
         ex.parse_expression(a3, text)
     assert str(caught.value) == f"{message} (at position {position})"
     assert caught.value.position == position
+
+
+def test_parsing_walks_each_step_once(monkeypatch):
+    # the parser checks each step as it reads it, and its expression skips
+    # the constructor's walk; a direct construction still walks every step
+    system = cx.type_a(10)
+    steps = count_calls(monkeypatch, ex._step)
+    expr = ex.parse_expression(system, S11_TEXT)
+    assert len(steps) == len(expr.steps) == 14
+    steps.clear()
+    assert ex.OneStepExpression(system, expr.start, expr.steps) == expr
+    assert len(steps) == 14
 
 
 @st.composite
