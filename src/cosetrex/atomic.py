@@ -34,12 +34,7 @@ from .cosets import (
     longest_element,
     max_elem,
 )
-from .expressions import (
-    MultistepExpression,
-    OneStepExpression,
-    concatenate,
-    to_multistep,
-)
+from .expressions import MultistepExpression, OneStepExpression, multistep
 
 
 class AtomicCoset(NamedTuple):
@@ -136,23 +131,21 @@ def is_atomic(p: DoubleCoset) -> bool:
     return t is not None and p.right == frozenset(mid) - {t} and is_core(p)
 
 
-# the greedy steps and the core tests kept by the open keeping_greedy_steps
-# block, if any
-_kept: tuple[dict, dict] | None = None
+# the greedy steps kept by the open keeping_greedy_steps block, if any
+_kept: dict | None = None
 
 
 @contextmanager
 def keeping_greedy_steps() -> Iterator[None]:
-    """Within the block, atomic_rex_of_core keeps each coset's greedy step,
-    and its core test of each coset it is given, in dicts that are dropped
-    when the block ends.  A greedy remainder is again a core coset with the
-    same right frame, so a walk over one cell opens a block for it and
-    computes each step once; a walk that reads each step once opens none
-    and keeps nothing.  The memos are held here, not passed in, so that
-    atomic_rex_of_core keeps its one-argument form, which perfbench's
-    drop-atom fault wraps."""
+    """Within the block, atomic_rex_of_core keeps each coset's greedy step
+    in a dict that is dropped when the block ends.  A greedy remainder is
+    again a core coset with the same right frame, so a walk over one cell
+    opens a block for it and computes each step once; a walk that reads
+    each step once opens none and keeps nothing.  The memo is held here,
+    not passed in, so that atomic_rex_of_core keeps its one-argument form,
+    which perfbench's drop-atom fault wraps."""
     global _kept
-    outer, _kept = _kept, ({}, {})
+    outer, _kept = _kept, {}
     try:
         yield
     finally:
@@ -169,9 +162,9 @@ def atomic_rex_of_core(p: DoubleCoset) -> tuple[AtomicCoset, ...]:
     on the current coset, so inside keeping_greedy_steps each step is kept
     for the calls after it.
     """
-    steps, cores = ({}, {}) if _kept is None else _kept
-    if not _memo(cores, is_core, p):
+    if not is_core(p):
         raise ValueError("atomic expressions are only defined for core cosets")
+    steps = {} if _kept is None else _kept
     atoms: list[AtomicCoset] = []
     cur = p
     while (step := _memo(steps, _greedy_step, cur)) is not None:
@@ -252,13 +245,11 @@ def one_step_of_atoms(system: CoxeterSystem, atoms: Sequence[AtomicCoset], start
 
 
 def factor_through_core(p: DoubleCoset) -> MultistepExpression:
-    """A reduced expression of p through its core, using the greedy atomic part."""
+    """A reduced expression of p through its core, as one zig-zag: from p's
+    left frame down to the core's, up and down each greedy atom, and from
+    the core's right frame up to p's."""
     inner = core(p)
-    K, L = inner.left, inner.right
-    expr = to_multistep(one_step_of_atoms(p.system, atomic_rex_of_core(inner), K))
-    if K != p.left:
-        expr = concatenate(MultistepExpression(p.system, (p.left, p.left, K)), expr)
-    if L != p.right:
-        expr = concatenate(expr, MultistepExpression(p.system, (L, p.right, p.right)))
-    return expr
-
+    chain = [p.left, inner.left]
+    for a in atomic_rex_of_core(inner):
+        chain += (a.mid, a.right)
+    return multistep(p.system, chain + [p.right])

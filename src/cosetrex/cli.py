@@ -22,10 +22,6 @@ def _system_from_args(args, budget: int | None = None) -> CoxeterSystem:
     return CoxeterSystem(*key)
 
 
-def _coset_line(p, fmt: str) -> str:
-    return next(_listing(p.system, p.left, p.right, (p.min.data,), fmt))
-
-
 def _listing(system: CoxeterSystem, I: frozenset, J: frozenset, minima, fmt: str):
     """The lines of the (I, J)-cosets whose minima are stored as the data
     tuples minima, in format fmt; the parts around the images are formatted
@@ -41,7 +37,7 @@ def _listing(system: CoxeterSystem, I: frozenset, J: frozenset, minima, fmt: str
 
 
 def _print_coset(p, fmt: str) -> None:
-    print(_coset_line(p, fmt))
+    print(next(_listing(p.system, p.left, p.right, (p.min.data,), fmt)))
 
 
 def _print_result(p, reduced: bool, fmt: str) -> None:
@@ -110,7 +106,7 @@ _CHUNK = 4096
 
 
 def _cmd_enumerate_core(args) -> int:
-    """_coset_line's lines, read from the view's rows, with no Element or
+    """_print_coset's lines, read from the view's rows, with no Element or
     coset built, and written a chunk at a time."""
     system = _system_from_args(args, args.budget)  # checks the budget before building
     J = cosets.parse_subset(args.right)

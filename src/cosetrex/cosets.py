@@ -221,9 +221,10 @@ def is_core(p: DoubleCoset) -> bool:
 
 
 def core(p: DoubleCoset) -> DoubleCoset:
-    """The coset with the same minimal element framed by the redundancies."""
+    """The coset with the same minimal element framed by the redundancies,
+    which lie inside p's frames, so p.min is again its minimum."""
     left, right = _redundancy(p)
-    return coset_of(p.system, left, p.min, right)
+    return DoubleCoset(p.system, left, right, p.min)
 
 
 def invert(p: DoubleCoset) -> DoubleCoset:

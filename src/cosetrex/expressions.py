@@ -22,7 +22,6 @@ from .cosets import (
     check_subset,
     coset_of,
     format_subset,
-    identity_coset,
     longest_element,
     parabolic_length,
     star_longest,
@@ -135,28 +134,20 @@ def evaluate(expr: Expression) -> DoubleCoset:
     """The coset expressed: star product of the longest elements of the
     tops, folded into the identity by cosets.star_longest."""
     M = _as_multistep(expr)
-    tops = M.frames[1::2]
-    if not tops:
-        return identity_coset(M.system, M.frames[0])
-    x = star_longest(identity(M.system), tops)
+    x = star_longest(identity(M.system), M.frames[1::2])
     return coset_of(M.system, M.frames[0], x, M.frames[-1])
 
 
 def is_reduced(expr: Expression) -> bool:
-    """Whether the alternating length sum is attained by the ordinary product
+    """Whether the alternating length sum of the inner frames (tops add,
+    bottoms subtract) is attained by their ordinary product
     w_K1 w_I1^{-1} w_K2 ...; each w_I is an involution, so w_I^{-1} = w_I."""
     M = _as_multistep(expr)
-    frames = M.frames if len(M.frames) >= 3 else (M.frames[0],) * 3
-    tops = frames[1::2]
-    interior = frames[2:-1:2]
     prod = identity(M.system)
     target = 0
-    for t, K in enumerate(tops):
+    for t, K in enumerate(M.frames[1:-1]):
         prod = multiply(prod, longest_element(M.system, K))
-        target += parabolic_length(M.system, K)
-        if t < len(interior):
-            prod = multiply(prod, longest_element(M.system, interior[t]))
-            target -= parabolic_length(M.system, interior[t])
+        target += (-1) ** t * parabolic_length(M.system, K)
     return length(prod) == target
 
 

@@ -386,6 +386,50 @@ def multistep_oracle(system, chain):
     return ex.MultistepExpression(system, tuple(out))
 
 
+def factor_through_core_oracle(p):
+    """atomic.factor_through_core by parts: the greedy atomic expression of
+    the core as a one-step expression, made multistep, then concatenated
+    with the step into the core and the step out of it where each moves."""
+    inner = cs.core(p)
+    K, L = inner.left, inner.right
+    expr = ex.to_multistep(at.one_step_of_atoms(p.system, at.atomic_rex_of_core(inner), K))
+    if K != p.left:
+        expr = ex.concatenate(ex.MultistepExpression(p.system, (p.left, p.left, K)), expr)
+    if L != p.right:
+        expr = ex.concatenate(expr, ex.MultistepExpression(p.system, (L, p.right, p.right)))
+    return expr
+
+
+def evaluate_oracle(expr):
+    """expressions.evaluate with the single frame apart: no top is the
+    identity coset of the frame."""
+    M = ex._as_multistep(expr)
+    tops = M.frames[1::2]
+    if not tops:
+        return cs.identity_coset(M.system, M.frames[0])
+    x = cs.star_longest(cx.identity(M.system), tops)
+    return cs.coset_of(M.system, M.frames[0], x, M.frames[-1])
+
+
+def is_reduced_oracle(expr):
+    """expressions.is_reduced with tops and interior bottoms read apart, one
+    top and the bottom after it per round; a single frame F is read as
+    [[F < F > F]]."""
+    M = ex._as_multistep(expr)
+    frames = M.frames if len(M.frames) >= 3 else (M.frames[0],) * 3
+    tops = frames[1::2]
+    interior = frames[2:-1:2]
+    prod = cx.identity(M.system)
+    target = 0
+    for t, K in enumerate(tops):
+        prod = cx.multiply(prod, cs.longest_element(M.system, K))
+        target += cs.parabolic_length(M.system, K)
+        if t < len(interior):
+            prod = cx.multiply(prod, cs.longest_element(M.system, interior[t]))
+            target -= cs.parabolic_length(M.system, interior[t])
+    return cx.length(prod) == target
+
+
 @contextmanager
 def recursion_headroom(frames):
     """Lower the recursion limit to the current stack depth plus frames."""

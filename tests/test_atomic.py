@@ -13,6 +13,9 @@ from conftest import (
     atomic_rex_of_core_oracle,
     compose_atomics_oracle,
     conjugate,
+    evaluate_oracle,
+    factor_through_core_oracle,
+    is_reduced_oracle,
     peel_oracle,
     recursion_headroom,
     reduced_composite_oracle,
@@ -270,6 +273,30 @@ def test_factor_through_core_shapes(a2, a3):
     )
     assert ex.is_reduced(expr)
     assert ex.evaluate(expr) == r
+
+
+@pytest.mark.parametrize("system", SMALL_SYSTEMS, ids=str)
+def test_factor_through_core_matches_the_concatenating_oracle(system):
+    # the one zig-zag has the frames of the expression concatenated by
+    # parts, and reads as reduced and as p by the one-pass evaluate and
+    # is_reduced and by their oracles alike
+    for I in all_subsets(system):
+        for J in all_subsets(system):
+            for p in cs.enumerate_cosets(system, I, J):
+                expr = at.factor_through_core(p)
+                assert expr.frames == factor_through_core_oracle(p).frames, p
+                assert ex.is_reduced(expr) and is_reduced_oracle(expr)
+                assert ex.evaluate(expr) == evaluate_oracle(expr) == p
+
+
+@pytest.mark.parametrize("system", SMALL_SYSTEMS, ids=str)
+def test_greedy_expressions_read_as_the_oracles_read_them(system):
+    for J in all_subsets(system):
+        for _, p in cs.enumerate_core_cosets(system, J):
+            one = at.one_step_of_atoms(system, at.atomic_rex_of_core(p), p.left)
+            for expr in (one, ex.to_multistep(one)):
+                assert ex.is_reduced(expr) == is_reduced_oracle(expr)
+                assert ex.evaluate(expr) == evaluate_oracle(expr) == p
 
 
 def test_one_step_of_atoms(a3):

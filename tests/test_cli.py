@@ -1,4 +1,5 @@
 import argparse
+import ast
 import functools
 import gc
 import hashlib
@@ -7,6 +8,7 @@ import json
 import os
 import re
 import runpy
+import shlex
 import subprocess
 import sys
 from array import array
@@ -1206,3 +1208,43 @@ def test_junk_arguments_end_in_an_exit_code_not_a_traceback(argv):
         assert re.match(r"(cosetrex( [\w-]+)?: )?error: ", lines[-1]), err
         assert len(lines) == 1 or lines[0].startswith("usage: "), err
         assert not any("error:" in line for line in lines[:-1]), err
+
+
+_README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def _readme_block(heading, lang):
+    """The first ```lang block under the README's ## heading."""
+    section = _README.split(f"\n## {heading}\n", 1)[1]
+    return section.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_example_gives_its_commented_values():
+    # each comment states the value of the expression on the code line
+    # it ends, or of the last such line when it stands alone
+    namespace: dict = {}
+    checked = []
+    for line in _readme_block("Example", "python").splitlines():
+        code, _, comment = (part.strip() for part in line.partition("#"))
+        if code:
+            try:
+                value = eval(compile(code, "README", "eval"), namespace)
+            except SyntaxError:
+                exec(code, namespace)
+        if comment:
+            assert value == ast.literal_eval(comment), line
+            checked.append(value)
+    assert checked == [(3, 4, 1, 2), True, "[{1} +2 -1 +3 -2]", (2, 3, 1)]
+
+
+def test_readme_command_lines_exit_zero(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)  # compose reads chain.txt from here
+    (tmp_path / "chain.txt").write_text("[{1} +2 -1]\n[{2} +3 -2]\n", encoding="utf-8")
+    lines = _readme_block("Command line", "sh").replace("\\\n", " ").splitlines()
+    assert len(lines) == 8
+    for line in lines:
+        argv = shlex.split(line)
+        assert argv[0] == "cosetrex", line
+        code, out, err = run(capsys, *argv[1:])
+        assert (code, err) == (0, ""), line
+        assert out, line

@@ -185,6 +185,25 @@ def test_redundancy_core_and_is_core_agree_with_the_two_loop_oracle(system):
                 assert (cs.right_redundancy(p) is p.right) == (right == J)
 
 
+@pytest.mark.parametrize(
+    "system",
+    [cx.type_a(r) for r in range(1, 5)] + [cx.type_b(r) for r in range(1, 4)] + [cx.dihedral(m) for m in range(3, 8)],
+    ids=str,
+)
+def test_core_frames_the_minimum_with_no_walk(monkeypatch, system):
+    # min(p) has no left descent in p's left frame nor a right descent in
+    # its right frame, so it is the minimum of the coset the redundancies
+    # frame: core builds that coset with no walk, equal to the walked one
+    found = [p for I in all_subsets(system) for J in all_subsets(system) for p in cs.enumerate_cosets(system, I, J)]
+    walks = count_calls(monkeypatch, cs.coset_of)
+    cores = [cs.core(p) for p in found]
+    assert walks == []
+    monkeypatch.undo()
+    for p, c in zip(found, cores):
+        left, right = redundancy_oracle(p)
+        assert c == cs.coset_of(system, left, p.min, right), p
+
+
 def test_is_core_examples(a2, a3):
     assert cs.is_core(cs.identity_coset(a3, frozenset({1, 2})))
     w0 = cs.longest_element(a2, frozenset({1, 2}))

@@ -6,7 +6,7 @@ from cosetrex import atomic as at
 from cosetrex import cosets as cs
 from cosetrex import coxeter as cx
 from cosetrex import expressions as ex
-from conftest import all_subsets, count_calls, multistep_oracle
+from conftest import all_subsets, count_calls, evaluate_oracle, is_reduced_oracle, multistep_oracle
 
 S11_TEXT = "[{2,3,6,10} +8 -8 +9 -10 +7 -6 +8 -8 +5 -5 +6 -7 +4 -2]"
 
@@ -110,6 +110,27 @@ def test_multistep_agrees_with_the_three_pass_oracle(case):
         assert str(caught.value) == str(exc)
     else:
         assert ex.multistep(system, chain).frames == expected.frames
+
+
+@settings(max_examples=400, deadline=None)
+@given(_chains())
+def test_evaluate_and_is_reduced_agree_with_their_oracles_on_chains(case):
+    system, chain = case
+    try:
+        M = ex.multistep(system, chain)
+    except ValueError:
+        return
+    assert ex.is_reduced(M) == is_reduced_oracle(M)
+    assert ex.evaluate(M) == evaluate_oracle(M)
+
+
+@pytest.mark.parametrize("system", [cx.type_a(4), cx.type_b(3), cx.dihedral(5)], ids=str)
+def test_single_frames_read_as_the_oracles_read_them(system):
+    # [[I]] and [I] hold no inner frame: reduced, and the identity coset of I
+    for I in all_subsets(system):
+        for expr in (ex.MultistepExpression(system, (I,)), ex.OneStepExpression(system, I, ())):
+            assert ex.is_reduced(expr) and is_reduced_oracle(expr)
+            assert ex.evaluate(expr) == evaluate_oracle(expr) == cs.identity_coset(system, I)
 
 
 def test_evaluate_examples(a3):
