@@ -9,7 +9,6 @@ import argparse
 import json
 import sys
 from functools import lru_cache
-from itertools import islice
 from typing import Callable, Sequence
 
 from . import atomic, cosets, coxeter, expressions, nilcox, squash_a, squash_b
@@ -22,22 +21,36 @@ def _system_from_args(args, budget: int | None = None) -> CoxeterSystem:
     return CoxeterSystem(*key)
 
 
-def _listing(system: CoxeterSystem, I: frozenset, J: frozenset, minima, fmt: str):
-    """The lines of the (I, J)-cosets whose minima are stored as the data
-    tuples minima, in format fmt; the parts around the images are formatted
-    once: the text head, and the JSON document with an empty min, sorted
-    keys and all, split where min's images go."""
+def _template(system: CoxeterSystem, I: frozenset, J: frozenset, fmt: str) -> str:
+    """The line of an (I, J)-coset in format fmt, with one %d per image of
+    its min (types A and B) or one %s for its word (I2), and % escaped in
+    the text around them.  The JSON document is dumped once, with an empty
+    min and sorted keys, and split where min's images go."""
+    images = "%s" if system.cartan == "I2" else ("," if fmt == "text" else ", ").join(["%d"] * system.points)
     if fmt == "json":
         doc = json.dumps(cosets.coset_document(system, I, J, ()), sort_keys=True)
         head, tail = doc.split('"min": []')
         head, tail = head + '"min": [', "]" + tail
-        return (head + ", ".join(map(str, d)) + tail for d in minima)
-    head = f"coset: left={cosets.format_subset(I)} right={cosets.format_subset(J)} min="
-    return (head + coxeter.format_data(system.cartan, d) for d in minima)
+    else:
+        head = f"coset: left={cosets.format_subset(I)} right={cosets.format_subset(J)} min="
+        head, tail = (head, "") if system.cartan == "I2" else (head + "[", "]")
+    return head.replace("%", "%%") + images + tail.replace("%", "%%") + "\n"
+
+
+def _lines(system: CoxeterSystem, I: frozenset, J: frozenset, fmt: str, n: int, data: tuple) -> str:
+    """The lines of n (I, J)-cosets in format fmt, their minima's data in
+    one tuple as DescentTable.images holds it, by one % format.  An I2
+    word is joined first: by spaces in text, as format_data writes it,
+    and by ", " in JSON."""
+    if system.cartan == "I2":
+        sep = " " if fmt == "text" else ", "
+        data = tuple(sep.join(map(str, word)) for word in data)
+    return (_template(system, I, J, fmt) * n) % data
 
 
 def _print_coset(p, fmt: str) -> None:
-    print(next(_listing(p.system, p.left, p.right, (p.min.data,), fmt)))
+    data = (p.min.data,) if p.system.cartan == "I2" else p.min.data
+    sys.stdout.write(_lines(p.system, p.left, p.right, fmt, 1, data))
 
 
 def _print_result(p, reduced: bool, fmt: str) -> None:
@@ -106,14 +119,15 @@ _CHUNK = 4096
 
 
 def _cmd_enumerate_core(args) -> int:
-    """_print_coset's lines, read from the view's rows, with no Element or
-    coset built, and written a chunk at a time."""
+    """_print_coset's lines, written a chunk of at most _CHUNK rows at a
+    time: each left frame's rows in a chunk are one % format of its line
+    template, repeated, over the rows' data gathered from the view's
+    groups, with no Element, coset or per-row Python frame."""
     system = _system_from_args(args, args.budget)  # checks the budget before building
     J = cosets.parse_subset(args.right)
     found = cosets.enumerate_core_cosets(system, J, budget=None)
-    lines = (line for I, minima in found.minima() for line in _listing(system, I, J, minima, args.format))
-    while chunk := list(islice(lines, _CHUNK)):
-        sys.stdout.write("\n".join(chunk) + "\n")
+    for chunk in found.chunks(_CHUNK):
+        sys.stdout.write("".join(_lines(system, I, J, args.format, n, data) for I, n, data in chunk))
     sys.stdout.write(f"count: {len(found)}\n")
     return 0
 

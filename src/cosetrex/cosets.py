@@ -8,7 +8,7 @@ from that data on demand.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, chain, combinations, repeat
 from operator import getitem, itemgetter, mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -320,6 +320,17 @@ class DescentTable(NamedTuple):
             return self.system._identity
         return Element(self.system, self.unpack(self.data, k * self.width))
 
+    def images(self, positions: Sequence[int]) -> tuple:
+        """The data of the rows at the ascending positions, in one tuple:
+        types A and B chain the rows' image tuples, I2 holds one word per
+        row.  A range slices data; other positions map unpack over their
+        offsets, so neither builds an Element or runs a Python frame per row."""
+        data, width = self.data, self.width
+        if type(positions) is range:
+            return tuple(data[positions.start * width : positions.stop * width])
+        rows = map(self.unpack, repeat(data), map(width.__mul__, positions))
+        return tuple(rows) if self.system.cartan == "I2" else tuple(chain.from_iterable(rows))
+
 
 @lru_cache(maxsize=None)
 def _descent_table(system: CoxeterSystem) -> DescentTable:
@@ -581,8 +592,8 @@ class CoreCosets:
     len reads the groups alone.  An iteration builds the pair
     (I, DoubleCoset) only for each row it reaches, decoding the row's
     element by table.element; a slice without a step is again a view, over
-    the slices of the groups.  minima yields the rows' data tuples, with no
-    Element or coset at all, for a listing."""
+    the slices of the groups.  chunks gathers the rows' data a chunk at a
+    time, with no Element or coset at all, for a listing."""
 
     __slots__ = ("table", "right", "groups")
 
@@ -612,13 +623,24 @@ class CoreCosets:
             for k in positions:
                 yield left, DoubleCoset(system, left, right, element(k))
 
-    def minima(self):
-        """(I, the data tuples of the minima of I's rows in this view) per
-        left frame, in the view's order."""
-        table = self.table
-        unpack, data, width = table.unpack, table.data, table.width
+    def chunks(self, size: int):
+        """The view's rows, size at a time (the last chunk may hold fewer),
+        in the view's order: each chunk a list of (I, n, data) per left
+        frame it reaches, data the table.images of I's n rows in it."""
+        if size < 1:
+            raise ValueError(f"chunk size must be at least 1, got {size}")
+        images, chunk, room = self.table.images, [], size
         for left, positions in self.groups:
-            yield left, (unpack(data, k * width) for k in positions)
+            at = 0
+            while at < len(positions):
+                part = positions[at : at + room]
+                chunk.append((left, len(part), images(part)))
+                at, room = at + len(part), room - len(part)
+                if not room:
+                    yield chunk
+                    chunk, room = [], size
+        if chunk:
+            yield chunk
 
 
 def coset_document(system: CoxeterSystem, left: Frame, right: Frame, data: Sequence[int]) -> dict:

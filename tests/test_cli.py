@@ -102,46 +102,41 @@ def _system_flags(system):
     return flags if system.bond is None else flags + ["--bond", str(system.bond)]
 
 
-def _printed_cosets(capsys, found, fmt):
-    """What cli._print_coset prints for the cosets of the pairs found."""
-    for _, p in found:
-        cli._print_coset(p, fmt)
-    return capsys.readouterr().out
+def _oracle_lines(found, fmt):
+    """The lines of the pairs (I, p) found, built here and not by cli: text
+    from format_subset and format_data, JSON as json.dumps of the coset's
+    document with sorted keys (I2 adds the bond key)."""
+    if fmt == "json":
+        return "".join(
+            json.dumps(cs.coset_document(p.system, I, p.right, p.min.data), sort_keys=True) + "\n" for I, p in found
+        )
+    return "".join(
+        f"coset: left={cs.format_subset(I)} right={cs.format_subset(p.right)}"
+        f" min={cx.format_data(p.system.cartan, p.min.data)}\n"
+        for I, p in found
+    )
 
 
+@pytest.mark.parametrize("chunk", [1, 3, cli._CHUNK])
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize(
     "system",
     [cx.type_a(r) for r in range(5)] + [cx.type_b(r) for r in range(4)] + [cx.dihedral(m) for m in range(3, 8)],
     ids=str,
 )
-def test_enumerate_core_prints_each_coset_as_print_coset_does(capsys, system, fmt):
-    # the expected lines come from the brute-force oracle, not from the view
+def test_enumerate_core_lines_match_an_oracle_built_without_cli(capsys, monkeypatch, system, fmt, chunk):
+    # the expected lines come from the brute-force oracle, not from the view;
+    # chunks of 1 and 3 rows break inside and across left frames
+    monkeypatch.setattr(cli, "_CHUNK", chunk)
     for J in cs.all_frames(system):
         found = enumerate_core_cosets_oracle(system, J)
-        expected = _printed_cosets(capsys, found, fmt) + f"count: {len(found)}\n"
+        expected = _oracle_lines(found, fmt)
         argv = ["enumerate-core", *_system_flags(system), "--format", fmt, "--right", cs.format_subset(J)]
-        assert run(capsys, *argv) == (0, expected, "")
-
-
-@pytest.mark.parametrize(
-    "system",
-    [cx.type_a(r) for r in range(5)] + [cx.type_b(r) for r in range(4)] + [cx.dihedral(m) for m in range(3, 7)],
-    ids=str,
-)
-def test_enumerate_core_json_lines_are_sorted_key_dumps(capsys, system):
-    # each line is json.dumps of the coset's document with sorted keys, byte
-    # for byte, although the listing formats the keys once per left frame;
-    # I2 adds the bond key
-    for J in cs.all_frames(system):
-        expected = [
-            json.dumps(cs.coset_document(system, I, J, p.min.data), sort_keys=True)
-            for I, p in enumerate_core_cosets_oracle(system, J)
-        ]
-        argv = ["enumerate-core", *_system_flags(system), "--format", "json", "--right", cs.format_subset(J)]
-        code, out, err = run(capsys, *argv)
-        assert (code, err) == (0, "")
-        assert out.splitlines() == expected + [f"count: {len(expected)}"]
+        assert run(capsys, *argv) == (0, expected + f"count: {len(found)}\n", "")
+        # _print_coset, which unsquash, eval-expr and compose call, writes the same lines
+        for _, p in found:
+            cli._print_coset(p, fmt)
+        assert capsys.readouterr().out == expected
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -153,15 +148,15 @@ def test_enumerate_core_lists_what_the_enumerator_returns(capsys, monkeypatch, s
     monkeypatch.setattr(cs, "enumerate_core_cosets", lambda *a, **k: fn(*a, **k)[:-1])
     for J in cs.all_frames(system):
         found = enumerate_core_cosets_oracle(system, J)[:-1]
-        expected = _printed_cosets(capsys, found, fmt) + f"count: {len(found)}\n"
+        expected = _oracle_lines(found, fmt) + f"count: {len(found)}\n"
         argv = ["enumerate-core", *_system_flags(system), "--format", fmt, "--right", cs.format_subset(J)]
         assert run(capsys, *argv) == (0, expected, "")
 
 
-def test_enumerate_core_writes_a_chunk_of_lines_at_a_time(capsys, monkeypatch):
+def test_enumerate_core_writes_a_chunk_of_lines_at_a_time(monkeypatch):
     # A6 with J = {} lists 5040 cosets: two chunks of at most 4096 lines, then the count
     system = cx.type_a(6)
-    expected = _printed_cosets(capsys, enumerate_core_cosets_oracle(system, frozenset()), "text") + "count: 5040\n"
+    expected = _oracle_lines(enumerate_core_cosets_oracle(system, frozenset()), "text") + "count: 5040\n"
     writes = []
 
     class Recording(io.StringIO):
@@ -943,6 +938,23 @@ def test_verify_output_passes_the_benchmark_gates(capsys, workload, argv):
         if suite == "core-atomic":
             size = len(m[2].split(",")) if m[2] else 0
             assert int(m[3]) == _WORKLOADS["core_count"](cartan, int(m[1]), size), line
+
+
+# stdout of the enum-core benchmark workload, every right frame of A6 and
+# then of B5 in text, as (line count, sha256), as the listing wrote it
+# when it formatted one line per row
+_ENUM_CORE_OUTPUT = (18170, "b1d83c0d5731517a72b6ca41381085348e67fbccf378a8317453b67ab0bc7383")
+
+
+def test_enum_core_workload_output_is_pinned(capsys):
+    digest, lines = hashlib.sha256(), 0
+    for calls in _WORKLOADS["build"]("enum-core", 0, 0):
+        for argv, expected in calls:
+            code, out, err = run(capsys, *argv)
+            assert (code, err, out.count("\n")) == (0, "", expected + 1)
+            digest.update(out.encode())
+            lines += expected + 1
+    assert (lines, digest.hexdigest()) == _ENUM_CORE_OUTPUT
 
 
 def _rebind_cached_functions(monkeypatch):

@@ -389,9 +389,29 @@ def test_core_cosets_view_reads_as_a_sequence(system):
             assert isinstance(part, cs.CoreCosets)
             assert list(part) == expected[s] and len(part) == len(expected[s])
         assert list(view[:-1][1:]) == expected[:-1][1:]
-        assert [(I, d) for I, minima in view[1:].minima() for d in minima] == [
-            (I, p.min.data) for I, p in expected[1:]
-        ]
+        # chunks gathers the minima's data: every chunk but the last holds
+        # size rows, and a chunk's left frames follow the view's order; a
+        # size below 1 is refused, as no chunk could take a row
+        for size in (0, -1):
+            with pytest.raises(ValueError):
+                next(view.chunks(size))
+        for size in (1, 3, n):
+            chunks = list(view[1:].chunks(size))
+            counts = [sum(m for _, m, _ in chunk) for chunk in chunks]
+            assert sum(counts) == n - 1 and all(c == size for c in counts[:-1])
+            assert all(0 < c <= size for c in counts)
+            assert [(I, d) for chunk in chunks for I, m, data in chunk for d in _rows(system, m, data)] == [
+                (I, p.min.data) for I, p in expected[1:]
+            ]
+
+
+def _rows(system, n, data):
+    """The n rows of a chunk's data: words for I2, else image tuples of equal width."""
+    if system.cartan == "I2":
+        assert len(data) == n
+        return list(data)
+    assert len(data) == n * system.points
+    return [data[k * system.points : (k + 1) * system.points] for k in range(n)]
 
 
 @pytest.mark.parametrize("system", [cx.type_a(4), cx.type_b(3)], ids=str)
