@@ -5,24 +5,16 @@ d_{p*q} when the star composition is reduced and 0 otherwise, so every
 product of symbols is one symbol or 0: here a symbol is its coset p, and 0
 is None.  The subcategory generated by the atomic symbols has the core
 cosets as a basis; over a fixed right frame it is a copy of the ordinary
-nilCoxeter algebra of the squashed group.
+nilCoxeter algebra of the squashed group.  The nilcox-relations suite of
+cosetrex.verify checks its relations and that basis.
 """
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Iterable, Sequence
 
-from .coxeter import CoxeterSystem, braid_relation
-from .cosets import (
-    DoubleCoset,
-    Frame,
-    all_frames,
-    check_subset,
-    identity_coset,
-    reduced_composite,
-)
+from .coxeter import CoxeterSystem
+from .cosets import DoubleCoset, check_subset, identity_coset, reduced_composite
 from .atomic import atomic_generator, coset_of_atom, lift_word, squashed_system
 
 
@@ -66,32 +58,3 @@ def reachable_cosets(system: CoxeterSystem, J: Iterable[int]) -> set[DoubleCoset
                 queue.append(nxt)
     return seen
 
-
-@dataclass
-class RelationReport:
-    checked: int = 0
-    failures: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def verify_relations(system: CoxeterSystem) -> RelationReport:
-    """Check the nil relations and the braid relations of the squashed
-    group's Coxeter matrix (m = 2 is commuting) at every object."""
-    report = RelationReport()
-
-    def record(name: str, J: Frame, holds: bool) -> None:
-        report.checked += 1
-        if not holds:
-            report.failures.append(f"{name} fails at J = {sorted(J)} in {system}")
-
-    for J in all_frames(system):
-        small = squashed_system(system, J)
-        for i in small.simple_indices:
-            record(f"d{i} d{i} = 0", J, psi(system, J, (i, i)) is None)
-        for i, j in combinations(small.simple_indices, 2):
-            lhs, rhs = braid_relation(small, i, j)
-            record(f"braid {lhs} = {rhs}", J, psi(system, J, lhs) == psi(system, J, rhs))
-    return report

@@ -241,10 +241,11 @@ def package_modules():
     return [m for name, m in sys.modules.items() if name.partition(".")[0] == "cosetrex"]
 
 
-def rebind_everywhere(monkeypatch, old, new):
+def rebind_everywhere(monkeypatch, old, new, modules=None):
     # modules import library functions by name, so every module-level binding
-    # of old in the package is rebound, not only the one where it is defined
-    for module in package_modules():
+    # of old in the package (or in the modules given) is rebound, not only
+    # the one where it is defined
+    for module in package_modules() if modules is None else modules:
         for name, obj in list(vars(module).items()):
             if obj is old:
                 monkeypatch.setattr(module, name, new)

@@ -19,12 +19,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cosetrex import atomic, cli
+from cosetrex import atomic, cli, verify
 from cosetrex import cosets as cs
 from cosetrex import coxeter as cx
 from cosetrex import expressions as ex
-from cosetrex import squash_a
-from cosetrex.cli import _SUITES, build_parser, main
+from cosetrex import squash_a, squash_b
+from cosetrex.cli import build_parser, main
+from cosetrex.verify import _SUITES
 from conftest import (
     add_remove_oracle,
     braid_closure_oracle,
@@ -80,6 +81,29 @@ def test_eval_expr_parse_error_exit_code(capsys):
     )
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval-expr", "--rank", "1000000000000000", "--expr", "[{}]"),
+        ("eval-expr", "--rank", "9223372036854775808", "--expr", "[{}]"),
+        ("unsquash", "--rank", "1000000000000000", "--right", "{}", "--sigma", "[1]"),
+        ("unsquash", "--rank", "9223372036854775808", "--right", "{}", "--sigma", "[1]"),
+        ("compose", "--rank", "1000000000000000", "--exprs", "CHAIN"),
+        ("compose", "--rank", "9223372036854775808", "--exprs", "CHAIN"),
+        ("eval-expr", "--type", "I2", "--rank", "2", "--bond", "1000000000000000", "--expr", "[[{} < {1,2} > {}]]"),
+    ],
+    ids=" ".join,
+)
+def test_a_huge_rank_or_bond_is_a_usage_error(capsys, tmp_path, argv):
+    # each fails at its first allocation, which no host can make: a system of
+    # 10^15 points, a rank past the C size type, or the longest word of I2(10^15)
+    chain = tmp_path / "chain.txt"
+    chain.write_text("[{}]\n")
+    code, out, err = run(capsys, *(str(chain) if arg == "CHAIN" else arg for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: input too large: ") and err.count("\n") == 1, err
 
 
 def test_usage_error_exit_code(capsys):
@@ -397,14 +421,15 @@ def test_verify_over_budget_prints_no_cell(capsys):
     ids=["A", "B", "I2"],
 )
 def test_verify_builds_no_system_past_the_first_over_budget_rank(capsys, monkeypatch, cartan, constructor, ranks, order):
+    # the walks build their systems through the coxeter module's attribute
     built = []
-    build = getattr(cli, constructor)
+    build = getattr(cx, constructor)
 
     def counting(*args):
         built.append(args[-1])  # the rank, or the bond of a dihedral group
         return build(*args)
 
-    monkeypatch.setattr(cli, constructor, counting)
+    monkeypatch.setattr(cx, constructor, counting)
     code, out, err = run(capsys, "verify", "core-atomic", "--type", cartan, "--max-rank", "1000000")
     assert code == 2 and out == ""
     assert err == f"error: group order {order} exceeds budget 10000\n"
@@ -759,7 +784,7 @@ def test_add_remove_agrees_with_the_whole_expression_oracle(monkeypatch):
     cases = 0
     for system in systems:
         failures = []
-        cli._check_add_remove(system, lambda line: None, failures.append)
+        verify._check_add_remove(system, lambda line: None, failures.append)
         assert not failures
         for p in _walked_cosets(system):
             expr = atomic.factor_through_core(p)
@@ -814,7 +839,7 @@ def test_verify_scopes_its_caches_to_the_cell_and_the_system(capsys, monkeypatch
 
             check(system, inspect, fail)
 
-        monkeypatch.setitem(cli._SUITES, suite, (inspecting, supported))
+        monkeypatch.setitem(verify._SUITES, suite, (inspecting, supported))
         code, out, err = run(capsys, "verify", suite, "--type", "A", "--max-rank", "4")
         assert code == 0, err
         assert len(seen) == sum(2 ** system.rank for system in systems)
@@ -837,8 +862,8 @@ def test_verify_gives_every_library_cache_a_lifetime():
     # tables of the interned systems, and the shared argument parser
     process_wide = {cx.simple, cx._braid_table, cli.build_parser}
     caches = {obj for module in package_modules() for obj in vars(module).values() if hasattr(obj, "cache_clear")}
-    assert caches - process_wide <= set(cli._SYSTEM_CACHES)
-    assert set(cli._CELL_CACHES) <= set(cli._SYSTEM_CACHES)
+    assert caches - process_wide <= set(verify._SYSTEM_CACHES)
+    assert set(verify._CELL_CACHES) <= set(verify._SYSTEM_CACHES)
 
 
 def test_core_atomic_keeps_no_memo_per_coset(capsys, monkeypatch):
@@ -940,6 +965,35 @@ def test_verify_output_passes_the_benchmark_gates(capsys, workload, argv):
             assert int(m[3]) == _WORKLOADS["core_count"](cartan, int(m[1]), size), line
 
 
+def _benchmark_modules():
+    """The modules whose names the benchmark's child rebinds, read from
+    perfbench/child.py's MODULE_NAMES without importing it, with the package
+    itself, as the child loads them."""
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "child.py").read_text())
+    (names,) = [ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["MODULE_NAMES"]]
+    return [sys.modules["cosetrex"]] + [sys.modules[f"cosetrex.{name}"] for name in names]
+
+
+def test_benchmark_rebinding_reaches_the_verify_walks(capsys, monkeypatch):
+    # the benchmark's tracer and faults rebind names in its modules only; a
+    # module outside them that imported a library name would keep the original
+    modules = _benchmark_modules()
+    connected = squash_b.matsumoto_connected_b
+    calls = []
+    rebind_everywhere(monkeypatch, connected, lambda *args: calls.append(args) or connected(*args), modules)
+    assert run(capsys, "verify", "matsumoto", "--type", "B", "--max-rank", "4")[0] == 0
+    assert len(calls) == _WORKLOADS["EXPECTED_COSETS"]["verify-braid-b4"]
+    # the child's drop-atom and drop-coset faults
+    rex = atomic.atomic_rex_of_core
+    rebind_everywhere(monkeypatch, rex, lambda p: rex(p)[:-1], modules)
+    assert run(capsys, "verify", "matsumoto", "--type", "B", "--max-rank", "2")[0] == 1
+    monkeypatch.undo()
+    found = cs.enumerate_core_cosets
+    rebind_everywhere(monkeypatch, found, lambda *a, **k: found(*a, **k)[:-1], modules)
+    assert run(capsys, "verify", "core-atomic", "--type", "A", "--max-rank", "3")[0] == 1
+
+
 # stdout of the enum-core benchmark workload, every right frame of A6 and
 # then of B5 in text, as (line count, sha256), as the listing wrote it
 # when it formatted one line per row
@@ -999,7 +1053,7 @@ def test_matsumoto_agrees_with_the_word_listing_check(monkeypatch, fault):
     verdicts = []
     for system in [cx.type_a(r) for r in range(1, 5)] + [cx.type_b(r) for r in range(1, 4)]:
         memo = {}
-        for _, found in cli._core_by_right(system, pytest.fail):
+        for _, found in verify._core_by_right(system, pytest.fail):
             with atomic.keeping_greedy_steps():
                 for _, p in found:
                     verdicts.append(atomic.matsumoto_connected(p, memo))
@@ -1042,10 +1096,10 @@ def _identity_conjugates_to_nothing(monkeypatch):
 )
 def test_core_count_is_the_size_of_each_cell(system):
     for J in cs.all_frames(system):
-        assert cli._core_count(system, J) == len(enumerate_core_cosets_oracle(system, J))
+        assert verify._core_count(system, J) == len(enumerate_core_cosets_oracle(system, J))
 
 
-# every (suite, type) pair that walks cli._core_by_right
+# every (suite, type) pair that walks verify._core_by_right
 _CORE_WALKS = [
     (suite, cartan)
     for suite in ("core-atomic", "squash-bijection", "atomic-rex-bijection", "matsumoto", "mimimi",

@@ -1,4 +1,4 @@
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -7,6 +7,7 @@ from cosetrex import cosets as cs
 from cosetrex import coxeter as cx
 from cosetrex import nilcox as nc
 from cosetrex import squash_a as sqa
+from cosetrex.cli import main
 from conftest import all_subsets, as_simple, conjugate, reduced_composite_oracle
 
 
@@ -126,13 +127,23 @@ def test_psi_nonzero_iff_reduced(system):
                     assert f == p
 
 
+# relation instances per rank n: at each object J, k = n - |J| nil relations
+# and one braid relation per pair of the k squashed generators
+_RELATIONS = {"A": (1, 5, 18, 56), "B": (1, 5, 18)}
+
+
 @pytest.mark.parametrize(
-    "system", [cx.type_a(2), cx.type_a(3), cx.type_b(2), cx.type_b(3)], ids=str
+    "system", [cx.type_a(2), cx.type_a(3), cx.type_a(4), cx.type_b(2), cx.type_b(3)], ids=str
 )
-def test_verify_relations_small(system):
-    report = nc.verify_relations(system)
-    assert report.ok
-    assert report.checked > 0
+def test_verify_relations_small(capsys, system):
+    argv = ["verify", "nilcox-relations", "--type", system.cartan, "--max-rank", str(system.rank)]
+    assert main(argv) == 0
+    *cells, last = capsys.readouterr().out.splitlines()
+    ranks = range(1, system.rank + 1)
+    counts = [sum(comb(n, s) * (n - s) * (n - s + 1) // 2 for s in range(n + 1)) for n in ranks]
+    assert counts == list(_RELATIONS[system.cartan][: system.rank])
+    assert cells == [f"nilcox-relations {system.cartan} rank={n}: {c} relation instances" for n, c in zip(ranks, counts)]
+    assert last == "nilcox-relations: all checks passed"
 
 
 @pytest.mark.parametrize(
