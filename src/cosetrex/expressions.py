@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import InitVar, dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NoReturn, Sequence, Union
 
 from .coxeter import CoxeterSystem, identity, length, multiply
 from .cosets import (
@@ -116,24 +116,21 @@ def multistep(system: CoxeterSystem, chain: Sequence[Iterable[int]]) -> Multiste
     return MultistepExpression(system, tuple(out))
 
 
-def to_multistep(expr: OneStepExpression) -> MultistepExpression:
-    """The zig-zag walked by expr's steps, which its constructor checked."""
+def to_multistep(expr: Expression) -> MultistepExpression:
+    """The zig-zag of expr: expr itself if it is multistep, else the one
+    walked by its steps, which its constructor checked."""
+    if isinstance(expr, MultistepExpression):
+        return expr
     chain = [frozenset(expr.start)]
     for op, i in expr.steps:
         chain.append(chain[-1] | {i} if op == 1 else chain[-1] - {i})
     return multistep(expr.system, chain)
 
 
-def _as_multistep(expr: Expression) -> MultistepExpression:
-    if isinstance(expr, OneStepExpression):
-        return to_multistep(expr)
-    return expr
-
-
 def evaluate(expr: Expression) -> DoubleCoset:
     """The coset expressed: star product of the longest elements of the
     tops, folded into the identity by cosets.star_longest."""
-    M = _as_multistep(expr)
+    M = to_multistep(expr)
     x = star_longest(identity(M.system), M.frames[1::2])
     return coset_of(M.system, M.frames[0], x, M.frames[-1])
 
@@ -142,7 +139,7 @@ def is_reduced(expr: Expression) -> bool:
     """Whether the alternating length sum of the inner frames (tops add,
     bottoms subtract) is attained by their ordinary product
     w_K1 w_I1^{-1} w_K2 ...; each w_I is an involution, so w_I^{-1} = w_I."""
-    M = _as_multistep(expr)
+    M = to_multistep(expr)
     prod = identity(M.system)
     target = 0
     for t, K in enumerate(M.frames[1:-1]):
@@ -166,66 +163,58 @@ def concatenate(left: MultistepExpression, right: MultistepExpression) -> Multis
     return MultistepExpression(left.system, left.frames + right.frames[1:])
 
 
-_TOKEN = re.compile(r"\[\[|\]\]|\[|\]|\{|\}|,|<|>|\+|-|\d+")
-
-
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        tokens.append((m.group(), pos))
-        pos = m.end()
-    return tokens
+# a token, or (group "bad") a character that starts none; whitespace matches nothing
+_TOKEN = re.compile(r"\[\[|\]\]|\[|\]|\{|\}|,|<|>|\+|-|\d+|(?P<bad>\S)")
 
 
 class _Parser:
+    """Reads the (token, position) pairs of one scan of the text, which end
+    in the marker (None, len(text))."""
+
     def __init__(self, system: CoxeterSystem, text: str):
         self.system = system
-        self.tokens = _tokenize(text)
+        self.tokens: list[tuple[str | None, int]] = []
+        for m in _TOKEN.finditer(text):
+            if m.lastgroup == "bad":
+                raise ParseError(f"unexpected character {m.group()!r}", m.start())
+            self.tokens.append((m.group(), m.start()))
+        self.tokens.append((None, len(text)))
         self.k = 0
-        self.end = len(text)
 
-    def peek(self) -> str | None:
-        return self.tokens[self.k][0] if self.k < len(self.tokens) else None
+    def peek(self) -> tuple[str | None, int]:
+        return self.tokens[self.k]
 
-    def pos(self) -> int:
-        return self.tokens[self.k][1] if self.k < len(self.tokens) else self.end
+    def fail(self, expected: str) -> NoReturn:
+        tok, pos = self.peek()
+        if tok is None:
+            raise ParseError(f"unexpected end of input, expected {expected}", pos)
+        raise ParseError(f"expected {expected} but found {tok!r}", pos)
 
-    def take(self, expected: str | None = None) -> str:
-        if self.k >= len(self.tokens):
-            raise ParseError(f"unexpected end of input, expected {expected!r}", self.end)
-        tok, pos = self.tokens[self.k]
-        if expected is not None and tok != expected:
-            raise ParseError(f"expected {expected!r} but found {tok!r}", pos)
+    def take(self, *expected: str) -> str:
+        """The next token, which must be one of expected."""
+        tok = self.peek()[0]
+        if tok not in expected:
+            self.fail(" or ".join(map(repr, expected)))
         self.k += 1
         return tok
 
     def index(self) -> int:
-        tok = self.take()
-        if not tok.isdigit():
-            raise ParseError(f"expected an index but found {tok!r}", self.tokens[self.k - 1][1])
+        tok = self.peek()[0]
+        if tok is None or not tok.isdigit():
+            self.fail("an index")
+        self.k += 1
         return int(tok)
 
     def frame(self) -> Frame:
-        pos = self.pos()
+        pos = self.peek()[1]
         self.take("{")
         indices: set[int] = set()
-        if self.peek() == "}":
+        if self.peek()[0] == "}":
             self.take("}")
         else:
-            while True:
+            indices.add(self.index())
+            while self.take(",", "}") == ",":
                 indices.add(self.index())
-                nxt = self.take()
-                if nxt == "}":
-                    break
-                if nxt != ",":
-                    raise ParseError(f"expected ',' or '}}' but found {nxt!r}", self.tokens[self.k - 1][1])
         try:
             return check_subset(self.system, indices)
         except ValueError as exc:
@@ -234,9 +223,9 @@ class _Parser:
     def multistep(self) -> MultistepExpression:
         self.take("[[")
         chain = [self.frame()]
-        while self.peek() in ("<", ">"):
-            op_pos = self.pos()
-            op = self.take()
+        while self.peek()[0] in ("<", ">"):
+            op_pos = self.peek()[1]
+            op = self.take("<", ">")
             nxt = self.frame()
             prev = chain[-1]
             if op == "<" and not prev <= nxt:
@@ -253,9 +242,9 @@ class _Parser:
         start = self.frame()
         steps: list[tuple[int, int]] = []
         cur = start
-        while self.peek() in ("+", "-"):
-            sign_pos = self.pos()
-            step = (1 if self.take() == "+" else -1, self.index())
+        while self.peek()[0] in ("+", "-"):
+            sign_pos = self.peek()[1]
+            step = (1 if self.take("+", "-") == "+" else -1, self.index())
             try:
                 cur = _step(self.system, cur, *step)
             except ValueError as exc:
@@ -266,13 +255,14 @@ class _Parser:
         return OneStepExpression(self.system, start, tuple(steps), checked=True)
 
     def expect_end(self) -> None:
-        if self.k < len(self.tokens):
-            raise ParseError(f"trailing input {self.tokens[self.k][0]!r}", self.pos())
+        tok, pos = self.peek()
+        if tok is not None:
+            raise ParseError(f"trailing input {tok!r}", pos)
 
 
 def parse_expression(system: CoxeterSystem, text: str) -> Expression:
     parser = _Parser(system, text)
-    if parser.peek() == "[[":
+    if parser.peek()[0] == "[[":
         return parser.multistep()
     return parser.one_step()
 

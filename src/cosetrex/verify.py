@@ -305,9 +305,10 @@ def _check_type_b(system: coxeter.CoxeterSystem, emit, fail) -> None:
             if r is None:
                 continue
             sp, sq, sr = [coxeter._memo(squashed, squash_a.squash_coset, x) for x in (p, q, r)]
-            if sr != coxeter.multiply(sp, sq):
+            prod = coxeter.multiply(sp, sq)
+            if sr != prod:
                 fail(f"type-b: squash not multiplicative at {p} * {q}")
-            if coxeter.length(coxeter.multiply(sp, sq)) != coxeter.length(sp) + coxeter.length(sq):
+            if coxeter.length(prod) != coxeter.length(sp) + coxeter.length(sq):
                 fail(f"type-b: squash not length-additive at {p} * {q}")
     emit(f"type-b rank={system.rank}: done")
 

@@ -404,7 +404,7 @@ def factor_through_core_oracle(p):
 def evaluate_oracle(expr):
     """expressions.evaluate with the single frame apart: no top is the
     identity coset of the frame."""
-    M = ex._as_multistep(expr)
+    M = ex.to_multistep(expr)
     tops = M.frames[1::2]
     if not tops:
         return cs.identity_coset(M.system, M.frames[0])
@@ -416,7 +416,7 @@ def is_reduced_oracle(expr):
     """expressions.is_reduced with tops and interior bottoms read apart, one
     top and the bottom after it per round; a single frame F is read as
     [[F < F > F]]."""
-    M = ex._as_multistep(expr)
+    M = ex.to_multistep(expr)
     frames = M.frames if len(M.frames) >= 3 else (M.frames[0],) * 3
     tops = frames[1::2]
     interior = frames[2:-1:2]

@@ -3,9 +3,11 @@ import ast
 import functools
 import gc
 import hashlib
+import importlib
 import io
 import json
 import os
+import pkgutil
 import re
 import runpy
 import shlex
@@ -34,6 +36,7 @@ from conftest import (
     enumerate_core_cosets_oracle,
     package_modules,
     rebind_everywhere,
+    star_product_oracle,
 )
 
 S11_TEXT = "[{2,3,6,10} +8 -8 +9 -10 +7 -6 +8 -8 +5 -5 +6 -7 +4 -2]"
@@ -261,6 +264,40 @@ def test_compose_chain(tmp_path, capsys):
         capsys, "compose", "--type", "A", "--rank", "3", "--exprs", str(empty)
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "system, chain, fmt, out",
+    [
+        (cx.type_a(3), ["[[{} < {1,2,3} > {}]]"] * 2, "text",
+         "coset: left={} right={} min=[4,3,2,1]\nreduced: false\n"),
+        (cx.type_a(3), ["[{1} +2 -1]", "[{2} +1 -2]"], "json",
+         '{"coset": {"cartan": "A", "left": [1], "min": [1, 3, 2, 4], "rank": 3, "right": [1]},'
+         ' "reduced": false}\n'),
+        (cx.type_b(2), ["[[{} < {0,1} > {}]]", "[[{} < {0} > {}]]"], "text",
+         "coset: left={} right={} min=[-1,-2]\nreduced: false\n"),
+        (cx.dihedral(5), ["[[{} < {1,2} > {}]]", "[[{} < {1} > {}]]"], "text",
+         "coset: left={} right={} min=1 2 1 2 1\nreduced: false\n"),
+    ],
+    ids=str,
+)
+def test_compose_star_composes_a_composition_that_is_not_reduced(
+    tmp_path, capsys, monkeypatch, system, chain, fmt, out
+):
+    exprs = tmp_path / "exprs.txt"
+    exprs.write_text("\n".join(chain) + "\n")
+    star = count_calls(monkeypatch, cs.star_compose)
+    flags = ["--type", system.cartan, "--rank", str(system.rank)]
+    flags += ["--bond", str(system.bond)] if system.bond else []
+    assert run(capsys, "compose", *flags, "--exprs", str(exprs), "--format", fmt) == (0, out, "")
+    p, q = (ex.evaluate(ex.parse_expression(system, text)) for text in chain)
+    assert star == [(p, q)]
+    r = cs.coset_of(system, p.left, star_product_oracle(cs.max_elem(p), cs.max_elem(q)), q.right)
+    if fmt == "json":
+        assert json.loads(out)["coset"] == cs.coset_to_json(r)
+    else:
+        left, right = cs.format_subset(r.left), cs.format_subset(r.right)
+        assert out.splitlines()[0] == f"coset: left={left} right={right} min={cx.format_element(r.min)}"
 
 
 def test_verify_exit_zero(capsys):
@@ -1301,6 +1338,20 @@ def test_readme_example_gives_its_commented_values():
             assert value == ast.literal_eval(comment), line
             checked.append(value)
     assert checked == [(3, 4, 1, 2), True, "[{1} +2 -1 +3 -2]", (2, 3, 1)]
+
+
+def test_readme_names_resolve():
+    # a backticked module.name or cosetrex.module.name, alone or called, names
+    # an attribute of that package module, so a rename cannot leave it behind
+    import cosetrex
+
+    modules = {info.name for info in pkgutil.iter_modules(cosetrex.__path__)}
+    names = {(module, name) for module, name in re.findall(r"`(?:cosetrex\.)?(\w+)\.(\w+)[`(]", _README)
+             if module in modules}
+    assert names
+    missing = [f"{module}.{name}" for module, name in sorted(names)
+               if not hasattr(importlib.import_module(f"cosetrex.{module}"), name)]
+    assert missing == []
 
 
 def test_readme_command_lines_exit_zero(capsys, monkeypatch, tmp_path):

@@ -262,6 +262,38 @@ def test_parse_errors(a3):
     assert err is not None and err.position == 8
 
 
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("[{1} +2 x]", "unexpected character 'x'", 8),
+        ("[{1} +2", "unexpected end of input, expected ']'", 7),
+        ("", "unexpected end of input, expected '['", 0),
+        ("[[{1}", "unexpected end of input, expected ']]'", 5),
+        ("[{1} +", "unexpected end of input, expected an index", 6),
+        ("[{1} -", "unexpected end of input, expected an index", 6),
+        ("[{", "unexpected end of input, expected an index", 2),
+        ("[{1,", "unexpected end of input, expected an index", 4),
+        ("[{1", "unexpected end of input, expected ',' or '}'", 3),
+        ("[[{1} < {1,2", "unexpected end of input, expected ',' or '}'", 12),
+        ("{1}", "expected '[' but found '{'", 0),
+        ("[[{1} < {1,2} ]", "expected ']]' but found ']'", 14),
+        ("[{1},]", "expected ']' but found ','", 4),
+        ("[{1} + ]", "expected an index but found ']'", 7),
+        ("[{,}]", "expected an index but found ','", 2),
+        ("[{1 2}]", "expected ',' or '}' but found '2'", 4),
+        ("[[{1} < {2}]]", "'<' requires the left frame to be contained in the right", 6),
+        ("[[{1,2} > {3}]]", "'>' requires the right frame to be contained in the left", 8),
+        ("[{1}] ]", "trailing input ']'", 6),
+        ("[{9}]", "indices [9] out of range for CoxeterSystem(cartan='A', rank=3, bond=None)", 1),
+    ],
+)
+def test_parse_error_texts_and_positions(a3, text, message, position):
+    with pytest.raises(ex.ParseError) as caught:
+        ex.parse_expression(a3, text)
+    assert str(caught.value) == f"{message} (at position {position})"
+    assert caught.value.position == position
+
+
 def test_parse_normalizes_equal_frames(a2):
     # a monotone run collapses onto its extreme frame
     expr = ex.parse_expression(a2, "[[{} < {1} < {1,2}]]")
