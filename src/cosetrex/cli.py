@@ -19,7 +19,7 @@ from .coxeter import CoxeterSystem
 def _system_from_args(args, budget: int | None = None) -> CoxeterSystem:
     key = coxeter.system_key(args.type, args.rank, args.bond)
     cosets.check_budget(key, budget)  # before a huge system is built
-    return CoxeterSystem(*key)
+    return verify.use_system(CoxeterSystem(*key))
 
 
 def _template(system: CoxeterSystem, I: frozenset, J: frozenset, fmt: str) -> str:
@@ -89,7 +89,9 @@ def _coset_from_args(args):
                "min": coxeter.parse_data(cartan, args.min),
                "left": sorted(cosets.parse_subset(args.left)),
                "right": sorted(cosets.parse_subset(args.right))}
-    return cosets.coset_from_json(doc)
+    p = cosets.coset_from_json(doc)
+    verify.use_system(p.system)
+    return p
 
 
 def _cmd_atomic_rex(args) -> int:

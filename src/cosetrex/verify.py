@@ -26,7 +26,8 @@ def _systems(cartan: str, max_rank: int, budget: int) -> list[coxeter.CoxeterSys
 
 # the caches verify empties at the start of each cell of _core_by_right and
 # each left frame of _cosets_by_left, and all of these at the start of each
-# system; held as objects, since a tracer or a test may rebind the public names.
+# system, of a verify run or of a CLI command (use_system); held as objects,
+# since a tracer or a test may rebind the public names.
 # The descent table holds the core cosets' index too.  inverse keeps no cache:
 # only invert (atomatom) calls it, once per atom.
 # What a walk rereads per coset (greedy steps, is_core, squashed images) it
@@ -42,6 +43,23 @@ _SYSTEM_CACHES = _CELL_CACHES + (
 def _clear(caches) -> None:
     for cache in caches:
         cache.cache_clear()
+
+
+# the system the system caches were last filled for
+_filled_for: coxeter.CoxeterSystem | None = None
+
+
+def use_system(system: coxeter.CoxeterSystem, *, fresh: bool = False) -> coxeter.CoxeterSystem:
+    """Return system, first emptying the system caches if they were last
+    filled for another system, or if fresh.  Every CLI command and every
+    system of run_suite passes through here, so a long-lived process holds
+    one system's entries at a time, and consecutive commands on one system
+    (enumerate-core over each of its frames, say) share its descent table."""
+    global _filled_for
+    if fresh or system is not _filled_for:
+        _clear(_SYSTEM_CACHES)
+        _filled_for = system
+    return system
 
 
 def _core_count(system: coxeter.CoxeterSystem, J: frozenset) -> int:
@@ -344,7 +362,7 @@ def run_suite(suite: str, cartan: str, max_rank: int, budget: int, show: Callabl
 
     failures: list[str] = []
     for system in _systems(cartan, max_rank, budget):
-        _clear(_SYSTEM_CACHES)
+        use_system(system, fresh=True)
         try:
             check(system, emit, failures.append)
         except AssertionError as exc:  # a library cross-check; its message names the coset

@@ -903,6 +903,77 @@ def test_verify_gives_every_library_cache_a_lifetime():
     assert set(verify._CELL_CACHES) <= set(verify._SYSTEM_CACHES)
 
 
+# a core coset of A8 and one of A9, each by its right frame and squashed permutation
+_QUERIES = {8: ("{2,5,6}", "[3,1,6,2,5,4]"), 9: ("{1,4}", "[2,8,1,7,3,6,4,5]")}
+
+
+def _query(capsys, rank, after=lambda: None):
+    """The four single-coset commands on the A<rank> coset of _QUERIES, as
+    query-mix runs them: unsquash, then squash and atomic-rex of its coset,
+    then eval-expr of the atomic expression; their outputs, calling after
+    after each command."""
+    right, sigma = _QUERIES[rank]
+    outs = []
+
+    def command(*argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        outs.append(out)
+        after()
+        return out.strip()
+
+    doc = command("unsquash", "--type", "A", "--rank", str(rank), "--right", right, "--sigma", sigma, "--format", "json")
+    command("squash", "--coset", doc)
+    rex = command("atomic-rex", "--coset", doc)
+    command("eval-expr", "--type", "A", "--rank", str(rank), "--expr", rex, "--format", "json")
+    return outs
+
+
+def _system_cache_sizes():
+    return [cache.cache_info().currsize for cache in verify._SYSTEM_CACHES]
+
+
+def test_cli_commands_keep_one_systems_cache_entries(capsys):
+    # a long-lived caller of main holds what its commands on the current
+    # system filled, as after a clear, however many systems came before
+    cold = {}
+    for rank in _QUERIES:
+        verify._clear(verify._SYSTEM_CACHES)
+        _query(capsys, rank, lambda: cold.setdefault(rank, []).append(_system_cache_sizes()))
+    verify._clear(verify._SYSTEM_CACHES)
+    for rank in (8, 9, 8, 9, 8):
+        sizes = []
+        _query(capsys, rank, lambda: sizes.append(_system_cache_sizes()))
+        assert sizes == cold[rank], rank
+    # a second round on the same system reads what the first one filled
+    sizes = []
+    _query(capsys, 8, lambda: sizes.append(_system_cache_sizes()))
+    assert sizes == [cold[8][-1]] * 4
+
+
+def test_cli_commands_on_one_system_share_its_descent_table(capsys, monkeypatch):
+    argvs = [["enumerate-core", *_system_flags(system), "--right", cs.format_subset(J)]
+             for system in (cx.type_a(4), cx.type_b(3)) for J in cs.all_frames(system)]
+    assert len(argvs) == 16 + 8
+    cold = []
+    for argv in argvs:
+        verify._clear(verify._SYSTEM_CACHES)
+        cold.append(run(capsys, *argv))
+    verify._clear(verify._SYSTEM_CACHES)
+    builds = count_calls(monkeypatch, cs._prefix_rows)
+    assert [run(capsys, *argv) for argv in argvs] == cold
+    assert len(builds) == 2
+    assert cs._descent_table.cache_info().currsize == 1  # B3's; A4's went with the move to B3
+
+
+def test_cli_output_does_not_depend_on_the_commands_before(capsys):
+    _clear_every_cache()
+    cold = _query(capsys, 8)
+    _query(capsys, 9)
+    assert _query(capsys, 8) == cold
+    assert _query(capsys, 8) == cold
+
+
 def test_core_atomic_keeps_no_memo_per_coset(capsys, monkeypatch):
     # core-atomic reads each coset's greedy step, core test and redundancy
     # once: they are plain functions, and no dict keyed by cosets outlives
