@@ -24,9 +24,9 @@ def _system_from_args(args, budget: int | None = None) -> CoxeterSystem:
 
 def _template(system: CoxeterSystem, I: frozenset, J: frozenset, fmt: str) -> str:
     """The line of an (I, J)-coset in format fmt, with one %d per image of
-    its min (types A and B) or one %s for its word (I2), and % escaped in
-    the text around them.  The JSON document is dumped once, with an empty
-    min and sorted keys, and split where min's images go."""
+    its min (types A and B) or one %s for its word (I2).  The JSON document
+    is dumped once, with an empty min and sorted keys, and split where
+    min's images go."""
     images = "%s" if system.cartan == "I2" else ("," if fmt == "text" else ", ").join(["%d"] * system.points)
     if fmt == "json":
         doc = json.dumps(cosets.coset_document(system, I, J, ()), sort_keys=True)
@@ -35,7 +35,7 @@ def _template(system: CoxeterSystem, I: frozenset, J: frozenset, fmt: str) -> st
     else:
         head = f"coset: left={cosets.format_subset(I)} right={cosets.format_subset(J)} min="
         head, tail = (head, "") if system.cartan == "I2" else (head + "[", "]")
-    return head.replace("%", "%%") + images + tail.replace("%", "%%") + "\n"
+    return head + images + tail + "\n"
 
 
 def _lines(system: CoxeterSystem, I: frozenset, J: frozenset, fmt: str, n: int, data: tuple) -> str:

@@ -70,8 +70,7 @@ def longest_element(system: CoxeterSystem, indices: Frame) -> Element:
     """The longest element w_I of the parabolic subgroup W_I, in closed
     form: the identity with the places of each run of I sorted (see
     star_longest).  In I2(m), w_I is the longest word for I = {1,2} and s_i
-    for I = {i}.  The empty frame gives the system's one identity object,
-    which star_product skips by identity."""
+    for I = {i}.  The empty frame gives the identity."""
     indices = check_subset(system, indices)
     if not indices:
         return identity(system)
@@ -84,12 +83,8 @@ def star_longest(x: Element, frames: Iterable[Frame]) -> Element:
     """x * w_K1 * w_K2 * ... (star product) for the frames K1, K2, ...
 
     Types A and B sort the runs of each frame on one copy of x's image list
-    (_sort_runs); I2 folds each longest word by star_product.  With no
-    nonempty frame, x itself."""
+    (_sort_runs); I2 folds each longest word by star_product."""
     system = x.system
-    frames = [K for K in frames if K]
-    if not frames:
-        return x
     if system.cartan == "I2":
         for K in frames:
             x = star_product(x, longest_element(system, K))
@@ -167,12 +162,10 @@ def max_elem(p: DoubleCoset) -> Element:
     min's image list, and the runs of I sort places of its position list,
     as w_I * x is the inverse of x^{-1} * w_I; the position list is local,
     so no inverse is cached.  I2 folds the longest words by star_product.
-    Empty frames give min itself, or the system's identity object when min
-    equals it: the cache answers every equal coset with what it computed
-    first, and a product (say w_I w_I) can leave a copy of the identity."""
+    Empty frames return min, so the cache holds no copy of it."""
     system, left, right = p.system, p.left, p.right
     if not (left or right):
-        return system._identity if p.min == system._identity else p.min
+        return p.min
     if system.cartan == "I2":
         return star_product(star_product(longest_element(system, left), p.min), longest_element(system, right))
     d = list(p.min.data)
@@ -314,10 +307,7 @@ class DescentTable(NamedTuple):
     by_mask: tuple
 
     def element(self, k: int) -> Element:
-        """The element of row k, built on each call; row 0 is the identity,
-        the system's one object, which star_product skips by identity."""
-        if not k:
-            return self.system._identity
+        """The element of row k, built on each call."""
         return Element(self.system, self.unpack(self.data, k * self.width))
 
     def images(self, positions: Sequence[int]) -> tuple:

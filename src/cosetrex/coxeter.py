@@ -268,8 +268,7 @@ def element_from_images(system: CoxeterSystem, images: Sequence[int]) -> Element
     signed = system.cartan == "B"
     if sorted(map(abs, images)) != list(range(1, n + 1)) or not (signed or all(x > 0 for x in images)):
         raise ValueError(f"{images} is not a {'signed ' if signed else ''}permutation of 1..{n}")
-    # the identity is the system's one object, which star_product skips by identity
-    return system._identity if images == system._identity.data else Element(system, images)
+    return Element(system, images)
 
 
 def element_from_word(system: CoxeterSystem, word: Sequence[int]) -> Element:
@@ -546,12 +545,6 @@ def star_product(w: Element, v: Element) -> Element:
     system = w.system
     if system is not v.system:
         raise ValueError("cannot star-multiply elements of different systems")
-    # the identity is the unit: return the other argument itself, not a
-    # copy, so a coset with empty frames keeps one object as min and max
-    if v is system._identity:
-        return w
-    if w is system._identity:
-        return v
     if system.cartan == "I2":
         acc = w
         for i in reduced_word(v):

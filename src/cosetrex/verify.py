@@ -155,7 +155,7 @@ def _check_squash_bijection(system: coxeter.CoxeterSystem, J: frozenset, found, 
 def _check_squash(system: coxeter.CoxeterSystem, emit, fail) -> None:
     for J, found in _core_by_right(system, fail):
         _check_squash_bijection(system, J, found, fail)
-        emit(f"squash-bijection A rank={system.rank} J={cosets.format_subset(J)}: {len(found)} cosets")
+        emit(f"squash-bijection {system.cartan} rank={system.rank} J={cosets.format_subset(J)}: {len(found)} cosets")
 
 
 def _check_atomic_rex_bijection(system: coxeter.CoxeterSystem, emit, fail) -> None:
@@ -335,7 +335,7 @@ def _check_type_b(system: coxeter.CoxeterSystem, emit, fail) -> None:
 # (max bond for I2)
 _SUITES: dict[str, tuple[Callable, dict[str, int]]] = {
     "core-atomic": (_check_core_atomic, {"A": 5, "B": 3, "I2": 7}),
-    "squash-bijection": (_check_squash, {"A": 5}),
+    "squash-bijection": (_check_squash, {"A": 5, "B": 3}),
     "atomic-rex-bijection": (_check_atomic_rex_bijection, {"A": 4, "B": 3}),
     "matsumoto": (_check_matsumoto, {"A": 4, "B": 3}),
     "mimimi": (_check_mimimi, {"A": 4, "B": 3, "I2": 3}),

@@ -691,6 +691,7 @@ _WALK_FAULTS = [
     (_factor_the_core, "add-remove", "B", "3"),
     (_peel_to_itself, "core-atomic", "A", "3"),
     (_unsquash_off_the_minimum, "squash-bijection", "A", "3"),
+    (_unsquash_off_the_minimum, "squash-bijection", "B", "3"),
     (_max_keeps_the_signs, "core-atomic", "B", "3"),
     (_max_keeps_the_signs, "matsumoto", "B", "3"),
     (_simple_conjugate_misses_the_identity, "core-atomic", "B", "3"),
@@ -1023,6 +1024,7 @@ _DEFAULT_OUTPUT = {
     ("core-atomic", "B"): (15, "838d5ba5d09fb08801d05efd6aa54aba2c3db05c5978c3c84856a4f8665cfde0"),
     ("core-atomic", "I2"): (21, "db17003718709713903273f0bf5599c7ce0b7180e0c845511c2902d21daaca5f"),
     ("squash-bijection", "A"): (63, "f0b1557abfc5912d9bd601669f4499a643f36acdc9b876818b74c69a1c9461f4"),
+    ("squash-bijection", "B"): (15, "b280c6e8533b18bc36979b9eda12259df3779457b7c40bb8dde045caf7a30023"),
     ("atomic-rex-bijection", "A"): (31, "105dbf6bf6f137ebce646852f1783cbb803ddb9e4b858b437c76c2e3d091ed2d"),
     ("atomic-rex-bijection", "B"): (15, "36e493d031599708691c9fa26990781d8190f5880714350a2b7be8d296ed1ff2"),
     ("matsumoto", "A"): (31, "551ee814f060f3a4643929c866f5c25934cd79dd00c373ff92395ceb6b99ea7c"),
